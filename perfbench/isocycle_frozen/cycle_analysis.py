@@ -1,0 +1,662 @@
+"""Structure of an isolating cycle in a plane graph.
+
+Fix a cycle C = v_0 ... v_{c-1} of a 3-connected plane graph G.  The two
+sides of C are told apart by 2-colouring the faces of G: crossing an edge of
+C switches sides, crossing any other edge does not.  The smaller vertex side
+is called the minus side.  The pruned graph H is obtained from G by deleting
+chords of C: all of them when the minus side has vertices, otherwise only the
+chords on the plus side.
+
+Every face of H lies on one side of C.  When the minus side has no vertices
+(and the plus side does) the minus-side faces are called thin; every other
+face is thick.  A face is minor when it is thin with exactly one non-C
+boundary edge, or thick with exactly one boundary vertex off C (its apex);
+all other faces are major.  m_f counts the C-edges of a face f; the C-edges
+of a minor face always form one contiguous arc of C.  Every minor face
+carries arches: its proper arch (the boundary minus the C-arc) plus one arch
+per deleted chord drawn inside the face, except chords joining the two ends
+of the face's arc.  The archway of an arch is the sub-arc of C it spans.
+
+C is isolating when every vertex off C has all its neighbours on C.  The
+analysis requires an isolating cycle by default; everything else (including
+3-connectivity of G) is the caller's responsibility.
+"""
+
+from dataclasses import dataclass, field
+
+from .errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
+from .plane_graph import build_plane_graph
+
+MINUS = "minus"
+PLUS = "plus"
+
+
+def check_cycle(g, seq):
+    """Validate that seq is a cycle of g and return it as a tuple."""
+    seq = tuple(seq)
+    if len(seq) < 3:
+        raise NotCycle(f"a cycle needs at least 3 vertices, got {len(seq)}")
+    for v in seq:
+        if v not in g.index:
+            raise NotCycle(f"unknown vertex {v!r}")
+    if len(set(seq)) != len(seq):
+        raise NotCycle("repeated vertex")
+    for i in range(len(seq)):
+        if not g.has_edge(seq[i - 1], seq[i]):
+            raise NotCycle(f"missing edge {seq[i - 1]!r}-{seq[i]!r}")
+    return seq
+
+
+def canonical_cycle(g, seq):
+    """Rotate/reflect a cycle into a canonical form for comparisons."""
+    seq = check_cycle(g, seq)
+    k = len(seq)
+    i = min(range(k), key=lambda j: g.index[seq[j]])
+    rot = seq[i:] + seq[:i]
+    if g.index[rot[-1]] < g.index[rot[1]]:
+        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    return rot
+
+
+def is_isolating(g, cycle):
+    """True when every edge of g has an endpoint on the cycle."""
+    on = set(cycle)
+    return all(u in on or v in on for u, v in g.edges)
+
+
+def face_sides(g, cycle):
+    """2-colour the faces of g by the side of the cycle they lie on.
+
+    The face traced from the directed edge (v_0, v_1) gets label 'L', the one
+    traced from (v_1, v_0) gets 'R'.  g must contain the cycle.
+    """
+    c = len(cycle)
+    cycle_edges = {g.edge(cycle[i - 1], cycle[i]) for i in range(c)}
+    side = {g.face_id[(cycle[0], cycle[1])]: "L"}
+    stack = [g.face_id[(cycle[0], cycle[1])]]
+    while stack:
+        fid = stack.pop()
+        face = g.faces[fid]
+        k = len(face)
+        for i in range(k):
+            u, v = face[i], face[(i + 1) % k]
+            other = g.face_id[(v, u)]
+            if g.edge(u, v) in cycle_edges:
+                want = "R" if side[fid] == "L" else "L"
+            else:
+                want = side[fid]
+            if other in side:
+                if side[other] != want:
+                    raise ContractViolation("inconsistent side 2-colouring")
+            else:
+                side[other] = want
+                stack.append(other)
+    if len(side) != len(g.faces):
+        raise ContractViolation("side propagation did not reach every face")
+    return side
+
+
+@dataclass(frozen=True)
+class Arch:
+    """An arch of a minor face.
+
+    kind is 'proper' (the face boundary minus its C-arc) or 'chord' (a
+    deleted chord drawn inside the face).  path runs from one C-endpoint to
+    the other; start/length describe the archway, the sub-arc of C spanned by
+    the arch, as edge positions along the cycle.
+    """
+
+    face: int
+    kind: str
+    path: tuple
+    start: int
+    length: int
+    cycle_length: int
+
+    @property
+    def positions(self):
+        """Edge positions of the archway, in arc order."""
+        return tuple((self.start + i) % self.cycle_length for i in range(self.length))
+
+    @property
+    def extremal_positions(self):
+        first = self.start
+        last = (self.start + self.length - 1) % self.cycle_length
+        return (first, last)
+
+    @property
+    def middle_position(self):
+        if self.length % 2 == 0:
+            return None
+        return (self.start + self.length // 2) % self.cycle_length
+
+    @property
+    def endpoints(self):
+        return (self.path[0], self.path[-1])
+
+    def covers(self, other):
+        """True when the archway of ``other`` lies inside this archway."""
+        return set(other.positions) <= set(self.positions)
+
+
+@dataclass(eq=False)
+class CycleAnalysis:
+    g: object
+    cycle: tuple
+    pos: dict = field(repr=False)
+    cycle_edge_at: tuple = field(repr=False)
+    pos_of_edge: dict = field(repr=False)
+    chords: tuple = field(repr=False)
+    chord_side: dict = field(repr=False)
+    vertex_side: dict = field(repr=False)
+    v_minus: tuple = ()
+    v_plus: tuple = ()
+    side_of_minus: str = "L"
+    h: object = None
+    deleted_chords: tuple = ()
+    face_side: dict = field(default_factory=dict, repr=False)
+    face_c_positions: dict = field(default_factory=dict, repr=False)
+    face_arc: dict = field(default_factory=dict, repr=False)
+    thin: dict = field(default_factory=dict, repr=False)
+    minor_set: frozenset = frozenset()
+    apex: dict = field(default_factory=dict, repr=False)
+    arches_of: dict = field(default_factory=dict, repr=False)
+    degenerate_faces: frozenset = frozenset()
+
+    @property
+    def c(self):
+        return len(self.cycle)
+
+    # -- positions ---------------------------------------------------------
+
+    def edge_vertices(self, p):
+        return (self.cycle[p], self.cycle[(p + 1) % self.c])
+
+    def edge_at(self, p):
+        return self.cycle_edge_at[p]
+
+    def face_at(self, p, side):
+        """The face of H on the given side of the C-edge at position p."""
+        u, v = self.edge_vertices(p)
+        a = self.h.face_id[(u, v)]
+        b = self.h.face_id[(v, u)]
+        return a if self.face_side[a] == side else b
+
+    def across(self, fid, p):
+        """The face of H on the other side of the C-edge at position p."""
+        u, v = self.edge_vertices(p)
+        return self.h.across(fid, u, v)
+
+    # -- faces --------------------------------------------------------------
+
+    def m(self, fid):
+        """Number of C-edges of a face of H (0 for major faces)."""
+        return len(self.face_c_positions.get(fid, ()))
+
+    def is_minor(self, fid):
+        return fid in self.minor_set
+
+    def side(self, fid):
+        return self.face_side[fid]
+
+    def is_thin(self, fid):
+        return self.thin[fid]
+
+    def is_thick(self, fid):
+        return not self.thin[fid]
+
+    def minor_faces(self, side=None):
+        fids = sorted(self.minor_set, key=lambda f: (self.face_arc[f][0], f))
+        if side is None:
+            return fids
+        return [f for f in fids if self.face_side[f] == side]
+
+    def major_faces(self, side=None):
+        fids = [f for f in range(len(self.h.faces)) if not self.is_minor(f)]
+        if side is None:
+            return fids
+        return [f for f in fids if self.face_side[f] == side]
+
+    def extremal_positions_of_face(self, fid):
+        """C-edges of fid adjacent to at most one other C-edge of fid."""
+        arc = self.face_arc.get(fid)
+        if arc is None:
+            return ()
+        s, m = arc
+        if m == 1:
+            return (s,)
+        return (s, (s + m - 1) % self.c)
+
+    def middle_position_of_face(self, fid):
+        arc = self.face_arc.get(fid)
+        if arc is None or arc[1] % 2 == 0:
+            return None
+        s, m = arc
+        return (s + m // 2) % self.c
+
+    def extremal_vertices_of_face(self, fid):
+        arc = self.face_arc.get(fid)
+        if arc is None:
+            return ()
+        s, m = arc
+        return (self.cycle[s], self.cycle[(s + m) % self.c])
+
+    def is_extremal_edge_of_face(self, p, fid):
+        return p in self.extremal_positions_of_face(fid)
+
+    # -- arches ---------------------------------------------------------------
+
+    def arches(self, fid):
+        return self.arches_of.get(fid, ())
+
+    def all_arches(self):
+        out = []
+        for fid in self.minor_faces():
+            out.extend(self.arches_of.get(fid, ()))
+        return out
+
+    def m_shared(self, fid, arch):
+        """Number of C-edges of face fid lying on the archway of ``arch``."""
+        return len(set(self.face_c_positions.get(fid, ())) & set(arch.positions))
+
+    def h_minus(self):
+        """H restricted to the cycle and the minus side."""
+        return self.h.induced_subgraph(set(self.cycle) | set(self.v_minus))
+
+    def h_plus(self):
+        """H restricted to the cycle and the plus side."""
+        keep = self.h.induced_subgraph(set(self.cycle) | set(self.v_plus))
+        minus_chords = [
+            e for e in keep.edges
+            if e not in self.pos_of_edge and self.chord_side.get(e) == MINUS
+        ]
+        return keep.delete_edges(minus_chords)
+
+
+def _cyclic_run(positions, c):
+    """Start and length of a contiguous cyclic run, None for a full circle."""
+    ps = set(positions)
+    m = len(ps)
+    if m == c:
+        return None
+    starts = [p for p in ps if (p - 1) % c not in ps]
+    if len(starts) != 1:
+        raise ContractViolation("C-edges of a minor face are not contiguous")
+    s = starts[0]
+    if any((s + i) % c not in ps for i in range(m)):
+        raise ContractViolation("C-edges of a minor face are not contiguous")
+    return (s, m)
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def analyze_cycle(g, cycle, require_isolating=True):
+    """Full side/pruning/face/arch analysis of a cycle of g.
+
+    g must be 3-connected (not rechecked here).  Raises NotIsolating unless
+    the cycle is isolating or require_isolating is False.
+    """
+    cyc = check_cycle(g, cycle)
+    c = len(cyc)
+    on_cycle = set(cyc)
+    if require_isolating and not is_isolating(g, cyc):
+        raise NotIsolating("some edge of the graph avoids the cycle")
+
+    pos = {v: i for i, v in enumerate(cyc)}
+    edge_at = tuple(g.edge(cyc[i], cyc[(i + 1) % c]) for i in range(c))
+    pos_of_edge = {e: i for i, e in enumerate(edge_at)}
+    chords = tuple(
+        e
+        for e in g.edges
+        if e[0] in on_cycle and e[1] in on_cycle and e not in pos_of_edge
+    )
+
+    g_side = face_sides(g, cyc)
+
+    vertex_lr = {}
+    for v in g.vertices:
+        if v in on_cycle:
+            continue
+        labels = {g_side[g.face_id[(v, w)]] for w in g.rotation[v]}
+        if len(labels) != 1:
+            raise ContractViolation(f"vertex {v!r} touches faces on both sides")
+        vertex_lr[v] = labels.pop()
+    chord_lr = {}
+    for a, b in chords:
+        s1 = g_side[g.face_id[(a, b)]]
+        s2 = g_side[g.face_id[(b, a)]]
+        if s1 != s2:
+            raise ContractViolation(f"chord {a!r}-{b!r} touches both sides")
+        chord_lr[(a, b)] = s1
+
+    v_L = sorted((v for v in vertex_lr if vertex_lr[v] == "L"), key=g.index.__getitem__)
+    v_R = sorted((v for v in vertex_lr if vertex_lr[v] == "R"), key=g.index.__getitem__)
+    if len(v_L) != len(v_R):
+        side_of_minus = "L" if len(v_L) < len(v_R) else "R"
+    elif v_L:
+        side_of_minus = "L" if g.index[v_L[0]] < g.index[v_R[0]] else "R"
+    else:
+        side_of_minus = "L"
+
+    def to_side(lr):
+        return MINUS if lr == side_of_minus else PLUS
+
+    vertex_side = {v: to_side(lr) for v, lr in vertex_lr.items()}
+    chord_side = {e: to_side(lr) for e, lr in chord_lr.items()}
+    v_minus = tuple(v for v in (v_L if side_of_minus == "L" else v_R))
+    v_plus = tuple(v for v in (v_R if side_of_minus == "L" else v_L))
+
+    if v_minus:
+        deleted = chords
+    else:
+        deleted = tuple(e for e in chords if chord_side[e] == PLUS)
+    h = g.delete_edges(deleted)
+
+    h_lr = face_sides(h, cyc)
+    face_side = {fid: to_side(lr) for fid, lr in h_lr.items()}
+
+    face_c_positions = {}
+    for fid, face in enumerate(h.faces):
+        ps = set()
+        k = len(face)
+        for i in range(k):
+            p = pos_of_edge.get(h.edge(face[i - 1], face[i]))
+            if p is not None:
+                ps.add(p)
+        if ps:
+            face_c_positions[fid] = tuple(sorted(ps))
+
+    # every side sees each C-edge in exactly one of its minor faces
+    for side in (MINUS, PLUS):
+        total = sum(
+            len(ps)
+            for fid, ps in face_c_positions.items()
+            if face_side[fid] == side
+        )
+        if total != c:
+            raise ContractViolation(f"C-edge count on side {side} is {total}, not {c}")
+
+    # thin faces exist only when the minus side is empty (and something is
+    # left to isolate); every other face is thick
+    has_thin_side = not v_minus and bool(v_plus)
+    thin = {
+        fid: has_thin_side and face_side[fid] == MINUS
+        for fid in range(len(h.faces))
+    }
+
+    # minor: thin with exactly one non-C boundary edge, or thick with exactly
+    # one off-cycle boundary vertex
+    face_arc = {}
+    minor_set = set()
+    apex = {}
+    degenerate = set()
+    for fid, ps in face_c_positions.items():
+        if len(ps) == c:
+            degenerate.add(fid)
+            continue
+        boundary = h.faces[fid]
+        if thin[fid]:
+            non_c = [
+                h.edge(boundary[i - 1], boundary[i])
+                for i in range(len(boundary))
+                if h.edge(boundary[i - 1], boundary[i]) not in pos_of_edge
+            ]
+            if len(non_c) != 1:
+                continue
+            arc = _cyclic_run(ps, c)
+            s, m = arc
+            ends = {cyc[s], cyc[(s + m) % c]}
+            if set(non_c[0]) != ends:
+                raise ContractViolation(
+                    f"chord of thin minor face {fid} misses the arc ends"
+                )
+        else:
+            off = [v for v in boundary if v not in on_cycle]
+            if len(off) != 1:
+                continue
+            arc = _cyclic_run(ps, c)
+            s, m = arc
+            if len(boundary) != m + 2:
+                raise ContractViolation(
+                    f"thick minor face {fid} is not an arc plus apex"
+                )
+            apex[fid] = off[0]
+        minor_set.add(fid)
+        face_arc[fid] = arc
+
+    # host face of every deleted chord, via the merged regions of G-faces
+    parent = list(range(len(g.faces)))
+    for a, b in deleted:
+        ra, rb = _find(parent, g.face_id[(a, b)]), _find(parent, g.face_id[(b, a)])
+        if ra != rb:
+            parent[ra] = rb
+    class_to_hface = {}
+    for fid, face in enumerate(h.faces):
+        class_to_hface[_find(parent, g.face_id[(face[0], face[1])])] = fid
+    chord_hosts = {}
+    for e in deleted:
+        fid = class_to_hface[_find(parent, g.face_id[e])]
+        chord_hosts.setdefault(fid, []).append(e)
+
+    arches_of = {}
+    for fid in minor_set:
+        s, m = face_arc[fid]
+        x, y = cyc[s], cyc[(s + m) % c]
+        if thin[fid]:
+            path = (x, y)
+        else:
+            path = (x, apex[fid], y)
+        arches = [Arch(fid, "proper", path, s, m, c)]
+        for a, b in chord_hosts.get(fid, ()):
+            ra = (pos[a] - s) % c
+            rb = (pos[b] - s) % c
+            if ra > m or rb > m:
+                raise ContractViolation(
+                    f"chord {a!r}-{b!r} hosted by face {fid} leaves its arc"
+                )
+            lo, hi = sorted((ra, rb))
+            if lo == 0 and hi == m:
+                # a chord joining the two ends of the arc is not an arch
+                continue
+            arches.append(
+                Arch(fid, "chord", (cyc[(s + lo) % c], cyc[(s + hi) % c]),
+                     (s + lo) % c, hi - lo, c)
+            )
+        arches.sort(key=lambda A: ((A.start - s) % c, A.length, A.kind))
+        for i, A in enumerate(arches):
+            a1 = (A.start - s) % c
+            b1 = a1 + A.length - 1
+            for B in arches[i + 1:]:
+                a2 = (B.start - s) % c
+                b2 = a2 + B.length - 1
+                nested = (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2)
+                disjoint = b1 < a2 or b2 < a1
+                if not (nested or disjoint):
+                    raise ContractViolation(
+                        f"archways of face {fid} are not laminar"
+                    )
+        arches_of[fid] = tuple(arches)
+
+    return CycleAnalysis(
+        g=g,
+        cycle=cyc,
+        pos=pos,
+        cycle_edge_at=edge_at,
+        pos_of_edge=pos_of_edge,
+        chords=chords,
+        chord_side=chord_side,
+        vertex_side=vertex_side,
+        v_minus=v_minus,
+        v_plus=v_plus,
+        side_of_minus=side_of_minus,
+        h=h,
+        deleted_chords=tuple(deleted),
+        face_side=face_side,
+        face_c_positions=face_c_positions,
+        face_arc=face_arc,
+        thin=thin,
+        minor_set=frozenset(minor_set),
+        apex=apex,
+        arches_of=arches_of,
+        degenerate_faces=frozenset(degenerate),
+    )
+
+
+# ---------------------------------------------------------------------------
+# extension trees
+
+
+@dataclass(eq=False)
+class SideTree:
+    """The extension tree of one side of the cycle.
+
+    Nodes are ('face', fid) and ('vertex', v) pairs.  When the side has
+    vertices, every minor face hangs off its apex and the vertices met by a
+    common major face are joined in a star.  When the side has no vertices,
+    the tree is the weak dual of the side: its faces, joined whenever they
+    share a chord.
+    """
+
+    side: str
+    kind: str
+    nodes: tuple
+    edges: tuple
+    adj: dict = field(repr=False)
+
+    def degree(self, node):
+        return len(self.adj[node])
+
+    def leaves(self):
+        return [x for x in self.nodes if len(self.adj[x]) <= 1]
+
+    def is_tree(self):
+        if not self.nodes:
+            return False
+        if len(self.edges) != len(self.nodes) - 1:
+            return False
+        seen = {self.nodes[0]}
+        stack = [self.nodes[0]]
+        while stack:
+            x = stack.pop()
+            for y in self.adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == len(self.nodes)
+
+
+def extension_tree(analysis, side):
+    """Build the extension tree for one side of the cycle."""
+    if side not in (MINUS, PLUS):
+        raise ValueError(f"side must be {MINUS!r} or {PLUS!r}")
+    h = analysis.h
+    side_vertices = analysis.v_minus if side == MINUS else analysis.v_plus
+    minor = analysis.minor_faces(side)
+
+    if side_vertices:
+        nodes = [("face", f) for f in minor]
+        nodes += [("vertex", v) for v in side_vertices]
+        edges = set()
+        for f in minor:
+            edges.add((("face", f), ("vertex", analysis.apex[f])))
+        for f in analysis.major_faces(side):
+            met = [v for v in set(h.faces[f]) if analysis.vertex_side.get(v) == side]
+            met = h.sorted_vertices(met)
+            for w in met[1:]:
+                edges.add((("vertex", met[0]), ("vertex", w)))
+        kind = "incidence"
+    else:
+        side_faces = [
+            f for f in range(len(h.faces)) if analysis.face_side[f] == side
+        ]
+        if len(side_faces) < 2:
+            raise DegenerateSide(f"the {side} side of the cycle has no structure")
+        nodes = [("face", f) for f in side_faces]
+        edges = set()
+        for e in h.edges:
+            if e in analysis.pos_of_edge:
+                continue
+            a, b = h.faces_of_edge(*e)
+            if analysis.face_side[a] == side and analysis.face_side[b] == side:
+                if a != b:
+                    edges.add(tuple(sorted((("face", a), ("face", b)))))
+        kind = "weak_dual"
+
+    adj = {x: set() for x in nodes}
+    for x, y in edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    return SideTree(side=side, kind=kind, nodes=tuple(nodes), edges=tuple(sorted(edges)), adj=adj)
+
+
+def check_tree_lemma(analysis, side):
+    """Evaluate the structural claims about one side's extension tree.
+
+    Returns a dict of named boolean checks plus the tree itself under 'tree'.
+    """
+    tree = extension_tree(analysis, side)
+    minor = {("face", f) for f in analysis.minor_faces(side)}
+    side_vertices = analysis.v_minus if side == MINUS else analysis.v_plus
+
+    leaves = set(tree.leaves())
+    degrees = [tree.degree(x) for x in tree.nodes]
+    leaf_count = sum(1 for d in degrees if d <= 1)
+    branching = sum(d - 2 for d in degrees if d >= 3)
+
+    checks = {
+        "is_tree": tree.is_tree(),
+        "leaves_are_minor_faces": leaves == minor,
+        "leaf_count_identity": len(tree.nodes) < 2 or leaf_count == 2 + branching,
+        "minor_face_lower_bound": len(minor) >= len(side_vertices) + 2,
+        "no_degree_two": (not side_vertices) or all(d != 2 for d in degrees),
+    }
+    checks["ok"] = all(checks.values())
+    checks["tree"] = tree
+    return checks
+
+
+def partition_regions(g, cycle):
+    """Split the off-cycle vertices into the two sides of the cycle.
+
+    Returns (v_minus, v_plus, side_of_minus) with |v_minus| <= |v_plus|.
+    """
+    a = analyze_cycle(g, cycle)
+    return a.v_minus, a.v_plus, a.side_of_minus
+
+
+def build_pruned(g, cycle):
+    """Return the chord-pruned graph H together with the deleted chords."""
+    a = analyze_cycle(g, cycle)
+    return a.h, a.deleted_chords
+
+
+def classify_faces(analysis):
+    """Per-face summary rows for the pruned graph (id, side, size, markers)."""
+    rows = []
+    for fid in range(len(analysis.h.faces)):
+        row = {
+            "id": fid,
+            "side": analysis.face_side[fid],
+            "size": len(analysis.h.faces[fid]),
+            "m": analysis.m(fid),
+            "minor": analysis.is_minor(fid),
+            "thin": analysis.is_thin(fid) if analysis.is_minor(fid) else None,
+            "apex": analysis.apex.get(fid),
+        }
+        rows.append(row)
+    return rows
+
+
+def enumerate_arches(analysis):
+    """All arches of all minor faces, proper arches first within each face."""
+    return analysis.all_arches()
+
+
+def build_extension_trees(analysis):
+    """Both extension trees as a (minus, plus) pair."""
+    return extension_tree(analysis, MINUS), extension_tree(analysis, PLUS)

@@ -1,0 +1,396 @@
+"""Discharging audit over the minor faces of an isolating cycle.
+
+Every face of H starts with weight equal to its number of C-edges, so the
+total weight is 2c.  For every minor face g and every C-edge e of g, the
+conditions C1 to C6 decide whether g pulls one unit of weight across e from
+the face f on the other side; C7 runs afterwards and lets every transfer
+pair of a track pull when the track's exit pair itself satisfies one of C1
+to C6.  The audit records every pull, the final weights, and a set of
+verdicts: exclusivity of pulls per edge, conservation, the per-face weight
+bounds (majors stay nonnegative, thin minor faces keep at least 2, thick
+minor faces at least 4), the side inequality they imply, and the resulting
+lower bound on c.  On a cycle that still extends, some verdict must fail;
+the audit reports which.
+
+Preconditions: c >= 6 and no minor face with a single C-edge (such faces are
+extension fodder, not audit input).
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .cycle_analysis import MINUS, PLUS
+from .errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
+from .tunnels import find_tunnels, tracks, transfer_pairs, transfer_registry
+
+CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
+
+
+@dataclass(frozen=True)
+class Pull:
+    """One unit of weight moved from ``giver`` to ``taker`` across C-edge
+    ``position`` under the named condition."""
+
+    condition: str
+    taker: int
+    giver: int
+    position: int
+    mono: bool = False
+
+
+def _three_arches(analysis, fid):
+    return [a for a in analysis.arches(fid) if a.length == 3]
+
+
+def _arch_with_middle(analysis, fid, e, length):
+    for a in analysis.arches(fid):
+        if a.length == length and a.middle_position == e:
+            return a
+    return None
+
+
+def _four_arch_with_inner(analysis, fid, e):
+    for a in analysis.arches(fid):
+        if a.length == 4 and e in a.positions and e not in a.extremal_positions:
+            return a
+    return None
+
+
+def _cond_c1(analysis, registry, g, e):
+    f = analysis.across(g, e)
+    return not analysis.is_minor(f)
+
+
+def _cond_c2(analysis, registry, g, e):
+    f = analysis.across(g, e)
+    if not analysis.is_minor(f):
+        return False
+    if analysis.is_thick(g) and analysis.m(g) == 2:
+        return True
+    if analysis.m(g) == 3:
+        h = analysis.across(g, analysis.middle_position_of_face(g))
+        return (
+            h != f
+            and analysis.is_minor(h)
+            and analysis.is_thin(h)
+            and analysis.m(h) == 2
+        )
+    return False
+
+
+def _cond_c3(analysis, registry, g, e):
+    f = analysis.across(g, e)
+    if not analysis.is_minor(f) or analysis.m(f) < 3:
+        return False
+    b = _arch_with_middle(analysis, g, e, 3)
+    if b is None:
+        return False
+    for a in _three_arches(analysis, f):
+        if e in a.extremal_positions:
+            return False
+    if any(analysis.is_minor(analysis.across(g, p)) is False for p in b.positions):
+        return False
+    g_ext = set(analysis.extremal_positions_of_face(g))
+    hits = [p for p in b.extremal_positions if p in g_ext]
+    if not hits:
+        return False
+    if analysis.m(g) == 3:
+        return True
+    ext = b.extremal_positions
+    other = ext[0] if ext[1] == hits[0] else ext[1]
+    return analysis.across(g, other) != f
+
+
+def _is_mono(analysis, g, e):
+    f = analysis.across(g, e)
+    c = analysis.c
+    ps = set(analysis.face_c_positions.get(f, ()))
+    return {(e - 1) % c, e, (e + 1) % c} <= ps
+
+
+def _c45_common(analysis, g, e):
+    """Shared setup of C4 and C5: the 4-arch of g around e and its far end."""
+    f = analysis.across(g, e)
+    if not analysis.is_minor(f):
+        return None
+    b = _four_arch_with_inner(analysis, g, e)
+    if b is None:
+        return None
+    c = analysis.c
+    lo, hi = b.extremal_positions
+    adj = lo if (e - b.start) % c == 1 else hi
+    far = hi if adj == lo else lo
+    if adj not in analysis.extremal_positions_of_face(g):
+        return None
+    if analysis.m_shared(f, b) != 3:
+        return None
+    return f, b, far
+
+
+def _cond_c4(analysis, registry, g, e):
+    setup = _c45_common(analysis, g, e)
+    if setup is None:
+        return False
+    f, b, far = setup
+    h = analysis.across(g, far)
+    return analysis.is_thick(h) and analysis.m(h) == 2
+
+
+def _cond_c5(analysis, registry, g, e):
+    setup = _c45_common(analysis, g, e)
+    if setup is None:
+        return False
+    f, b, far = setup
+    h = analysis.across(g, far)
+    if (h, far) not in registry:
+        return False
+    c = analysis.c
+    end_vertex = (
+        analysis.cycle[b.start] if far == b.start else analysis.cycle[(b.start + 4) % c]
+    )
+    for fid in (g, h):
+        for a in analysis.arches(fid):
+            if a.length == 2 and end_vertex in (a.path[0], a.path[-1]):
+                return False
+    for fid in (f, g):
+        for a in _three_arches(analysis, fid):
+            if e in a.extremal_positions:
+                return False
+    return True
+
+
+def _cond_c6(analysis, registry, g, e):
+    f = analysis.across(g, e)
+    if not analysis.is_minor(f):
+        return False
+    if not (analysis.is_thick(g) and analysis.m(g) == 4):
+        return False
+    if e in analysis.extremal_positions_of_face(g):
+        return False
+    c = analysis.c
+    s, _ = analysis.face_arc[g]
+    far = (s + 3) % c if (e - s) % c == 1 else s
+    if _arch_with_middle(analysis, g, e, 3) is not None:
+        return False
+    for fid in analysis.minor_faces():
+        if fid == f:
+            continue
+        if _arch_with_middle(analysis, fid, far, 3) is not None:
+            return True
+    return False
+
+
+_COND_FUNCS = {
+    "C1": _cond_c1,
+    "C2": _cond_c2,
+    "C3": _cond_c3,
+    "C4": _cond_c4,
+    "C5": _cond_c5,
+    "C6": _cond_c6,
+}
+
+
+def evaluate_condition(analysis, registry, condition, g, e):
+    """Evaluate one of C1..C6 for minor face g pulling across C-edge e."""
+    return _COND_FUNCS[condition](analysis, registry, g, e)
+
+
+@dataclass(eq=False)
+class WeightLedger:
+    analysis: object
+    strict_transfer: bool
+    pulls: tuple
+    initial: dict
+    final: dict
+    conditions_at: dict
+    checks: dict
+    violations: dict
+
+    def summary(self):
+        a = self.analysis
+        return {
+            "c": a.c,
+            "n": a.g.n,
+            "strict_transfer": self.strict_transfer,
+            "pulls": [
+                {
+                    "condition": p.condition,
+                    "taker": p.taker,
+                    "giver": p.giver,
+                    "position": p.position,
+                    "mono": p.mono,
+                }
+                for p in self.pulls
+            ],
+            "initial_weights": {str(f): w for f, w in sorted(self.initial.items())},
+            "final_weights": {str(f): w for f, w in sorted(self.final.items())},
+            "checks": dict(self.checks),
+            "violations": {k: list(v) for k, v in self.violations.items()},
+        }
+
+
+def apply_discharging(analysis, strict_transfer=True):
+    """Run both discharging phases and audit the resulting weights."""
+    c = analysis.c
+    if c < 6:
+        raise CycleTooShort(f"discharging needs c >= 6, got {c}")
+    if analysis.degenerate_faces:
+        raise DegenerateSide("a minor face spans the whole cycle")
+    for fid in analysis.minor_faces():
+        if analysis.m(fid) == 1:
+            raise MinorOneFacePresent(
+                f"minor face {fid} has a single C-edge; extend across it first"
+            )
+
+    registry = transfer_registry(analysis, strict=strict_transfer)
+
+    pulls = []
+    conditions_at = {}
+    for g in analysis.minor_faces():
+        s, m = analysis.face_arc[g]
+        for i in range(m):
+            e = (s + i) % c
+            conds = tuple(
+                name
+                for name in CONDITIONS
+                if _COND_FUNCS[name](analysis, registry, g, e)
+            )
+            conditions_at[(g, e)] = conds
+            if conds:
+                pulls.append(
+                    Pull(
+                        condition=conds[0],
+                        taker=g,
+                        giver=analysis.across(g, e),
+                        position=e,
+                        mono=conds[0] == "C3" and _is_mono(analysis, g, e),
+                    )
+                )
+
+    for tunnel in find_tunnels(analysis):
+        if tunnel.cyclic:
+            continue
+        for track in tracks(analysis, tunnel):
+            exit_face, exit_pos = track.exit_pair
+            if not analysis.is_minor(exit_face):
+                continue
+            if not conditions_at.get((exit_face, exit_pos)):
+                continue
+            for pair in transfer_pairs(analysis, track, strict=strict_transfer):
+                pulls.append(
+                    Pull(
+                        condition="C7",
+                        taker=pair.face,
+                        giver=analysis.across(pair.face, pair.position),
+                        position=pair.position,
+                    )
+                )
+
+    initial = {fid: analysis.m(fid) for fid in range(len(analysis.h.faces))}
+    final = dict(initial)
+    for p in pulls:
+        final[p.giver] -= 1
+        final[p.taker] += 1
+
+    checks, violations = _audit(analysis, pulls, conditions_at, final)
+    return WeightLedger(
+        analysis=analysis,
+        strict_transfer=strict_transfer,
+        pulls=tuple(pulls),
+        initial=initial,
+        final=final,
+        conditions_at=conditions_at,
+        checks=checks,
+        violations=violations,
+    )
+
+
+def _audit(analysis, pulls, conditions_at, final):
+    c = analysis.c
+    n = analysis.g.n
+
+    per_edge = {}
+    for p in pulls:
+        per_edge.setdefault(p.position, []).append(p)
+    crowded = sorted(e for e, ps in per_edge.items() if len(ps) > 1)
+
+    non_exclusive = sorted(
+        (g, e) for (g, e), conds in conditions_at.items() if len(conds) > 1
+    )
+
+    minors = analysis.minor_faces()
+    minor_set = set(minors)
+    weak_majors = sorted(
+        f for f, w in final.items() if f not in minor_set and w < 0
+    )
+    weak_thin = sorted(
+        f for f in minors if analysis.is_thin(f) and final[f] < 2
+    )
+    weak_thick = sorted(
+        f for f in minors if analysis.is_thick(f) and final[f] < 4
+    )
+
+    m_minus = len(analysis.minor_faces(MINUS))
+    m_plus = len(analysis.minor_faces(PLUS))
+    if analysis.v_minus:
+        side_inequality = 2 * c >= 4 * (m_minus + m_plus)
+        implied = Fraction(2, 3) * (n + 4)
+    else:
+        side_inequality = 2 * c >= 2 * m_minus + 4 * m_plus
+        implied = Fraction(2, 3) * (n + 3)
+
+    checks = {
+        "conservation": sum(final.values()) == 2 * c,
+        "pulls_per_edge_at_most_one": not crowded,
+        "conditions_exclusive": not non_exclusive,
+        "majors_nonnegative": not weak_majors,
+        "thin_minors_keep_two": not weak_thin,
+        "thick_minors_keep_four": not weak_thick,
+        "side_inequality": side_inequality,
+        "length_bound": Fraction(c) >= implied,
+    }
+    violations = {
+        "crowded_edges": crowded,
+        "non_exclusive_pairs": non_exclusive,
+        "deficient_majors": weak_majors,
+        "deficient_thin_minors": weak_thin,
+        "deficient_thick_minors": weak_thick,
+    }
+    return checks, violations
+
+
+def check_exclusivity(ledger):
+    """Edges pulled more than once, with the offending pull records."""
+    per_edge = {}
+    for p in ledger.pulls:
+        per_edge.setdefault(p.position, []).append(p)
+    return {e: ps for e, ps in sorted(per_edge.items()) if len(ps) > 1}
+
+
+def check_weight_bounds(ledger):
+    """Faces ending below their required weight: (face, kind, weight, need)."""
+    a = ledger.analysis
+    out = []
+    for f, w in sorted(ledger.final.items()):
+        if not a.is_minor(f):
+            if w < 0:
+                out.append((f, "major", w, 0))
+        elif a.is_thin(f):
+            if w < 2:
+                out.append((f, "thin", w, 2))
+        else:
+            if w < 4:
+                out.append((f, "thick", w, 4))
+    return out
+
+
+def check_inequalities(ledger):
+    """(side inequality verdict, length bound verdict, implied bound)."""
+    a = ledger.analysis
+    n = a.g.n
+    implied = Fraction(2, 3) * (n + 4 if a.v_minus else n + 3)
+    return (
+        ledger.checks["side_inequality"],
+        ledger.checks["length_bound"],
+        implied,
+    )

@@ -1,0 +1,357 @@
+"""Extending isolating cycles toward the length bound.
+
+Every isolating cycle shorter than min{floor(2/3 (n+4)), n} extends to a
+longer cycle through all its vertices, adding at most 3 + (number of
+degree-5 vertices) new ones.  The fast tier inspects the cycle structure for
+known profitable spots: a thick minor face with a single C-edge absorbs its
+apex directly, and short windows around tunnels, small minor faces, and
+faces flagged by the discharging audit are rerouted by an exact search that
+keeps every window vertex and adds a few off-cycle ones.  The exhaustive
+tier tries every small set of off-cycle vertices and asks for a Hamiltonian
+cycle of the induced subgraph; it is the fallback of record, and growth
+traces count how often it was needed.
+"""
+
+import logging
+from dataclasses import dataclass
+from itertools import combinations
+
+from .cycle_analysis import analyze_cycle, check_cycle
+from .discharging import apply_discharging
+from .errors import (
+    ContractViolation,
+    CycleTooShort,
+    DegenerateSide,
+    ExtensionNotFound,
+    InvalidMove,
+    IsocycleError,
+    MinorOneFacePresent,
+)
+from .oracles import find_hamiltonian_path, hamiltonian_cycles
+from .tunnels import find_tunnels
+
+logger = logging.getLogger(__name__)
+
+MAX_WINDOW = 14
+
+
+def isolation_bound(g):
+    """min{floor(2/3 (n+4)), n}: isolating cycles below it always extend."""
+    return min((2 * (g.n + 4)) // 3, g.n)
+
+
+def degree_five_count(g):
+    return sum(1 for v in g.vertices if g.degree(v) == 5)
+
+
+def extension_budget(g):
+    """Largest number of vertices a single extension move may add."""
+    return 3 + degree_five_count(g)
+
+
+@dataclass(frozen=True)
+class Move:
+    """One extension step: the new cycle plus derived descriptions."""
+
+    new_cycle: tuple
+    added: tuple
+    pattern: str
+    removed_arcs: tuple
+    inserted_paths: tuple
+
+
+def make_move(g, old_cycle, new_cycle, pattern):
+    """Validate a proposed new cycle and derive the move record."""
+    old = check_cycle(g, old_cycle)
+    new = check_cycle(g, new_cycle)
+    old_set = set(old)
+    new_set = set(new)
+    if not old_set <= new_set:
+        raise InvalidMove("the new cycle must keep every old cycle vertex")
+    added = tuple(g.sorted_vertices(new_set - old_set))
+    if not added:
+        raise InvalidMove("the new cycle must be strictly longer")
+    if len(added) > extension_budget(g):
+        raise InvalidMove(
+            f"move adds {len(added)} vertices, budget is {extension_budget(g)}"
+        )
+    old_edges = {g.edge(old[i - 1], old[i]) for i in range(len(old))}
+    new_edges = {g.edge(new[i - 1], new[i]) for i in range(len(new))}
+    removed = _cyclic_runs(old, lambda u, v: g.edge(u, v) not in new_edges)
+    inserted = _cyclic_runs(new, lambda u, v: g.edge(u, v) not in old_edges)
+    return Move(
+        new_cycle=new,
+        added=added,
+        pattern=pattern,
+        removed_arcs=removed,
+        inserted_paths=inserted,
+    )
+
+
+def _cyclic_runs(cycle, pred):
+    """Maximal runs of consecutive cycle edges satisfying ``pred``.
+
+    Each run is returned as the tuple of vertices it passes, endpoints
+    included.  The full cycle comes back as a single closed run.
+    """
+    c = len(cycle)
+    hit = [pred(cycle[i], cycle[(i + 1) % c]) for i in range(c)]
+    if not any(hit):
+        return ()
+    if all(hit):
+        return (tuple(cycle) + (cycle[0],),)
+    runs = []
+    starts = [i for i in range(c) if hit[i] and not hit[(i - 1) % c]]
+    for i in starts:
+        j = i
+        while hit[j % c]:
+            j += 1
+        runs.append(tuple(cycle[k % c] for k in range(i, j + 1)))
+    return tuple(runs)
+
+
+def apply_move(g, old_cycle, move):
+    """Re-validate a move against a cycle and return the new cycle."""
+    checked = make_move(g, old_cycle, move.new_cycle, move.pattern)
+    return checked.new_cycle
+
+
+# ---------------------------------------------------------------------------
+# fast tier
+
+
+def _one_face_insertions(analysis):
+    """Moves absorbing the apex of a thick minor face with one C-edge."""
+    g = analysis.g
+    cyc = analysis.cycle
+    out = []
+    for fid in analysis.minor_faces():
+        if analysis.m(fid) != 1 or analysis.is_thin(fid):
+            continue
+        s, _ = analysis.face_arc[fid]
+        w = analysis.apex[fid]
+        new = cyc[: s + 1] + (w,) + cyc[s + 1 :]
+        out.append((s, make_move(g, cyc, new, "apex-insert")))
+    return out
+
+
+def _candidate_windows(analysis):
+    """Anchor windows (start, edge count) worth an exact reroute search."""
+    c = analysis.c
+    windows = set()
+
+    def add(start, length):
+        length = min(length, MAX_WINDOW, c - 2)
+        if length >= 2:
+            windows.add((start % c, length))
+
+    for tunnel in find_tunnels(analysis):
+        k = tunnel.k
+        if tunnel.cyclic:
+            # the seam between the last and first arch
+            add(tunnel.arches[-1].start - 1, 7)
+        elif 2 * k + 1 <= MAX_WINDOW - 2:
+            add(tunnel.arches[0].start - 1, 2 * k + 3)
+
+    for fid in analysis.minor_faces():
+        arc = analysis.face_arc[fid]
+        if arc is None:
+            continue
+        s, m = arc
+        if m in (2, 3):
+            add(s - 2, m + 4)
+
+    try:
+        ledger = apply_discharging(analysis)
+    except (CycleTooShort, MinorOneFacePresent, DegenerateSide, ContractViolation):
+        ledger = None
+    if ledger is not None:
+        flagged = set()
+        for key in ("deficient_thin_minors", "deficient_thick_minors"):
+            flagged.update(ledger.violations[key])
+        for fid in sorted(flagged):
+            arc = analysis.face_arc[fid]
+            if arc is not None:
+                add(arc[0] - 2, arc[1] + 4)
+
+    return sorted(windows)
+
+
+def _window_extras(analysis, positions):
+    """Off-cycle vertices adjacent to at least two window vertices."""
+    g = analysis.g
+    window_vertices = {analysis.cycle[p] for p in positions}
+    window_vertices.add(analysis.cycle[(positions[-1] + 1) % analysis.c])
+    scored = []
+    for v in g.vertices:
+        if v in analysis.pos:
+            continue
+        k = sum(1 for w in g.adj[v] if w in window_vertices)
+        if k >= 2:
+            scored.append((-k, g.index[v], v))
+    scored.sort()
+    return [v for _, _, v in scored[:10]], window_vertices
+
+
+def _reroute_window(analysis, start, length):
+    """Cheapest exact reroute of one window, or None."""
+    g = analysis.g
+    cyc = analysis.cycle
+    c = analysis.c
+    positions = [(start + i) % c for i in range(length)]
+    extras, window_vertices = _window_extras(analysis, positions)
+    if not extras:
+        return None
+    s = cyc[start % c]
+    t = cyc[(start + length) % c]
+    tail = [cyc[(start + length + 1 + i) % c] for i in range(c - length - 1)]
+    for size in range(1, min(3, len(extras)) + 1):
+        for chosen in combinations(extras, size):
+            sub = window_vertices | set(chosen)
+            path = find_hamiltonian_path(g, sub, s, t)
+            if path is None:
+                continue
+            new = tuple(path) + tuple(tail)
+            return make_move(g, cyc, new, "window-reroute")
+    return None
+
+
+def find_extension_fast(g, cycle, analysis=None):
+    """Pattern-directed extension search.  Returns a Move or None."""
+    if analysis is None:
+        try:
+            analysis = analyze_cycle(g, cycle)
+        except IsocycleError as exc:
+            logger.debug("fast tier skipped, analysis failed: %s", exc)
+            return None
+
+    candidates = []
+    for anchor, move in _one_face_insertions(analysis):
+        candidates.append((len(move.added), move.pattern, anchor, move))
+    if not candidates:
+        for start, length in _candidate_windows(analysis):
+            move = _reroute_window(analysis, start, length)
+            if move is not None:
+                candidates.append((len(move.added), move.pattern, start, move))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda t: t[:3])
+    return candidates[0][3]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive tier
+
+
+def find_extension_exhaustive(g, cycle, max_added=None):
+    """Try every small off-cycle vertex set, smallest first."""
+    cyc = check_cycle(g, cycle)
+    on = set(cyc)
+    off = [v for v in g.vertices if v not in on]
+    budget = extension_budget(g) if max_added is None else max_added
+    budget = min(budget, len(off))
+    for size in range(1, budget + 1):
+        for chosen in combinations(off, size):
+            for found in hamiltonian_cycles(g, on | set(chosen)):
+                return make_move(g, cyc, found, "exhaustive")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# growth loop
+
+
+@dataclass(eq=False)
+class GrowthTrace:
+    graph: object
+    bound: int
+    cycles: list
+    moves: list
+    fallbacks: int
+    completed: bool
+
+    @property
+    def start_cycle(self):
+        return self.cycles[0]
+
+    @property
+    def final_cycle(self):
+        return self.cycles[-1]
+
+    def pattern_counts(self):
+        out = {}
+        for m in self.moves:
+            out[m.pattern] = out.get(m.pattern, 0) + 1
+        return out
+
+    def summary(self):
+        return {
+            "n": self.graph.n,
+            "bound": self.bound,
+            "lengths": [len(c) for c in self.cycles],
+            "start": list(self.cycles[0]),
+            "final": list(self.cycles[-1]),
+            "moves": [
+                {
+                    "pattern": m.pattern,
+                    "added": list(m.added),
+                    "length": len(m.new_cycle),
+                }
+                for m in self.moves
+            ],
+            "fallbacks": self.fallbacks,
+            "completed": self.completed,
+        }
+
+
+def grow_to_bound(g, cycle, tier2_only=False):
+    """Extend an isolating cycle until it reaches min{floor(2/3(n+4)), n}.
+
+    Raises ExtensionNotFound (with diagnostics) if some step finds no move;
+    for cycles below the bound in a 3-connected plane graph that would
+    disprove the guarantee, so the alarm carries the full context.
+    """
+    bound = isolation_bound(g)
+    cur = check_cycle(g, cycle)
+    cycles = [cur]
+    moves = []
+    fallbacks = 0
+    while len(cur) < bound:
+        move = None
+        if not tier2_only:
+            move = find_extension_fast(g, cur)
+        if move is None:
+            if not tier2_only:
+                fallbacks += 1
+                logger.info(
+                    "fast tier found nothing at length %d, falling back", len(cur)
+                )
+            move = find_extension_exhaustive(g, cur)
+        if move is None:
+            raise ExtensionNotFound(
+                f"no extension for a cycle of length {len(cur)} (bound {bound})",
+                diagnostics={
+                    "cycle": list(cur),
+                    "length": len(cur),
+                    "bound": bound,
+                    "n": g.n,
+                    "budget": extension_budget(g),
+                },
+            )
+        cur = move.new_cycle
+        cycles.append(cur)
+        moves.append(move)
+    trace = GrowthTrace(
+        graph=g,
+        bound=bound,
+        cycles=cycles,
+        moves=moves,
+        fallbacks=fallbacks,
+        completed=len(cur) >= bound,
+    )
+    if fallbacks:
+        logger.info(
+            "growth finished at length %d with %d fallback(s) over %d move(s)",
+            len(cur), fallbacks, len(moves),
+        )
+    return trace

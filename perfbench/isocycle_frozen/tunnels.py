@@ -1,0 +1,345 @@
+"""Tunnels: chains of interlocking 3-arches along the cycle.
+
+A 3-arch (an arch whose archway has three C-edges) is eligible when its
+middle C-edge is not a C-edge of a thin minor 2-face.  Two eligible 3-arches
+are consecutive when their archways share exactly one C-edge; the faces of
+consecutive arches always lie on opposite sides of the cycle.  Tunnels are
+the connected components of this relation: chains T_1 ... T_k whose archway
+starts advance by two positions, either open (acyclic) or wrapping around the
+whole cycle (cyclic, which forces c = 2k).
+
+An acyclic tunnel is walked in two directions.  Listing the arches with
+ascending archway starts gives the counterclockwise track; the reversed order
+gives the clockwise track.  Each track has an exit pair: for the
+counterclockwise track the exit edge is the lowest archway edge of T_1 and
+the exit face lies across it from f(T_1); the clockwise track mirrors this at
+the top end of T_k.
+
+Pairs (face, C-edge) with the edge on the tunnel's span are compared by the
+on-track relation: the pair distance is the gap between the edge positions
+along the span, and two pairs are on-track exactly when (faces on the same
+side) coincides with (distance divisible by four).
+
+Transfer pairs formalize pulling weight along a track.  The candidate pair of
+the j-th arch B on a track is (f(B), e) with e the archway edge of B farthest
+along the track direction; it qualifies when the previous candidate qualified
+(the exit pair grounds the recursion) and the three clauses checked in
+``transfer_bullets`` hold.
+"""
+
+from dataclasses import dataclass
+
+from .errors import ContractViolation
+from .cycle_analysis import MINUS, PLUS
+
+
+def eligible_three_arches(analysis):
+    """All 3-arches whose middle C-edge avoids thin minor 2-faces."""
+    out = []
+    for arch in analysis.all_arches():
+        if arch.length != 3:
+            continue
+        p = arch.middle_position
+        u, v = analysis.edge_vertices(p)
+        fa = analysis.h.face_id[(u, v)]
+        fb = analysis.h.face_id[(v, u)]
+        if any(
+            analysis.is_minor(x) and analysis.is_thin(x) and analysis.m(x) == 2
+            for x in (fa, fb)
+        ):
+            continue
+        out.append(arch)
+    return out
+
+
+def consecutive(a, b):
+    """True when the archways of two arches share exactly one C-edge."""
+    return len(set(a.positions) & set(b.positions)) == 1
+
+
+@dataclass(eq=False)
+class Tunnel:
+    """A maximal chain of consecutive eligible 3-arches."""
+
+    arches: tuple
+    cyclic: bool
+    cycle_length: int
+
+    @property
+    def k(self):
+        return len(self.arches)
+
+    def span_positions(self):
+        """C-edge positions covered by the tunnel, in chain order."""
+        if self.cyclic:
+            base = self.arches[0].start
+            return tuple((base + i) % self.cycle_length for i in range(self.cycle_length))
+        base = self.arches[0].start
+        return tuple((base + i) % self.cycle_length for i in range(2 * self.k + 1))
+
+    def arc_index(self, p):
+        """Offset of the C-edge position p along the tunnel span."""
+        idx = (p - self.arches[0].start) % self.cycle_length
+        limit = self.cycle_length if self.cyclic else 2 * self.k + 1
+        if idx >= limit:
+            raise ValueError(f"C-edge {p} is not on the tunnel span")
+        return idx
+
+
+@dataclass(eq=False)
+class Track:
+    """One direction of walking an acyclic tunnel."""
+
+    tunnel: Tunnel
+    direction: str  # 'ccw' (ascending starts) or 'cw'
+    arches: tuple
+    exit_face: int
+    exit_position: int
+
+    @property
+    def exit_pair(self):
+        return (self.exit_face, self.exit_position)
+
+    def forward_position(self, arch):
+        """The archway edge of an arch farthest along the track direction."""
+        if self.direction == "ccw":
+            return (arch.start + 2) % arch.cycle_length
+        return arch.start
+
+
+def find_tunnels(analysis):
+    """Partition the eligible 3-arches into tunnels."""
+    arches = eligible_three_arches(analysis)
+    nbrs = {i: [] for i in range(len(arches))}
+    for i in range(len(arches)):
+        for j in range(i + 1, len(arches)):
+            if consecutive(arches[i], arches[j]):
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    for i, ns in nbrs.items():
+        if len(ns) > 2:
+            raise ContractViolation("an eligible 3-arch has three consecutive mates")
+
+    c = analysis.c
+    seen = set()
+    tunnels = []
+    for i in range(len(arches)):
+        if i in seen:
+            continue
+        comp = {i}
+        stack = [i]
+        while stack:
+            x = stack.pop()
+            for y in nbrs[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        members = sorted(comp)
+        cyclic = all(len(nbrs[x]) == 2 for x in members) and len(members) > 2
+        if cyclic:
+            if c != 2 * len(members):
+                raise ContractViolation("cyclic tunnel does not wrap the whole cycle")
+            first = min(members, key=lambda x: arches[x].start)
+        else:
+            ends = [x for x in members if len(nbrs[x]) <= 1]
+            lows = [
+                x
+                for x in ends
+                if not any(
+                    arches[y].start == (arches[x].start - 2) % c for y in members
+                )
+            ]
+            if len(lows) != 1 and len(members) > 1:
+                raise ContractViolation("tunnel chain has no unique low end")
+            first = lows[0] if lows else members[0]
+        chain = [first]
+        while len(chain) < len(members):
+            cur = arches[chain[-1]]
+            nxt = [
+                y
+                for y in nbrs[chain[-1]]
+                if y not in chain[-2:] and arches[y].start == (cur.start + 2) % c
+            ]
+            if len(nxt) != 1:
+                raise ContractViolation("tunnel chain does not advance by two")
+            chain.append(nxt[0])
+        ordered = tuple(arches[x] for x in chain)
+        for a, b in zip(ordered, ordered[1:]):
+            if analysis.face_side[a.face] == analysis.face_side[b.face]:
+                raise ContractViolation("consecutive tunnel arches on the same side")
+        tunnels.append(Tunnel(arches=ordered, cyclic=cyclic, cycle_length=c))
+    tunnels.sort(key=lambda t: t.arches[0].start)
+    return tunnels
+
+
+def tracks(analysis, tunnel):
+    """The counterclockwise and clockwise tracks of an acyclic tunnel."""
+    if tunnel.cyclic:
+        raise ValueError("cyclic tunnels have no tracks")
+    c = analysis.c
+    low = tunnel.arches[0]
+    high = tunnel.arches[-1]
+    low_edge = low.start
+    high_edge = (high.start + 2) % c
+    ccw = Track(
+        tunnel=tunnel,
+        direction="ccw",
+        arches=tunnel.arches,
+        exit_face=analysis.across(low.face, low_edge),
+        exit_position=low_edge,
+    )
+    cw = Track(
+        tunnel=tunnel,
+        direction="cw",
+        arches=tuple(reversed(tunnel.arches)),
+        exit_face=analysis.across(high.face, high_edge),
+        exit_position=high_edge,
+    )
+    return ccw, cw
+
+
+def on_track(analysis, tunnel, pair_a, pair_b):
+    """The on-track relation between two (face, C-edge position) pairs.
+
+    Defined for edges on the span of an acyclic tunnel: the pairs are
+    on-track exactly when face sides agree if and only if their edge distance
+    along the span is divisible by four.  A pair is always on-track with
+    itself.
+    """
+    if tunnel.cyclic:
+        raise ValueError("the on-track relation needs an acyclic tunnel")
+    fa, pa = pair_a
+    fb, pb = pair_b
+    ia = tunnel.arc_index(pa)
+    ib = tunnel.arc_index(pb)
+    same_side = analysis.face_side[fa] == analysis.face_side[fb]
+    return same_side == (abs(ia - ib) % 4 == 0)
+
+
+@dataclass(frozen=True)
+class TransferPair:
+    """A qualified candidate pair on a track, with its chain position."""
+
+    face: int
+    position: int
+    order: int
+    direction: str
+
+
+def _adjacent_positions(p, q, c):
+    return (p - q) % c in (1, c - 1)
+
+
+def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel, strict=True):
+    """The three clauses a candidate pair (g, e) must satisfy.
+
+    g is the face of ``arch``, e its forward archway edge, and
+    preceding_face the face of the previous pair on the track (the exit face
+    for the first arch).  With strict=True the witness arch in the last
+    clause must belong to the same tunnel; otherwise any 3-arch qualifies.
+    """
+    c = analysis.c
+    if not analysis.is_thick(g):
+        return False
+    f = analysis.across(g, e)
+    if not analysis.is_minor(f) or analysis.m(f) < 3 or preceding_face == f:
+        return False
+    if analysis.is_extremal_edge_of_face(e, g):
+        return True
+    if not any(
+        _adjacent_positions(e, x, c) for x in analysis.extremal_positions_of_face(g)
+    ):
+        return False
+    across_mid = analysis.across(g, arch.middle_position)
+    if across_mid == f:
+        return True
+    if analysis.is_minor(across_mid):
+        return False
+    # across the middle lies a major face: a witness 3-arch sharing the
+    # extremal edge e must point at something minor on its far end
+    if strict:
+        candidates = tunnel.arches
+    else:
+        candidates = [a for a in analysis.all_arches() if a.length == 3]
+    for a in candidates:
+        if a == arch or a.length != 3:
+            continue
+        ext = a.extremal_positions
+        if e not in ext:
+            continue
+        other = ext[0] if ext[1] == e else ext[1]
+        if analysis.is_minor(analysis.across(a.face, other)):
+            return True
+    return False
+
+
+def transfer_pairs(analysis, track, strict=True):
+    """Transfer pairs of a track, in order from the exit."""
+    out = []
+    preceding = track.exit_face
+    for order, arch in enumerate(track.arches, start=1):
+        e = track.forward_position(arch)
+        g = arch.face
+        if not transfer_bullets(
+            analysis, g, e, arch, preceding, track.tunnel, strict=strict
+        ):
+            break
+        out.append(
+            TransferPair(face=g, position=e, order=order, direction=track.direction)
+        )
+        preceding = g
+    return out
+
+
+def transfer_registry(analysis, strict=True):
+    """All transfer pairs over all acyclic tunnels, keyed by (face, edge)."""
+    registry = {}
+    for tunnel in find_tunnels(analysis):
+        if tunnel.cyclic:
+            continue
+        for track in tracks(analysis, tunnel):
+            for pair in transfer_pairs(analysis, track, strict=strict):
+                registry.setdefault((pair.face, pair.position), pair)
+    return registry
+
+
+def transfer_arches(analysis, tunnel, strict=True):
+    """Arches of a tunnel whose candidate qualifies on either track."""
+    if tunnel.cyclic:
+        return ()
+    out = []
+    for track in tracks(analysis, tunnel):
+        pairs = transfer_pairs(analysis, track, strict=strict)
+        out.extend(track.arches[: len(pairs)])
+    uniq = []
+    for arch in tunnel.arches:
+        if any(arch is a for a in out):
+            uniq.append(arch)
+    return tuple(uniq)
+
+
+def build_tunnels(analysis, strict=True):
+    """All tunnels, each paired with its directional tracks.
+
+    Cyclic tunnels have no tracks and get an empty tuple.
+    """
+    out = []
+    for tunnel in find_tunnels(analysis):
+        if tunnel.cyclic:
+            out.append((tunnel, ()))
+        else:
+            out.append((tunnel, tuple(tracks(analysis, tunnel))))
+    return out
+
+
+def check_tunnel_acyclic(tunnel):
+    return not tunnel.cyclic
+
+
+def is_transfer_pair(analysis, face, position, track, strict=True):
+    """The transfer-pair record for (face, position) on this track, if any."""
+    for pair in transfer_pairs(analysis, track, strict=strict):
+        if pair.face == face and pair.position == position:
+            return pair
+    return None
