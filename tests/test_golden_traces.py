@@ -1,0 +1,47 @@
+"""Golden growth traces: refactors must leave every step byte-identical.
+
+Each test grows a fixed set of start cycles and hashes the JSON form of
+every ``GrowthTrace.summary()``.  The digests were recorded from the engine
+before it was restructured; a changed digest means some move, tie-break or
+fallback count changed.  The pattern counts are pinned alongside so that a
+failure says roughly where the traces diverged.
+"""
+
+import hashlib
+import json
+
+import isocycle as ic
+from isocycle.generators import base_hamiltonian_cycle, double_wheel
+
+PINNED_TIGHT14_PATTERNS = {"apex-insert": 1403, "window-reroute": 204}
+PINNED_TIGHT14 = "1eeef73bbc9a03b9a5c1254fa6c02d55ba0111d73d4c0e8b01f19e96eb7fb277"
+PINNED_DWHEEL_200 = "16a6b84b8baf8b2cde257bda85d2f3a4bae682a3b5e2bd664410fe9a6239bafc"
+
+
+def trace_digest(g, starts):
+    h = hashlib.sha256()
+    patterns = {}
+    for cycle in starts:
+        trace = ic.grow_to_bound(g, cycle)
+        h.update(json.dumps(trace.summary(), sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+        for pattern, k in trace.pattern_counts().items():
+            patterns[pattern] = patterns.get(pattern, 0) + k
+    return h.hexdigest(), patterns
+
+
+def test_tight14_every_tenth_start():
+    g = ic.gen_insertion_family(ic.octahedron())
+    starts = ic.oracle_isolating_cycles(g)[::10]
+    assert len(starts) == 658
+    digest, patterns = trace_digest(g, starts)
+    assert patterns == PINNED_TIGHT14_PATTERNS
+    assert digest == PINNED_TIGHT14
+
+
+def test_double_wheel_200_from_base_cycle():
+    g = ic.gen_insertion_family(double_wheel(66))
+    assert g.n == 200
+    digest, patterns = trace_digest(g, [base_hamiltonian_cycle(66)])
+    assert patterns == {"apex-insert": 68}
+    assert digest == PINNED_DWHEEL_200
