@@ -7,6 +7,11 @@ graph, minor/major and thin/thick faces, arches, extension trees), runs the
 tunnel and transfer-pair machinery, audits the discharging argument, and
 extends short isolating cycles step by step up to the guaranteed length bound
 with brute-force oracles as ground truth.
+
+The package root exports the entry points listed in ``__all__``: building
+and loading graphs, analysis, audit, extension and growth, the oracles and
+generators the command line uses, and every exception.  Every other name
+is imported from its submodule, e.g. ``isocycle.tunnels.on_track``.
 """
 
 __version__ = "0.1.0"
@@ -37,102 +42,36 @@ from .plane_graph import (
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
-    is_connected,
-    is_essentially_four_connected,
-    is_four_connected,
-    is_maximal_planar,
     is_three_connected,
-    is_two_connected,
     load_graph,
     save_graph,
-    separating_triangles,
 )
 from .cycle_analysis import (
-    MINUS,
-    PLUS,
-    Arch,
     CycleAnalysis,
-    SideTree,
     analyze_cycle,
-    build_extension_trees,
-    build_pruned,
-    canonical_cycle,
     check_cycle,
     check_tree_lemma,
-    classify_faces,
-    enumerate_arches,
-    extension_tree,
-    face_sides,
     is_isolating,
-    partition_regions,
 )
-from .tunnels import (
-    Track,
-    TransferPair,
-    Tunnel,
-    build_tunnels,
-    check_tunnel_acyclic,
-    consecutive,
-    eligible_three_arches,
-    find_tunnels,
-    is_transfer_pair,
-    on_track,
-    tracks,
-    transfer_arches,
-    transfer_pairs,
-    transfer_registry,
-)
-from .discharging import (
-    CONDITIONS,
-    Pull,
-    WeightLedger,
-    apply_discharging,
-    check_exclusivity,
-    check_inequalities,
-    check_weight_bounds,
-    evaluate_condition,
-)
+from .discharging import WeightLedger, apply_discharging
 from .extension import (
     GrowthTrace,
     Move,
-    apply_move,
-    degree_five_count,
-    extension_budget,
     find_extension_exhaustive,
     find_extension_fast,
     grow_to_bound,
     isolation_bound,
-    make_move,
 )
-from .oracles import (
-    find_hamiltonian_cycle,
-    find_hamiltonian_path,
-    hamiltonian_cycles,
-    independent_sets_of_size,
-    max_independent_set_size,
-    oracle_circumference,
-    oracle_hamiltonian_cycle,
-    oracle_isolating_cycles,
-)
+from .oracles import oracle_circumference, oracle_isolating_cycles
 from .generators import (
-    base_hamiltonian_cycle,
-    cube,
-    diagonal_flip,
-    double_wheel,
     gen_insertion_family,
     gen_random_triangulation,
-    insert_vertex,
-    k4,
     named_graph,
     octahedron,
-    prism,
-    wheel,
 )
 
 __all__ = [
-    "Arch",
     "BaseNotFourConnected",
-    "CONDITIONS",
     "ContractViolation",
     "CycleAnalysis",
     "CycleTooShort",
@@ -142,57 +81,25 @@ __all__ = [
     "InconsistentRotation",
     "InvalidMove",
     "IsocycleError",
-    "MINUS",
     "MinorOneFacePresent",
     "Move",
-    "PLUS",
     "NonPlanarEmbedding",
     "NotCycle",
     "NotIsolating",
     "NotSimple",
     "ParseError",
     "PlaneGraph",
-    "Pull",
-    "SideTree",
     "SizeTooSmall",
     "TooLarge",
-    "Track",
-    "TransferPair",
-    "Tunnel",
     "UnknownName",
     "WeightLedger",
     "analyze_cycle",
     "apply_discharging",
-    "apply_move",
-    "base_hamiltonian_cycle",
-    "build_extension_trees",
     "build_plane_graph",
-    "build_pruned",
-    "build_tunnels",
-    "canonical_cycle",
     "check_cycle",
-    "check_exclusivity",
-    "check_inequalities",
     "check_tree_lemma",
-    "check_tunnel_acyclic",
-    "check_weight_bounds",
-    "classify_faces",
-    "consecutive",
-    "cube",
-    "degree_five_count",
-    "diagonal_flip",
-    "double_wheel",
-    "eligible_three_arches",
-    "enumerate_arches",
-    "evaluate_condition",
-    "extension_budget",
-    "extension_tree",
-    "face_sides",
     "find_extension_exhaustive",
     "find_extension_fast",
-    "find_hamiltonian_cycle",
-    "find_hamiltonian_path",
-    "find_tunnels",
     "gen_insertion_family",
     "gen_random_triangulation",
     "graph_from_faces",
@@ -200,35 +107,13 @@ __all__ = [
     "graph_to_dot",
     "graph_to_json_dict",
     "grow_to_bound",
-    "hamiltonian_cycles",
-    "independent_sets_of_size",
-    "insert_vertex",
-    "is_connected",
-    "is_essentially_four_connected",
-    "is_four_connected",
     "is_isolating",
-    "is_maximal_planar",
     "is_three_connected",
-    "is_transfer_pair",
-    "is_two_connected",
     "isolation_bound",
-    "k4",
     "load_graph",
-    "make_move",
-    "max_independent_set_size",
     "named_graph",
     "octahedron",
-    "on_track",
     "oracle_circumference",
-    "oracle_hamiltonian_cycle",
     "oracle_isolating_cycles",
-    "partition_regions",
-    "prism",
     "save_graph",
-    "separating_triangles",
-    "tracks",
-    "transfer_arches",
-    "transfer_pairs",
-    "transfer_registry",
-    "wheel",
 ]

@@ -13,14 +13,8 @@ import os
 import sys
 
 from . import __version__
-from .cycle_analysis import (
-    analyze_cycle,
-    check_cycle,
-    check_tree_lemma,
-    extension_tree,
-    is_isolating,
-)
-from .discharging import apply_discharging, check_inequalities
+from .cycle_analysis import analyze_cycle, check_cycle, check_tree_lemma
+from .discharging import apply_discharging
 from .errors import (
     BaseNotFourConnected,
     ContractViolation,
@@ -48,14 +42,13 @@ from .extension import (
 from .generators import gen_insertion_family, gen_random_triangulation, named_graph
 from .oracles import oracle_circumference, oracle_isolating_cycles
 from .plane_graph import (
-    graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
     is_three_connected,
     load_graph,
     save_graph,
 )
-from .tunnels import find_tunnels, tracks, transfer_pairs
+from .tunnels import tracks, transfer_pairs
 
 VALIDATION_ERRORS = (
     ParseError,
@@ -130,7 +123,7 @@ def _tree_report(analysis, side):
 
 def _tunnel_report(analysis, strict):
     out = []
-    for tunnel in find_tunnels(analysis):
+    for tunnel in analysis.tunnels:
         entry = {
             "cyclic": tunnel.cyclic,
             "k": tunnel.k,
@@ -238,11 +231,10 @@ def cmd_audit(args):
     analysis = analyze_cycle(g, cycle)
     ledger = apply_discharging(analysis, strict_transfer=args.strict_transfer_pair)
     report = ledger.summary()
-    ineq1, ineq2, implied = check_inequalities(ledger)
     report["inequality_verdicts"] = {
-        "side_inequality": ineq1,
-        "length_bound": ineq2,
-        "implied_bound": str(implied),
+        "side_inequality": ledger.checks["side_inequality"],
+        "length_bound": ledger.checks["length_bound"],
+        "implied_bound": str(ledger.implied_bound),
     }
     _emit(args, report)
     return 0
@@ -260,9 +252,7 @@ def _move_report(move):
 
 def cmd_extend(args):
     g = _require_graph(args)
-    cycle = check_cycle(g, _parse_cycle(args.cycle))
-    if not is_isolating(g, cycle):
-        raise NotIsolating("the given cycle is not isolating")
+    cycle = _parse_cycle(args.cycle)
     move = None
     if not args.tier_2_only:
         move = find_extension_fast(g, cycle)
@@ -279,9 +269,7 @@ def cmd_extend(args):
 
 def cmd_grow(args):
     g = _require_graph(args)
-    cycle = check_cycle(g, _parse_cycle(args.cycle))
-    if not is_isolating(g, cycle):
-        raise NotIsolating("the given cycle is not isolating")
+    cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle, tier2_only=args.tier_2_only)
     report = trace.summary()
     report["moves_detail"] = [_move_report(m) for m in trace.moves]

@@ -18,14 +18,16 @@ per deleted chord drawn inside the face, except chords joining the two ends
 of the face's arc.  The archway of an arch is the sub-arc of C it spans.
 
 C is isolating when every vertex off C has all its neighbours on C.  The
-analysis requires an isolating cycle by default; everything else (including
-3-connectivity of G) is the caller's responsibility.
+analysis requires an isolating cycle; everything else (including
+3-connectivity of G) is the caller's responsibility.  The tunnels of the
+arches (see ``tunnels``) are derived once per analysis, on first use.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
-from .plane_graph import build_plane_graph
+from .tunnels import find_tunnels
 
 MINUS = "minus"
 PLUS = "plus"
@@ -62,6 +64,14 @@ def is_isolating(g, cycle):
     """True when every edge of g has an endpoint on the cycle."""
     on = set(cycle)
     return all(u in on or v in on for u, v in g.edges)
+
+
+def check_isolating(g, seq):
+    """check_cycle, plus NotIsolating unless the cycle is isolating."""
+    cyc = check_cycle(g, seq)
+    if not is_isolating(g, cyc):
+        raise NotIsolating("some edge of the graph avoids the cycle")
+    return cyc
 
 
 def face_sides(g, cycle):
@@ -130,21 +140,12 @@ class Arch:
             return None
         return (self.start + self.length // 2) % self.cycle_length
 
-    @property
-    def endpoints(self):
-        return (self.path[0], self.path[-1])
-
-    def covers(self, other):
-        """True when the archway of ``other`` lies inside this archway."""
-        return set(other.positions) <= set(self.positions)
-
 
 @dataclass(eq=False)
 class CycleAnalysis:
     g: object
     cycle: tuple
     pos: dict = field(repr=False)
-    cycle_edge_at: tuple = field(repr=False)
     pos_of_edge: dict = field(repr=False)
     chords: tuple = field(repr=False)
     chord_side: dict = field(repr=False)
@@ -172,16 +173,6 @@ class CycleAnalysis:
     def edge_vertices(self, p):
         return (self.cycle[p], self.cycle[(p + 1) % self.c])
 
-    def edge_at(self, p):
-        return self.cycle_edge_at[p]
-
-    def face_at(self, p, side):
-        """The face of H on the given side of the C-edge at position p."""
-        u, v = self.edge_vertices(p)
-        a = self.h.face_id[(u, v)]
-        b = self.h.face_id[(v, u)]
-        return a if self.face_side[a] == side else b
-
     def across(self, fid, p):
         """The face of H on the other side of the C-edge at position p."""
         u, v = self.edge_vertices(p)
@@ -195,9 +186,6 @@ class CycleAnalysis:
 
     def is_minor(self, fid):
         return fid in self.minor_set
-
-    def side(self, fid):
-        return self.face_side[fid]
 
     def is_thin(self, fid):
         return self.thin[fid]
@@ -259,18 +247,10 @@ class CycleAnalysis:
         """Number of C-edges of face fid lying on the archway of ``arch``."""
         return len(set(self.face_c_positions.get(fid, ())) & set(arch.positions))
 
-    def h_minus(self):
-        """H restricted to the cycle and the minus side."""
-        return self.h.induced_subgraph(set(self.cycle) | set(self.v_minus))
-
-    def h_plus(self):
-        """H restricted to the cycle and the plus side."""
-        keep = self.h.induced_subgraph(set(self.cycle) | set(self.v_plus))
-        minus_chords = [
-            e for e in keep.edges
-            if e not in self.pos_of_edge and self.chord_side.get(e) == MINUS
-        ]
-        return keep.delete_edges(minus_chords)
+    @cached_property
+    def tunnels(self):
+        """The tunnels of the eligible 3-arches, computed once."""
+        return find_tunnels(self)
 
 
 def _cyclic_run(positions, c):
@@ -295,21 +275,18 @@ def _find(parent, x):
     return x
 
 
-def analyze_cycle(g, cycle, require_isolating=True):
+def analyze_cycle(g, cycle):
     """Full side/pruning/face/arch analysis of a cycle of g.
 
     g must be 3-connected (not rechecked here).  Raises NotIsolating unless
-    the cycle is isolating or require_isolating is False.
+    the cycle is isolating.
     """
-    cyc = check_cycle(g, cycle)
+    cyc = check_isolating(g, cycle)
     c = len(cyc)
     on_cycle = set(cyc)
-    if require_isolating and not is_isolating(g, cyc):
-        raise NotIsolating("some edge of the graph avoids the cycle")
 
     pos = {v: i for i, v in enumerate(cyc)}
-    edge_at = tuple(g.edge(cyc[i], cyc[(i + 1) % c]) for i in range(c))
-    pos_of_edge = {e: i for i, e in enumerate(edge_at)}
+    pos_of_edge = {g.edge(cyc[i], cyc[(i + 1) % c]): i for i in range(c)}
     chords = tuple(
         e
         for e in g.edges
@@ -486,7 +463,6 @@ def analyze_cycle(g, cycle, require_isolating=True):
         g=g,
         cycle=cyc,
         pos=pos,
-        cycle_edge_at=edge_at,
         pos_of_edge=pos_of_edge,
         chords=chords,
         chord_side=chord_side,
@@ -618,45 +594,3 @@ def check_tree_lemma(analysis, side):
     checks["ok"] = all(checks.values())
     checks["tree"] = tree
     return checks
-
-
-def partition_regions(g, cycle):
-    """Split the off-cycle vertices into the two sides of the cycle.
-
-    Returns (v_minus, v_plus, side_of_minus) with |v_minus| <= |v_plus|.
-    """
-    a = analyze_cycle(g, cycle)
-    return a.v_minus, a.v_plus, a.side_of_minus
-
-
-def build_pruned(g, cycle):
-    """Return the chord-pruned graph H together with the deleted chords."""
-    a = analyze_cycle(g, cycle)
-    return a.h, a.deleted_chords
-
-
-def classify_faces(analysis):
-    """Per-face summary rows for the pruned graph (id, side, size, markers)."""
-    rows = []
-    for fid in range(len(analysis.h.faces)):
-        row = {
-            "id": fid,
-            "side": analysis.face_side[fid],
-            "size": len(analysis.h.faces[fid]),
-            "m": analysis.m(fid),
-            "minor": analysis.is_minor(fid),
-            "thin": analysis.is_thin(fid) if analysis.is_minor(fid) else None,
-            "apex": analysis.apex.get(fid),
-        }
-        rows.append(row)
-    return rows
-
-
-def enumerate_arches(analysis):
-    """All arches of all minor faces, proper arches first within each face."""
-    return analysis.all_arches()
-
-
-def build_extension_trees(analysis):
-    """Both extension trees as a (minus, plus) pair."""
-    return extension_tree(analysis, MINUS), extension_tree(analysis, PLUS)

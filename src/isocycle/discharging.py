@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .cycle_analysis import MINUS, PLUS
 from .errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
-from .tunnels import find_tunnels, tracks, transfer_pairs, transfer_registry
+from .tunnels import track_transfer_pairs
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -190,11 +190,6 @@ _COND_FUNCS = {
 }
 
 
-def evaluate_condition(analysis, registry, condition, g, e):
-    """Evaluate one of C1..C6 for minor face g pulling across C-edge e."""
-    return _COND_FUNCS[condition](analysis, registry, g, e)
-
-
 @dataclass(eq=False)
 class WeightLedger:
     analysis: object
@@ -205,6 +200,7 @@ class WeightLedger:
     conditions_at: dict
     checks: dict
     violations: dict
+    implied_bound: Fraction
 
     def summary(self):
         a = self.analysis
@@ -242,7 +238,9 @@ def apply_discharging(analysis, strict_transfer=True):
                 f"minor face {fid} has a single C-edge; extend across it first"
             )
 
-    registry = transfer_registry(analysis, strict=strict_transfer)
+    # each track's transfer pairs, shared by C5 (via their keys) and C7
+    per_track = track_transfer_pairs(analysis, strict=strict_transfer)
+    registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
 
     pulls = []
     conditions_at = {}
@@ -267,24 +265,21 @@ def apply_discharging(analysis, strict_transfer=True):
                     )
                 )
 
-    for tunnel in find_tunnels(analysis):
-        if tunnel.cyclic:
+    for track, pairs in per_track:
+        exit_face, exit_pos = track.exit_pair
+        if not analysis.is_minor(exit_face):
             continue
-        for track in tracks(analysis, tunnel):
-            exit_face, exit_pos = track.exit_pair
-            if not analysis.is_minor(exit_face):
-                continue
-            if not conditions_at.get((exit_face, exit_pos)):
-                continue
-            for pair in transfer_pairs(analysis, track, strict=strict_transfer):
-                pulls.append(
-                    Pull(
-                        condition="C7",
-                        taker=pair.face,
-                        giver=analysis.across(pair.face, pair.position),
-                        position=pair.position,
-                    )
+        if not conditions_at.get((exit_face, exit_pos)):
+            continue
+        for pair in pairs:
+            pulls.append(
+                Pull(
+                    condition="C7",
+                    taker=pair.face,
+                    giver=analysis.across(pair.face, pair.position),
+                    position=pair.position,
                 )
+            )
 
     initial = {fid: analysis.m(fid) for fid in range(len(analysis.h.faces))}
     final = dict(initial)
@@ -292,7 +287,7 @@ def apply_discharging(analysis, strict_transfer=True):
         final[p.giver] -= 1
         final[p.taker] += 1
 
-    checks, violations = _audit(analysis, pulls, conditions_at, final)
+    checks, violations, implied = _audit(analysis, pulls, conditions_at, final)
     return WeightLedger(
         analysis=analysis,
         strict_transfer=strict_transfer,
@@ -302,6 +297,7 @@ def apply_discharging(analysis, strict_transfer=True):
         conditions_at=conditions_at,
         checks=checks,
         violations=violations,
+        implied_bound=implied,
     )
 
 
@@ -356,41 +352,4 @@ def _audit(analysis, pulls, conditions_at, final):
         "deficient_thin_minors": weak_thin,
         "deficient_thick_minors": weak_thick,
     }
-    return checks, violations
-
-
-def check_exclusivity(ledger):
-    """Edges pulled more than once, with the offending pull records."""
-    per_edge = {}
-    for p in ledger.pulls:
-        per_edge.setdefault(p.position, []).append(p)
-    return {e: ps for e, ps in sorted(per_edge.items()) if len(ps) > 1}
-
-
-def check_weight_bounds(ledger):
-    """Faces ending below their required weight: (face, kind, weight, need)."""
-    a = ledger.analysis
-    out = []
-    for f, w in sorted(ledger.final.items()):
-        if not a.is_minor(f):
-            if w < 0:
-                out.append((f, "major", w, 0))
-        elif a.is_thin(f):
-            if w < 2:
-                out.append((f, "thin", w, 2))
-        else:
-            if w < 4:
-                out.append((f, "thick", w, 4))
-    return out
-
-
-def check_inequalities(ledger):
-    """(side inequality verdict, length bound verdict, implied bound)."""
-    a = ledger.analysis
-    n = a.g.n
-    implied = Fraction(2, 3) * (n + 4 if a.v_minus else n + 3)
-    return (
-        ledger.checks["side_inequality"],
-        ledger.checks["length_bound"],
-        implied,
-    )
+    return checks, violations, implied

@@ -9,14 +9,15 @@ faces flagged by the discharging audit are rerouted by an exact search that
 keeps every window vertex and adds a few off-cycle ones.  The exhaustive
 tier tries every small set of off-cycle vertices and asks for a Hamiltonian
 cycle of the induced subgraph; it is the fallback of record, and growth
-traces count how often it was needed.
+traces count how often it was needed.  Both tiers, and the growth loop,
+raise NotIsolating on a start cycle that is not isolating.
 """
 
 import logging
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cycle_analysis import analyze_cycle, check_cycle
+from .cycle_analysis import analyze_cycle, check_cycle, check_isolating
 from .discharging import apply_discharging
 from .errors import (
     ContractViolation,
@@ -24,11 +25,9 @@ from .errors import (
     DegenerateSide,
     ExtensionNotFound,
     InvalidMove,
-    IsocycleError,
     MinorOneFacePresent,
 )
 from .oracles import find_hamiltonian_path, hamiltonian_cycles
-from .tunnels import find_tunnels
 
 logger = logging.getLogger(__name__)
 
@@ -110,12 +109,6 @@ def _cyclic_runs(cycle, pred):
     return tuple(runs)
 
 
-def apply_move(g, old_cycle, move):
-    """Re-validate a move against a cycle and return the new cycle."""
-    checked = make_move(g, old_cycle, move.new_cycle, move.pattern)
-    return checked.new_cycle
-
-
 # ---------------------------------------------------------------------------
 # fast tier
 
@@ -145,7 +138,7 @@ def _candidate_windows(analysis):
         if length >= 2:
             windows.add((start % c, length))
 
-    for tunnel in find_tunnels(analysis):
+    for tunnel in analysis.tunnels:
         k = tunnel.k
         if tunnel.cyclic:
             # the seam between the last and first arch
@@ -216,14 +209,17 @@ def _reroute_window(analysis, start, length):
     return None
 
 
-def find_extension_fast(g, cycle, analysis=None):
-    """Pattern-directed extension search.  Returns a Move or None."""
-    if analysis is None:
-        try:
-            analysis = analyze_cycle(g, cycle)
-        except IsocycleError as exc:
-            logger.debug("fast tier skipped, analysis failed: %s", exc)
-            return None
+def find_extension_fast(g, cycle):
+    """Pattern-directed extension search.  Returns a Move or None.
+
+    Raises NotCycle or NotIsolating on a bad start cycle; a structural
+    surprise in the analysis only makes the tier decline.
+    """
+    try:
+        analysis = analyze_cycle(g, cycle)
+    except ContractViolation as exc:
+        logger.debug("fast tier skipped, analysis failed: %s", exc)
+        return None
 
     candidates = []
     for anchor, move in _one_face_insertions(analysis):
@@ -243,13 +239,12 @@ def find_extension_fast(g, cycle, analysis=None):
 # exhaustive tier
 
 
-def find_extension_exhaustive(g, cycle, max_added=None):
+def find_extension_exhaustive(g, cycle):
     """Try every small off-cycle vertex set, smallest first."""
-    cyc = check_cycle(g, cycle)
+    cyc = check_isolating(g, cycle)
     on = set(cyc)
     off = [v for v in g.vertices if v not in on]
-    budget = extension_budget(g) if max_added is None else max_added
-    budget = min(budget, len(off))
+    budget = min(extension_budget(g), len(off))
     for size in range(1, budget + 1):
         for chosen in combinations(off, size):
             for found in hamiltonian_cycles(g, on | set(chosen)):
@@ -307,12 +302,13 @@ class GrowthTrace:
 def grow_to_bound(g, cycle, tier2_only=False):
     """Extend an isolating cycle until it reaches min{floor(2/3(n+4)), n}.
 
-    Raises ExtensionNotFound (with diagnostics) if some step finds no move;
-    for cycles below the bound in a 3-connected plane graph that would
-    disprove the guarantee, so the alarm carries the full context.
+    Raises NotIsolating unless the start cycle is isolating, and
+    ExtensionNotFound (with diagnostics) if some step finds no move; for
+    cycles below the bound in a 3-connected plane graph that would disprove
+    the guarantee, so the alarm carries the full context.
     """
     bound = isolation_bound(g)
-    cur = check_cycle(g, cycle)
+    cur = check_isolating(g, cycle)
     cycles = [cur]
     moves = []
     fallbacks = 0

@@ -9,8 +9,6 @@ refuse graphs above a size limit; the raw engines have no guard and are
 reused by the extension search on small induced subgraphs.
 """
 
-from itertools import combinations
-
 from .errors import TooLarge
 from .cycle_analysis import canonical_cycle
 
@@ -115,13 +113,6 @@ def find_hamiltonian_path(g, vertices, s, t):
 
     got = rec()
     return tuple(got) if got is not None else None
-
-
-def oracle_hamiltonian_cycle(g, limit=64):
-    """Exact Hamiltonian cycle oracle with a size guard."""
-    if g.n > limit:
-        raise TooLarge(f"hamiltonian oracle limited to {limit} vertices, got {g.n}")
-    return find_hamiltonian_cycle(g)
 
 
 def oracle_circumference(g, limit=30):

@@ -78,11 +78,6 @@ class PlaneGraph:
         ring = self.rotation[v]
         return ring[(self._pos[v][u] + 1) % len(ring)]
 
-    def pred(self, v, u):
-        """Neighbour directly before u in the clockwise rotation at v."""
-        ring = self.rotation[v]
-        return ring[(self._pos[v][u] - 1) % len(ring)]
-
     def next_directed(self, u, v):
         """Directed edge following (u, v) on the face traced from it."""
         return (v, self.succ(v, u))
@@ -95,9 +90,6 @@ class PlaneGraph:
             out.append(a)
             a, b = self.next_directed(a, b)
         return tuple(out)
-
-    def face_of_directed(self, u, v):
-        return self.face_id[(u, v)]
 
     def faces_of_edge(self, u, v):
         """The one or two faces incident to the undirected edge {u, v}."""
@@ -115,22 +107,8 @@ class PlaneGraph:
             return a
         raise KeyError(f"edge ({u}, {v}) is not on face {face_index}")
 
-    def face_size(self, face_index):
-        return len(self.faces[face_index])
-
-    def count_faces_of_size(self, k):
-        return sum(1 for f in self.faces if len(f) == k)
-
-    def face_edge_set(self, face_index):
-        """Canonical edges on the boundary of a face."""
-        f = self.faces[face_index]
-        return {self.edge(f[i - 1], f[i]) for i in range(len(f))}
-
     def sorted_vertices(self, vs):
         return sorted(vs, key=self.index.__getitem__)
-
-    def sorted_edges(self, es):
-        return sorted(es, key=lambda e: (self.index[e[0]], self.index[e[1]]))
 
     def delete_edges(self, edge_keys):
         """New plane graph with the given undirected edges removed."""
@@ -143,29 +121,6 @@ class PlaneGraph:
             for v, ring in self.rotation.items()
         }
         return build_plane_graph(list(self.vertices), rotation)
-
-    def induced_subgraph(self, vertex_set):
-        keep = set(vertex_set)
-        rotation = {
-            v: [w for w in self.rotation[v] if w in keep]
-            for v in self.vertices
-            if v in keep
-        }
-        order = [v for v in self.vertices if v in keep]
-        return build_plane_graph(order, rotation)
-
-    def relabel(self, mapping):
-        vertices = [mapping[v] for v in self.vertices]
-        rotation = {
-            mapping[v]: [mapping[w] for w in ring]
-            for v, ring in self.rotation.items()
-        }
-        outer = None
-        if self.outer_face is not None:
-            outer = tuple(mapping[v] for v in self.outer_face)
-        g = build_plane_graph(vertices, rotation)
-        g.outer_face = outer
-        return g
 
 
 def build_plane_graph(vertices, rotation, outer_face=None):

@@ -30,7 +30,6 @@ along the track direction; it qualifies when the previous candidate qualified
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .cycle_analysis import MINUS, PLUS
 
 
 def eligible_three_arches(analysis):
@@ -69,14 +68,6 @@ class Tunnel:
     def k(self):
         return len(self.arches)
 
-    def span_positions(self):
-        """C-edge positions covered by the tunnel, in chain order."""
-        if self.cyclic:
-            base = self.arches[0].start
-            return tuple((base + i) % self.cycle_length for i in range(self.cycle_length))
-        base = self.arches[0].start
-        return tuple((base + i) % self.cycle_length for i in range(2 * self.k + 1))
-
     def arc_index(self, p):
         """Offset of the C-edge position p along the tunnel span."""
         idx = (p - self.arches[0].start) % self.cycle_length
@@ -108,7 +99,10 @@ class Track:
 
 
 def find_tunnels(analysis):
-    """Partition the eligible 3-arches into tunnels."""
+    """Partition the eligible 3-arches into tunnels.
+
+    Callers read the cached ``analysis.tunnels`` instead of searching again.
+    """
     arches = eligible_three_arches(analysis)
     nbrs = {i: [] for i in range(len(arches))}
     for i in range(len(arches)):
@@ -292,49 +286,23 @@ def transfer_pairs(analysis, track, strict=True):
     return out
 
 
+def track_transfer_pairs(analysis, strict=True):
+    """(track, its transfer pairs) for both tracks of every acyclic tunnel."""
+    return [
+        (track, transfer_pairs(analysis, track, strict=strict))
+        for tunnel in analysis.tunnels
+        if not tunnel.cyclic
+        for track in tracks(analysis, tunnel)
+    ]
+
+
 def transfer_registry(analysis, strict=True):
     """All transfer pairs over all acyclic tunnels, keyed by (face, edge)."""
     registry = {}
-    for tunnel in find_tunnels(analysis):
-        if tunnel.cyclic:
-            continue
-        for track in tracks(analysis, tunnel):
-            for pair in transfer_pairs(analysis, track, strict=strict):
-                registry.setdefault((pair.face, pair.position), pair)
+    for _, pairs in track_transfer_pairs(analysis, strict=strict):
+        for pair in pairs:
+            registry.setdefault((pair.face, pair.position), pair)
     return registry
-
-
-def transfer_arches(analysis, tunnel, strict=True):
-    """Arches of a tunnel whose candidate qualifies on either track."""
-    if tunnel.cyclic:
-        return ()
-    out = []
-    for track in tracks(analysis, tunnel):
-        pairs = transfer_pairs(analysis, track, strict=strict)
-        out.extend(track.arches[: len(pairs)])
-    uniq = []
-    for arch in tunnel.arches:
-        if any(arch is a for a in out):
-            uniq.append(arch)
-    return tuple(uniq)
-
-
-def build_tunnels(analysis, strict=True):
-    """All tunnels, each paired with its directional tracks.
-
-    Cyclic tunnels have no tracks and get an empty tuple.
-    """
-    out = []
-    for tunnel in find_tunnels(analysis):
-        if tunnel.cyclic:
-            out.append((tunnel, ()))
-        else:
-            out.append((tunnel, tuple(tracks(analysis, tunnel))))
-    return out
-
-
-def check_tunnel_acyclic(tunnel):
-    return not tunnel.cyclic
 
 
 def is_transfer_pair(analysis, face, position, track, strict=True):

@@ -9,6 +9,7 @@ the source of truth; the graphs are rebuilt from them per session.
 import pytest
 
 import isocycle as ic
+from isocycle.generators import double_wheel
 
 # A 19-cycle with three apexes inside (a1, a2, a3), three outside
 # (b0, b1, b2), four chords inside and one outside.  Pruning deletes all
@@ -106,7 +107,7 @@ def sweep_instances():
     instance is essentially 4-connected by construction; the generator
     re-checks and raises if that ever fails.
     """
-    bases = [ic.double_wheel(k) for k in (6, 7, 8, 9, 10)]
+    bases = [double_wheel(k) for k in (6, 7, 8, 9, 10)]
     bases += [
         ic.gen_random_triangulation(nb, seed=s, require_four_connected=True)
         for nb in (8, 9, 10)

@@ -13,6 +13,18 @@ from contextlib import contextmanager
 
 import isocycle as ic
 from conftest import AUDITABLE_CORPUS_CYCLE, short_isolating_cycles
+from isocycle.cycle_analysis import MINUS, PLUS
+from isocycle.extension import extension_budget
+from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel
+from isocycle.plane_graph import is_essentially_four_connected
+from isocycle.tunnels import (
+    eligible_three_arches,
+    find_tunnels,
+    is_transfer_pair,
+    on_track,
+    tracks,
+    transfer_pairs,
+)
 
 
 @contextmanager
@@ -60,8 +72,8 @@ def test_criterion_2_exhaustive_search_never_stalls_on_corpus(sweep_corpus):
         alarms = 0
         for g in sweep_corpus:
             assert 14 <= g.n <= 24
-            assert ic.is_essentially_four_connected(g)
-            budget = ic.extension_budget(g)
+            assert is_essentially_four_connected(g)
+            budget = extension_budget(g)
             for cycle in short_isolating_cycles(g, cap=50):
                 move = ic.find_extension_exhaustive(g, cycle)
                 if move is None:
@@ -83,7 +95,7 @@ def test_criterion_3_growth_traces_respect_the_contract(sweep_sample):
     with criterion(3, "growth-contract") as info:
         jobs = [
             (g, list(ic.oracle_isolating_cycles(g, max_count=6)))
-            for g in (ic.octahedron(), ic.cube())
+            for g in (ic.octahedron(), cube())
         ]
         jobs += [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
         traces = 0
@@ -118,7 +130,7 @@ def test_criterion_4_extension_trees(
                 pool.append(ic.analyze_cycle(g, cycle))
         checked = 0
         for a in pool:
-            for side in (ic.MINUS, ic.PLUS):
+            for side in (MINUS, PLUS):
                 try:
                     checks = ic.check_tree_lemma(a, side)
                 except ic.DegenerateSide:
@@ -171,38 +183,38 @@ def test_criterion_6_tunnel_machinery(
         cyclic_a = ic.analyze_cycle(g, cycle)
         for a in (ladder_analysis, cyclic_a, arch_analysis):
             eligible = sorted(
-                (A.face, A.start) for A in ic.eligible_three_arches(a)
+                (A.face, A.start) for A in eligible_three_arches(a)
             )
             covered = [
                 (A.face, A.start)
-                for t in ic.find_tunnels(a)
+                for t in find_tunnels(a)
                 for A in t.arches
             ]
             assert sorted(covered) == eligible
             assert len(covered) == len(set(covered))
 
         a = ladder_analysis
-        t = ic.find_tunnels(a)[0]
+        t = find_tunnels(a)[0]
         exit_pair = (1, 0)
         for pair in [(1, 0), (0, 2), (2, 4), (7, 6), (9, 8), (11, 10)]:
-            assert ic.on_track(a, t, exit_pair, pair), pair
+            assert on_track(a, t, exit_pair, pair), pair
         for pair in [(7, 4), (9, 6), (11, 8)]:
-            assert not ic.on_track(a, t, exit_pair, pair), pair
+            assert not on_track(a, t, exit_pair, pair), pair
 
-        trks = ic.tracks(a, t)
+        trks = tracks(a, t)
         ccw = trks[0] if trks[0].direction == "ccw" else trks[1]
-        found = [(p.face, p.position) for p in ic.transfer_pairs(a, ccw)]
+        found = [(p.face, p.position) for p in transfer_pairs(a, ccw)]
         assert found == [(0, 2), (2, 4), (7, 6)]
         for face, pos in found:
-            assert ic.is_transfer_pair(a, face, pos, ccw) is not None
-        assert ic.is_transfer_pair(a, 9, 8, ccw) is None
-        assert ic.is_transfer_pair(a, 11, 10, ccw) is None
+            assert is_transfer_pair(a, face, pos, ccw) is not None
+        assert is_transfer_pair(a, 9, 8, ccw) is None
+        assert is_transfer_pair(a, 11, 10, ccw) is None
         info["detail"] = "partition + on-track table + 3 positives, 2 negatives"
 
 
 def test_criterion_7_cube_grows_six_to_eight():
     with criterion(7, "cube-growth") as info:
-        g = ic.cube()
+        g = cube()
         sixes = list(ic.oracle_isolating_cycles(g, min_length=6, max_length=6))
         assert len(sixes) == 4
         for cycle in sixes:
@@ -213,10 +225,10 @@ def test_criterion_7_cube_grows_six_to_eight():
 
 def test_criterion_8_large_instance_growth():
     with criterion(8, "large-instance") as info:
-        base = ic.double_wheel(66)
+        base = double_wheel(66)
         g = ic.gen_insertion_family(base)
         assert g.n == 200
-        start = ic.base_hamiltonian_cycle(66)
+        start = base_hamiltonian_cycle(66)
         assert len(start) == 68
         t0 = time.perf_counter()
         trace = ic.grow_to_bound(g, start)

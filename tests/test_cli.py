@@ -102,6 +102,13 @@ def test_audit_ladder(ladder_file, capsys):
     assert sum(rep["final_weights"].values()) == 38
 
 
+@pytest.mark.parametrize("command", ["extend", "grow"])
+@pytest.mark.parametrize("cycle", ["r0,r2,a", "a,r0,r1"])
+def test_extend_and_grow_reject_bad_cycles(octa_file, capsys, command, cycle):
+    # r0,r2,a is not a cycle; a,r0,r1 is one that leaves b-r2 uncovered
+    assert main([command, "--graph", octa_file, "--cycle", cycle]) == 2
+
+
 def test_extend_hamiltonian_cycle_finds_nothing(octa_file, capsys):
     cycle = "r0,r1,a,r2,r3,b"
     assert main(["extend", "--graph", octa_file, "--cycle", cycle]) == 4

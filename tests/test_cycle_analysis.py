@@ -3,8 +3,11 @@
 import pytest
 
 import isocycle as ic
-from isocycle import MINUS, PLUS
+from isocycle.cli import analysis_report
+from isocycle.cycle_analysis import MINUS, PLUS, canonical_cycle, extension_tree
 from isocycle.errors import DegenerateSide, NotCycle, NotIsolating
+from isocycle.generators import cube, k4, wheel
+from isocycle.oracles import find_hamiltonian_cycle
 
 
 EQUATOR = ("r0", "r1", "r2", "r3")
@@ -40,26 +43,26 @@ def test_check_cycle_rejects_non_edges():
 
 def test_canonical_cycle_collapses_rotation_and_reflection():
     g = octa()
-    base = ic.canonical_cycle(g, EQUATOR)
-    assert ic.canonical_cycle(g, ("r2", "r3", "r0", "r1")) == base
-    assert ic.canonical_cycle(g, tuple(reversed(EQUATOR))) == base
+    base = canonical_cycle(g, EQUATOR)
+    assert canonical_cycle(g, ("r2", "r3", "r0", "r1")) == base
+    assert canonical_cycle(g, tuple(reversed(EQUATOR))) == base
 
 
 def test_is_isolating():
     g = octa()
     assert ic.is_isolating(g, EQUATOR)
-    cube = ic.cube()
-    face = cube.faces[0]
+    g = cube()
+    face = g.faces[0]
     # a cube face leaves the antipodal face, a connected 4-cycle
-    assert not ic.is_isolating(cube, face)
-    ham = ic.find_hamiltonian_cycle(cube)
-    assert ic.is_isolating(cube, ham)
+    assert not ic.is_isolating(g, face)
+    ham = find_hamiltonian_cycle(g)
+    assert ic.is_isolating(g, ham)
 
 
 def test_analyze_rejects_non_isolating_cycle():
-    cube = ic.cube()
+    g = cube()
     with pytest.raises(NotIsolating):
-        ic.analyze_cycle(cube, cube.faces[0])
+        ic.analyze_cycle(g, g.faces[0])
 
 
 # -- region partition and pruning --------------------------------------------
@@ -71,22 +74,15 @@ def test_equator_partition_one_apex_each_side():
     assert len(a.v_minus) == len(a.v_plus) == 1
 
 
-def test_partition_regions_wrapper_matches_analysis():
-    g = octa()
-    v_minus, v_plus, side = ic.partition_regions(g, EQUATOR)
-    a = ic.analyze_cycle(g, EQUATOR)
-    assert (v_minus, v_plus, side) == (a.v_minus, a.v_plus, a.side_of_minus)
-
-
 def test_hamiltonian_cycle_has_empty_sides():
-    g = ic.k4()
-    ham = ic.find_hamiltonian_cycle(g)
+    g = k4()
+    ham = find_hamiltonian_cycle(g)
     a = ic.analyze_cycle(g, ham)
     assert a.v_minus == () and a.v_plus == ()
 
 
 def test_wheel_rim_puts_hub_on_plus_side():
-    a = ic.analyze_cycle(ic.wheel(7), tuple(f"r{i}" for i in range(7)))
+    a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     assert a.v_minus == () and a.v_plus == ("h",)
 
 
@@ -114,9 +110,9 @@ def test_pruning_keeps_minus_chords_when_minus_empty(hex_instance):
     assert a.h.m == g.m
 
 
-def test_build_pruned_wrapper(arch_instance):
-    g, cycle = arch_instance
-    h, deleted = ic.build_pruned(g, cycle)
+def test_pruning_keeps_outside_chords_of_arch_instance(arch_instance, arch_analysis):
+    g, _ = arch_instance
+    h, deleted = arch_analysis.h, arch_analysis.deleted_chords
     assert sorted(map(tuple, map(sorted, deleted))) == [("v0", "v2"), ("v0", "v3")]
     # the outside chords survive: they live on the empty minus side
     assert h.edge("v1", "v7") in set(h.edges)
@@ -135,8 +131,8 @@ def test_equator_faces_all_thick_minor_one_faces():
 
 
 def test_hamiltonian_cycle_on_k4_has_no_minor_faces():
-    g = ic.k4()
-    a = ic.analyze_cycle(g, ic.find_hamiltonian_cycle(g))
+    g = k4()
+    a = ic.analyze_cycle(g, find_hamiltonian_cycle(g))
     assert a.minor_faces() == []
     assert not any(a.thin.values())
 
@@ -193,18 +189,18 @@ def test_thick_minor_faces_are_arc_plus_apex(ladder_analysis):
 
 
 def test_degenerate_face_on_wheel_rim():
-    a = ic.analyze_cycle(ic.wheel(7), tuple(f"r{i}" for i in range(7)))
+    a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     assert len(a.degenerate_faces) == 1
     (f,) = a.degenerate_faces
     assert a.m(f) == a.c
     assert not a.is_minor(f)
 
 
-def test_classify_faces_wrapper(ladder_analysis):
-    rows = ic.classify_faces(ladder_analysis)
+def test_ladder_face_rows(ladder_analysis):
+    rows = analysis_report(ladder_analysis)["faces"]
     assert len(rows) == len(ladder_analysis.h.faces)
     minors = [r for r in rows if r["minor"]]
-    assert len(minors) == 10
+    assert len(minors) == len(ladder_analysis.minor_faces()) == 10
 
 
 # -- arches -------------------------------------------------------------------
@@ -248,17 +244,13 @@ def test_chord_joining_extremal_vertices_is_excluded(arch_analysis):
     ]
 
 
-def test_enumerate_arches_wrapper(ladder_analysis):
-    assert ic.enumerate_arches(ladder_analysis) == ladder_analysis.all_arches()
-
-
 # -- extension trees ----------------------------------------------------------
 
 
 def test_equator_trees_are_stars():
     a = ic.analyze_cycle(octa(), EQUATOR)
     for side, apex in ((MINUS, a.v_minus[0]), (PLUS, a.v_plus[0])):
-        t = ic.extension_tree(a, side)
+        t = extension_tree(a, side)
         assert ("vertex", apex) in t.nodes
         assert len(t.nodes) == 5 and len(t.edges) == 4
         assert sorted(t.leaves()) == sorted(
@@ -269,7 +261,7 @@ def test_equator_trees_are_stars():
 def test_hex_weak_dual_is_a_path(hex_instance):
     g, cycle = hex_instance
     a = ic.analyze_cycle(g, cycle)
-    t = ic.extension_tree(a, MINUS)
+    t = extension_tree(a, MINUS)
     assert len(t.nodes) == 3 and len(t.edges) == 2
     assert t.kind == "weak_dual"
     degrees = {}
@@ -281,26 +273,22 @@ def test_hex_weak_dual_is_a_path(hex_instance):
 
 
 def test_wheel_rim_minus_side_is_degenerate():
-    a = ic.analyze_cycle(ic.wheel(7), tuple(f"r{i}" for i in range(7)))
+    a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     with pytest.raises(DegenerateSide):
-        ic.extension_tree(a, MINUS)
+        extension_tree(a, MINUS)
 
 
 def test_ladder_trees_and_lemma(ladder_analysis):
     a = ladder_analysis
-    tm = ic.extension_tree(a, MINUS)
-    tp = ic.extension_tree(a, PLUS)
+    tm = extension_tree(a, MINUS)
+    tp = extension_tree(a, PLUS)
     assert (len(tm.nodes), len(tm.edges)) == (8, 7)
     assert (len(tp.nodes), len(tp.edges)) == (8, 7)
+    assert (tm.side, tp.side) == ("minus", "plus")
     assert sorted(tm.leaves()) == [("face", f) for f in (0, 5, 7, 11, 12)]
     assert sorted(tp.leaves()) == [("face", f) for f in (1, 2, 6, 9, 13)]
     assert ic.check_tree_lemma(a, MINUS)["ok"]
     assert ic.check_tree_lemma(a, PLUS)["ok"]
-
-
-def test_build_extension_trees_wrapper(ladder_analysis):
-    tm, tp = ic.build_extension_trees(ladder_analysis)
-    assert tm.side == "minus" and tp.side == "plus"
 
 
 def test_minor_face_count_lower_bound(sweep_sample):

@@ -7,6 +7,7 @@ import pytest
 import isocycle as ic
 from conftest import AUDITABLE_CORPUS_CYCLE
 from isocycle.errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
+from isocycle.generators import wheel
 
 
 def pull_rows(ledger):
@@ -31,7 +32,7 @@ def test_refuses_minor_one_faces(cyclic_instance):
 
 
 def test_refuses_degenerate_faces():
-    a = ic.analyze_cycle(ic.wheel(7), tuple(f"r{i}" for i in range(7)))
+    a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     with pytest.raises(DegenerateSide):
         ic.apply_discharging(a)
 
@@ -91,9 +92,12 @@ def test_ladder_checks(ladder_analysis):
     }
     # the three quantitative verdicts fail honestly: this instance is not
     # essentially 4-connected and its cycle sits below the length bound
-    assert ic.check_exclusivity(led) == {}
-    assert ic.check_weight_bounds(led) == [(0, "thick", 2, 4)]
-    assert ic.check_inequalities(led) == (False, False, Fraction(58, 3))
+    assert led.violations["crowded_edges"] == []
+    assert led.violations["deficient_majors"] == []
+    assert led.violations["deficient_thin_minors"] == []
+    assert led.violations["deficient_thick_minors"] == [0]
+    assert led.final[0] == 2
+    assert led.implied_bound == Fraction(58, 3)
 
 
 def test_ladder_ledger_deterministic(ladder_analysis):
@@ -121,8 +125,12 @@ def test_arch_instance_ledger(arch_analysis):
     assert led.checks["conservation"]
     assert led.checks["conditions_exclusive"]
     # the two thin minors across the pulled edges drop below their target
-    assert ic.check_weight_bounds(led) == [(4, "thin", 1, 2), (6, "thin", 1, 2)]
-    assert ic.check_inequalities(led) == (False, True, Fraction(8, 1))
+    assert led.violations["deficient_majors"] == []
+    assert led.violations["deficient_thin_minors"] == [4, 6]
+    assert led.violations["deficient_thick_minors"] == []
+    assert (led.final[4], led.final[6]) == (1, 1)
+    assert (led.checks["side_inequality"], led.checks["length_bound"]) == (False, True)
+    assert led.implied_bound == Fraction(8, 1)
 
 
 # -- properties over generated instances -----------------------------------------

@@ -3,54 +3,56 @@
 import pytest
 
 import isocycle as ic
-from isocycle.errors import InvalidMove
+from isocycle.errors import InvalidMove, NotIsolating
+from isocycle.extension import degree_five_count, extension_budget, make_move
+from isocycle.generators import cube, k4, wheel
+from isocycle.oracles import find_hamiltonian_cycle
 
 
 EQUATOR = ("r0", "r1", "r2", "r3")
+# a face triangle of the octahedron: b, r2 and r3 stay off it and are
+# pairwise adjacent, so the triangle is a cycle but not an isolating one
+TRIANGLE = ("a", "r0", "r1")
 
 
 def test_isolation_bound_values():
     assert ic.isolation_bound(ic.octahedron()) == 6
-    assert ic.isolation_bound(ic.cube()) == 8
+    assert ic.isolation_bound(cube()) == 8
     # small graphs are capped by n rather than the two-thirds bound
-    assert ic.isolation_bound(ic.k4()) == 4
+    assert ic.isolation_bound(k4()) == 4
 
 
 def test_extension_budget_counts_degree_five_vertices():
     g = ic.octahedron()
     # every octahedron vertex has degree 4
-    assert ic.degree_five_count(g) == 0
-    assert ic.extension_budget(g) == 3
-    w5 = ic.wheel(5)
-    assert ic.degree_five_count(w5) == 1
-    assert ic.extension_budget(w5) == 4
+    assert degree_five_count(g) == 0
+    assert extension_budget(g) == 3
+    w5 = wheel(5)
+    assert degree_five_count(w5) == 1
+    assert extension_budget(w5) == 4
 
 
 def test_make_move_derives_patch_description():
     g = ic.octahedron()
-    mv = ic.make_move(g, EQUATOR, ("r0", "a", "r1", "r2", "r3"), "apex-insert")
+    mv = make_move(g, EQUATOR, ("r0", "a", "r1", "r2", "r3"), "apex-insert")
     assert mv.added == ("a",)
     assert mv.pattern == "apex-insert"
     assert mv.removed_arcs == (("r0", "r1"),)
     assert mv.inserted_paths == (("r0", "a", "r1"),)
+    # validating the move's own new cycle again reproduces the move
+    assert make_move(g, EQUATOR, mv.new_cycle, mv.pattern) == mv
 
 
 def test_make_move_rejects_dropped_vertices():
     g = ic.octahedron()
     with pytest.raises(InvalidMove):
-        ic.make_move(g, EQUATOR, ("r0", "a", "r1", "b", "r3"), "bad")
+        make_move(g, EQUATOR, ("r0", "a", "r1", "b", "r3"), "bad")
 
 
 def test_make_move_rejects_no_growth():
     g = ic.octahedron()
     with pytest.raises(InvalidMove):
-        ic.make_move(g, EQUATOR, ("r1", "r2", "r3", "r0"), "noop")
-
-
-def test_apply_move_returns_new_cycle():
-    g = ic.octahedron()
-    mv = ic.make_move(g, EQUATOR, ("r0", "a", "r1", "r2", "r3"), "apex-insert")
-    assert ic.apply_move(g, EQUATOR, mv) == mv.new_cycle
+        make_move(g, EQUATOR, ("r1", "r2", "r3", "r0"), "noop")
 
 
 def test_fast_extension_on_equator():
@@ -66,13 +68,32 @@ def test_exhaustive_extension_agrees_on_equator():
     mv = ic.find_extension_exhaustive(g, EQUATOR)
     assert mv is not None
     assert set(EQUATOR) < set(mv.new_cycle)
-    assert len(mv.added) <= ic.extension_budget(g)
+    assert len(mv.added) <= extension_budget(g)
 
 
 def test_no_extension_past_hamiltonian():
     g = ic.octahedron()
-    ham = ic.find_hamiltonian_cycle(g)
+    ham = find_hamiltonian_cycle(g)
     assert ic.find_extension_exhaustive(g, ham) is None
+
+
+def test_grow_rejects_non_isolating_start():
+    g = ic.octahedron()
+    assert not ic.is_isolating(g, TRIANGLE)
+    with pytest.raises(NotIsolating):
+        ic.grow_to_bound(g, TRIANGLE)
+    with pytest.raises(NotIsolating):
+        ic.grow_to_bound(g, TRIANGLE, tier2_only=True)
+
+
+def test_fast_tier_rejects_non_isolating_start():
+    with pytest.raises(NotIsolating):
+        ic.find_extension_fast(ic.octahedron(), TRIANGLE)
+
+
+def test_exhaustive_tier_rejects_non_isolating_start():
+    with pytest.raises(NotIsolating):
+        ic.find_extension_exhaustive(ic.octahedron(), TRIANGLE)
 
 
 def test_grow_octahedron_step_by_step():
@@ -85,7 +106,7 @@ def test_grow_octahedron_step_by_step():
 
 
 def test_grow_cube_adds_two_per_step():
-    g = ic.cube()
+    g = cube()
     trace = ic.grow_to_bound(g, ("v4", "v5", "v1", "v2", "v3", "v7"))
     # a bipartite graph has no odd cycles, so a step adds two vertices
     assert [len(c) for c in trace.cycles] == [6, 8]
@@ -138,5 +159,5 @@ def test_growth_invariants_on_sample(sweep_sample):
             for prev, cur in zip(trace.cycles, trace.cycles[1:]):
                 assert set(prev) < set(cur)
                 assert ic.is_isolating(g, cur)
-                assert len(set(cur) - set(prev)) <= ic.extension_budget(g)
+                assert len(set(cur) - set(prev)) <= extension_budget(g)
             assert len(trace.cycles[-1]) >= trace.bound

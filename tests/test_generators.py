@@ -4,6 +4,20 @@ import pytest
 
 import isocycle as ic
 from isocycle.errors import BaseNotFourConnected, SizeTooSmall, UnknownName
+from isocycle.generators import (
+    base_hamiltonian_cycle,
+    cube,
+    diagonal_flip,
+    double_wheel,
+    insert_vertex,
+    k4,
+    wheel,
+)
+from isocycle.plane_graph import (
+    is_essentially_four_connected,
+    is_four_connected,
+    is_maximal_planar,
+)
 
 
 def test_named_graph_lookup():
@@ -15,23 +29,23 @@ def test_named_graph_lookup():
 
 
 def test_wheel_shape():
-    g = ic.wheel(5)
+    g = wheel(5)
     assert g.n == 6 and g.degree("h") == 5
     assert all(g.degree(f"r{i}") == 3 for i in range(5))
 
 
 def test_double_wheel_is_four_connected_triangulation():
-    g = ic.double_wheel(6)
+    g = double_wheel(6)
     assert g.n == 8
-    assert ic.is_maximal_planar(g)
-    assert ic.is_four_connected(g)
+    assert is_maximal_planar(g)
+    assert is_four_connected(g)
     assert g.degree("a") == g.degree("b") == 6
 
 
 def test_base_hamiltonian_cycle():
     for k in (5, 6, 9):
-        g = ic.double_wheel(k)
-        cycle = ic.base_hamiltonian_cycle(k)
+        g = double_wheel(k)
+        cycle = base_hamiltonian_cycle(k)
         assert len(cycle) == g.n
         assert ic.check_cycle(g, cycle) == cycle
 
@@ -39,7 +53,7 @@ def test_base_hamiltonian_cycle():
 def test_insert_vertex_adds_degree_three_vertex():
     g = ic.octahedron()
     face = g.faces[0]
-    h = ic.insert_vertex(g, face, "z")
+    h = insert_vertex(g, face, "z")
     assert h.n == g.n + 1
     assert h.degree("z") == 3
     assert len(h.faces) == len(g.faces) + 2
@@ -47,12 +61,12 @@ def test_insert_vertex_adds_degree_three_vertex():
 
 
 def test_diagonal_flip_keeps_triangulation():
-    g = ic.double_wheel(6)
+    g = double_wheel(6)
     u, v = g.edges[0]
-    h = ic.diagonal_flip(g, u, v)
+    h = diagonal_flip(g, u, v)
     if h is None:
         pytest.skip("first edge not flippable in this labelling")
-    assert ic.is_maximal_planar(h)
+    assert is_maximal_planar(h)
     assert h.n == g.n and h.m == g.m
     assert h.edge(u, v) not in set(h.edges)
 
@@ -61,26 +75,26 @@ def test_insertion_family_fills_every_face():
     base = ic.octahedron()
     g = ic.gen_insertion_family(base, fill_count=None)
     assert g.n == base.n + len(base.faces) == 14
-    assert ic.is_essentially_four_connected(g)
-    assert ic.is_maximal_planar(g)
+    assert is_essentially_four_connected(g)
+    assert is_maximal_planar(g)
 
 
 def test_insertion_family_partial_fill_is_seeded():
-    base = ic.double_wheel(6)
+    base = double_wheel(6)
     g1 = ic.gen_insertion_family(base, seed=5, fill_count=4)
     g2 = ic.gen_insertion_family(base, seed=5, fill_count=4)
     g3 = ic.gen_insertion_family(base, seed=6, fill_count=4)
     assert [tuple(f) for f in g1.faces] == [tuple(f) for f in g2.faces]
     assert {frozenset(f) for f in g1.faces} != {frozenset(f) for f in g3.faces}
     assert g1.n == base.n + 4
-    assert ic.is_essentially_four_connected(g1)
+    assert is_essentially_four_connected(g1)
 
 
 def test_insertion_family_rejects_weak_bases():
     with pytest.raises(BaseNotFourConnected):
-        ic.gen_insertion_family(ic.cube())  # not even a triangulation
+        ic.gen_insertion_family(cube())  # not even a triangulation
     with pytest.raises(BaseNotFourConnected):
-        ic.gen_insertion_family(ic.k4())  # maximal planar but only 3-connected
+        ic.gen_insertion_family(k4())  # maximal planar but only 3-connected
     with pytest.raises(SizeTooSmall):
         ic.gen_insertion_family(ic.octahedron(), fill_count=99)
 
@@ -89,18 +103,18 @@ def test_random_triangulation_is_valid_and_seeded():
     g1 = ic.gen_random_triangulation(12, seed=2)
     g2 = ic.gen_random_triangulation(12, seed=2)
     g3 = ic.gen_random_triangulation(12, seed=3)
-    assert g1.n == 12 and ic.is_maximal_planar(g1)
+    assert g1.n == 12 and is_maximal_planar(g1)
     assert [tuple(f) for f in g1.faces] == [tuple(f) for f in g2.faces]
     assert {frozenset(f) for f in g1.faces} != {frozenset(f) for f in g3.faces}
     # stacked insertions always leave a degree-3 vertex
-    assert not ic.is_four_connected(g1)
+    assert not is_four_connected(g1)
 
 
 def test_random_four_connected_triangulation():
     g = ic.gen_random_triangulation(10, seed=1, require_four_connected=True)
     assert g.n == 10
-    assert ic.is_maximal_planar(g)
-    assert ic.is_four_connected(g)
+    assert is_maximal_planar(g)
+    assert is_four_connected(g)
 
 
 def test_random_triangulation_size_guards():
@@ -115,4 +129,4 @@ def test_sweep_corpus_shape(sweep_corpus):
     assert all(14 <= g.n <= 24 for g in sweep_corpus)
     # the generator asserts essential 4-connectivity; spot-check anyway
     for g in sweep_corpus[::40]:
-        assert ic.is_essentially_four_connected(g)
+        assert is_essentially_four_connected(g)

@@ -3,16 +3,25 @@
 import pytest
 
 import isocycle as ic
+from isocycle.cycle_analysis import canonical_cycle
 from isocycle.errors import TooLarge
+from isocycle.generators import cube, double_wheel, k4, prism, wheel
+from isocycle.oracles import (
+    find_hamiltonian_cycle,
+    find_hamiltonian_path,
+    hamiltonian_cycles,
+    independent_sets_of_size,
+    max_independent_set_size,
+)
 
 
 def test_circumference_of_named_graphs():
     # K4, the wheel and the prism are Hamiltonian; counts are their orders
-    assert ic.oracle_circumference(ic.k4()) == 4
-    assert ic.oracle_circumference(ic.wheel(5)) == 6
-    assert ic.oracle_circumference(ic.prism()) == 6
+    assert ic.oracle_circumference(k4()) == 4
+    assert ic.oracle_circumference(wheel(5)) == 6
+    assert ic.oracle_circumference(prism()) == 6
     assert ic.oracle_circumference(ic.octahedron()) == 6
-    assert ic.oracle_circumference(ic.cube()) == 8
+    assert ic.oracle_circumference(cube()) == 8
 
 
 def test_insertion_instance_circumference_hits_the_bound():
@@ -23,24 +32,24 @@ def test_insertion_instance_circumference_hits_the_bound():
 
 
 def test_k4_has_three_hamiltonian_cycles():
-    cycles = {ic.canonical_cycle(ic.k4(), c) for c in ic.hamiltonian_cycles(ic.k4())}
+    cycles = {canonical_cycle(k4(), c) for c in hamiltonian_cycles(k4())}
     assert len(cycles) == 3
 
 
 def test_hamiltonian_cycle_lookup():
-    assert ic.oracle_hamiltonian_cycle(ic.cube()) is not None
-    assert ic.find_hamiltonian_cycle(ic.octahedron()) is not None
+    assert find_hamiltonian_cycle(cube()) is not None
+    assert find_hamiltonian_cycle(ic.octahedron()) is not None
     # the star K1,3 has no cycle at all
     star = ic.build_plane_graph(
         ["h", "a", "b", "c"],
         {"h": ["a", "b", "c"], "a": ["h"], "b": ["h"], "c": ["h"]},
     )
-    assert ic.find_hamiltonian_cycle(star) is None
+    assert find_hamiltonian_cycle(star) is None
 
 
 def test_hamiltonian_path_between_endpoints():
-    g = ic.cube()
-    path = ic.find_hamiltonian_path(g, list(g.vertices), "v0", "v6")
+    g = cube()
+    path = find_hamiltonian_path(g, list(g.vertices), "v0", "v6")
     assert path is not None
     assert path[0] == "v0" and path[-1] == "v6"
     assert len(set(path)) == g.n
@@ -48,12 +57,12 @@ def test_hamiltonian_path_between_endpoints():
 
 def test_isolating_cycle_lengths():
     # a triangle of K4 leaves one vertex; the Hamiltonian cycle leaves none
-    assert sorted({len(c) for c in ic.oracle_isolating_cycles(ic.k4())}) == [3, 4]
+    assert sorted({len(c) for c in ic.oracle_isolating_cycles(k4())}) == [3, 4]
     assert sorted(
         {len(c) for c in ic.oracle_isolating_cycles(ic.octahedron())}
     ) == [4, 5, 6]
     # the cube is bipartite: only even lengths appear
-    assert sorted({len(c) for c in ic.oracle_isolating_cycles(ic.cube())}) == [6, 8]
+    assert sorted({len(c) for c in ic.oracle_isolating_cycles(cube())}) == [6, 8]
 
 
 def test_isolating_cycle_count_on_octahedron():
@@ -75,18 +84,18 @@ def test_enumeration_returns_canonical_cycles():
     g = ic.octahedron()
     cycles = ic.oracle_isolating_cycles(g)
     assert len(set(cycles)) == len(cycles)
-    assert all(ic.canonical_cycle(g, c) == c for c in cycles)
+    assert all(canonical_cycle(g, c) == c for c in cycles)
 
 
 def test_independent_set_helpers():
     # the octahedron pairs up antipodal vertices; the cube splits in half
-    assert ic.max_independent_set_size(ic.octahedron()) == 2
-    assert len(list(ic.independent_sets_of_size(ic.octahedron(), 2))) == 3
-    assert ic.max_independent_set_size(ic.cube()) == 4
+    assert max_independent_set_size(ic.octahedron()) == 2
+    assert len(list(independent_sets_of_size(ic.octahedron(), 2))) == 3
+    assert max_independent_set_size(cube()) == 4
 
 
 def test_size_guard():
-    big = ic.double_wheel(30)
+    big = double_wheel(30)
     with pytest.raises(TooLarge):
         ic.oracle_circumference(big)
     assert ic.oracle_circumference(big, limit=big.n) == 32

@@ -8,10 +8,19 @@ from isocycle.errors import (
     NonPlanarEmbedding,
     NotSimple,
 )
+from isocycle.generators import cube, double_wheel, k4, wheel
+from isocycle.plane_graph import (
+    is_connected,
+    is_essentially_four_connected,
+    is_four_connected,
+    is_maximal_planar,
+    is_two_connected,
+    separating_triangles,
+)
 
 
 def test_k4_faces():
-    g = ic.k4()
+    g = k4()
     # Euler: 4 - 6 + F = 2, so F = 4, all triangles.
     assert (g.n, g.m, len(g.faces)) == (4, 6, 4)
     assert all(len(f) == 3 for f in g.faces)
@@ -25,7 +34,7 @@ def test_octahedron_faces():
 
 
 def test_cube_faces():
-    g = ic.cube()
+    g = cube()
     # Euler: 8 - 12 + F = 2, so F = 6, all quadrilaterals.
     assert (g.n, g.m, len(g.faces)) == (8, 12, 6)
     assert all(len(f) == 4 for f in g.faces)
@@ -72,23 +81,23 @@ def test_connectivity_ladder_of_predicates():
     path = ic.build_plane_graph(
         ["a", "b", "c"], {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
     )
-    assert ic.is_connected(path)
-    assert not ic.is_two_connected(path)
+    assert is_connected(path)
+    assert not is_two_connected(path)
 
     square = ic.graph_from_faces([("a", "b", "c", "d"), ("d", "c", "b", "a")])
-    assert ic.is_two_connected(square)
+    assert is_two_connected(square)
     assert not ic.is_three_connected(square)
 
-    assert ic.is_three_connected(ic.k4())
-    assert not ic.is_four_connected(ic.cube())
-    assert ic.is_four_connected(ic.octahedron())
-    assert ic.is_four_connected(ic.double_wheel(6))
+    assert ic.is_three_connected(k4())
+    assert not is_four_connected(cube())
+    assert is_four_connected(ic.octahedron())
+    assert is_four_connected(double_wheel(6))
 
 
 def test_wheel_is_essentially_four_connected():
     # Every 3-separator of a wheel is the neighbourhood of a rim vertex.
-    assert ic.is_essentially_four_connected(ic.wheel(5))
-    assert ic.is_essentially_four_connected(ic.octahedron())
+    assert is_essentially_four_connected(wheel(5))
+    assert is_essentially_four_connected(ic.octahedron())
 
 
 def test_glued_octahedra_are_not_essentially_four_connected():
@@ -106,8 +115,8 @@ def test_glued_octahedra_are_not_essentially_four_connected():
     outside = [tuple(reversed(f)) for f in antiprism(("x", "y", "z"), ("s", "t", "u"))]
     g = ic.graph_from_faces(inside + outside)
     assert ic.is_three_connected(g)
-    assert not ic.is_essentially_four_connected(g)
-    assert ic.separating_triangles(g) == [("x", "y", "z")]
+    assert not is_essentially_four_connected(g)
+    assert separating_triangles(g) == [("x", "y", "z")]
 
 
 def test_two_k4s_sharing_a_triangle():
@@ -118,21 +127,21 @@ def test_two_k4s_sharing_a_triangle():
         ("a", "b", "d"), ("b", "c", "d"), ("c", "a", "d"),
         ("b", "a", "e"), ("c", "b", "e"), ("a", "c", "e"),
     ])
-    assert ic.separating_triangles(g) == [("a", "b", "c")]
-    assert ic.is_essentially_four_connected(g)
+    assert separating_triangles(g) == [("a", "b", "c")]
+    assert is_essentially_four_connected(g)
 
 
 def test_separating_triangles_of_insertion_instance():
     base = ic.octahedron()
     g = ic.gen_insertion_family(base, fill_count=None)
     # one inserted vertex per base face, each wrapped by its own triangle
-    assert len(ic.separating_triangles(g)) == len(base.faces)
+    assert len(separating_triangles(g)) == len(base.faces)
 
 
 def test_maximal_planar_predicate():
-    assert ic.is_maximal_planar(ic.k4())
-    assert ic.is_maximal_planar(ic.octahedron())
-    assert not ic.is_maximal_planar(ic.cube())
+    assert is_maximal_planar(k4())
+    assert is_maximal_planar(ic.octahedron())
+    assert not is_maximal_planar(cube())
 
 
 def test_json_round_trip():
@@ -145,7 +154,7 @@ def test_json_round_trip():
 
 
 def test_save_and_load(tmp_path):
-    g = ic.double_wheel(6)
+    g = double_wheel(6)
     path = tmp_path / "dw.json"
     ic.save_graph(g, path)
     h = ic.load_graph(path)
@@ -153,7 +162,7 @@ def test_save_and_load(tmp_path):
 
 
 def test_dot_export_mentions_all_vertices():
-    g = ic.cube()
+    g = cube()
     dot = ic.graph_to_dot(g)
     assert dot.startswith("graph")
     for v in g.vertices:
@@ -161,7 +170,7 @@ def test_dot_export_mentions_all_vertices():
 
 
 def test_dot_export_highlights_cycle():
-    g = ic.cube()
+    g = cube()
     cycle = ("v4", "v5", "v1", "v2", "v3", "v7")
     plain = ic.graph_to_dot(g)
     marked = ic.graph_to_dot(g, highlight_cycle=cycle)

@@ -1,13 +1,28 @@
 """Eligible 3-arches, tunnels, tracks, on-track, transfer pairs."""
 
+import sys
+
 import pytest
 
 import isocycle as ic
+from isocycle.cli import analysis_report
+from isocycle.extension import _candidate_windows
+from isocycle.tunnels import (
+    consecutive,
+    eligible_three_arches,
+    find_tunnels,
+    is_transfer_pair,
+    on_track,
+    track_transfer_pairs,
+    tracks,
+    transfer_pairs,
+    transfer_registry,
+)
 
 
 def get_tracks(analysis):
-    t = ic.find_tunnels(analysis)[0]
-    trks = ic.tracks(analysis, t)
+    t = find_tunnels(analysis)[0]
+    trks = tracks(analysis, t)
     ccw = trks[0] if trks[0].direction == "ccw" else trks[1]
     cw = trks[1] if trks[0].direction == "ccw" else trks[0]
     return t, ccw, cw
@@ -17,7 +32,7 @@ def get_tracks(analysis):
 
 
 def test_ladder_eligible_three_arches(ladder_analysis):
-    el = ic.eligible_three_arches(ladder_analysis)
+    el = eligible_three_arches(ladder_analysis)
     assert [(A.face, A.start) for A in el] == [
         (0, 0), (2, 2), (7, 4), (9, 6), (11, 8)
     ]
@@ -29,35 +44,34 @@ def test_ladder_eligible_three_arches(ladder_analysis):
 def test_no_three_arches_no_tunnels(hex_instance):
     g, cycle = hex_instance
     a = ic.analyze_cycle(g, cycle)
-    assert ic.eligible_three_arches(a) == []
-    assert ic.find_tunnels(a) == []
+    assert eligible_three_arches(a) == []
+    assert find_tunnels(a) == []
 
 
 def test_consecutive_means_sharing_exactly_one_position(ladder_analysis):
-    el = ic.eligible_three_arches(ladder_analysis)
-    assert ic.consecutive(el[0], el[1])
-    assert ic.consecutive(el[1], el[2])
-    assert not ic.consecutive(el[0], el[2])
-    assert not ic.consecutive(el[0], el[0])
+    el = eligible_three_arches(ladder_analysis)
+    assert consecutive(el[0], el[1])
+    assert consecutive(el[1], el[2])
+    assert not consecutive(el[0], el[2])
+    assert not consecutive(el[0], el[0])
 
 
 # -- tunnels -------------------------------------------------------------------
 
 
 def test_ladder_single_acyclic_tunnel(ladder_analysis):
-    tunnels = ic.find_tunnels(ladder_analysis)
+    tunnels = find_tunnels(ladder_analysis)
     assert len(tunnels) == 1
     t = tunnels[0]
     assert not t.cyclic and t.k == 5
     assert [A.start for A in t.arches] == [0, 2, 4, 6, 8]
-    assert ic.check_tunnel_acyclic(t)
 
 
 def test_tunnels_partition_eligible_arches(ladder_analysis, cyclic_instance):
     g, cycle = cyclic_instance
     for a in (ladder_analysis, ic.analyze_cycle(g, cycle)):
-        el = ic.eligible_three_arches(a)
-        seen = [A for t in ic.find_tunnels(a) for A in t.arches]
+        el = eligible_three_arches(a)
+        seen = [A for t in find_tunnels(a) for A in t.arches]
         assert sorted((A.face, A.start) for A in seen) == sorted(
             (A.face, A.start) for A in el
         )
@@ -67,17 +81,16 @@ def test_tunnels_partition_eligible_arches(ladder_analysis, cyclic_instance):
 def test_cyclic_tunnel_forces_even_cycle(cyclic_instance):
     g, cycle = cyclic_instance
     a = ic.analyze_cycle(g, cycle)
-    tunnels = ic.find_tunnels(a)
+    tunnels = find_tunnels(a)
     assert len(tunnels) == 1
     t = tunnels[0]
     assert t.cyclic and t.k == 4
     assert [A.start for A in t.arches] == [0, 2, 4, 6]
     assert a.c == 2 * t.k
-    assert not ic.check_tunnel_acyclic(t)
 
 
 def test_two_isolated_three_arches_stay_separate(arch_analysis):
-    tunnels = ic.find_tunnels(arch_analysis)
+    tunnels = find_tunnels(arch_analysis)
     assert [(t.k, t.cyclic) for t in tunnels] == [(1, False), (1, False)]
     assert sorted(t.arches[0].start for t in tunnels) == [0, 5]
 
@@ -87,6 +100,7 @@ def test_two_isolated_three_arches_stay_separate(arch_analysis):
 
 def test_ladder_tracks_and_exits(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
+    assert tuple(tr.direction for tr in tracks(ladder_analysis, t)) == ("ccw", "cw")
     assert [A.start for A in ccw.arches] == [0, 2, 4, 6, 8]
     assert [A.start for A in cw.arches] == [8, 6, 4, 2, 0]
     # the exit pair sits just outside the first arch, across the cycle edge
@@ -97,17 +111,11 @@ def test_ladder_tracks_and_exits(ladder_analysis):
 def test_cyclic_tunnel_has_no_tracks(cyclic_instance):
     g, cycle = cyclic_instance
     a = ic.analyze_cycle(g, cycle)
-    t = ic.find_tunnels(a)[0]
+    t = find_tunnels(a)[0]
     with pytest.raises(ValueError):
-        ic.tracks(a, t)
-    (built, trks), = ic.build_tunnels(a)
-    assert built.cyclic and trks == ()
-
-
-def test_build_tunnels_wrapper(ladder_analysis):
-    (t, trks), = ic.build_tunnels(ladder_analysis)
-    assert t.k == 5
-    assert tuple(tr.direction for tr in trks) == ("ccw", "cw")
+        tracks(a, t)
+    # the only tunnel is cyclic, so there is no track to pull along
+    assert track_transfer_pairs(a) == []
 
 
 # -- on-track ------------------------------------------------------------------
@@ -115,25 +123,25 @@ def test_build_tunnels_wrapper(ladder_analysis):
 
 def test_on_track_truth_table(ladder_analysis):
     a = ladder_analysis
-    t = ic.find_tunnels(a)[0]
+    t = find_tunnels(a)[0]
     exit_pair = (1, 0)
     positives = [(1, 0), (0, 2), (2, 4), (7, 6), (9, 8), (11, 10)]
     for pair in positives:
-        assert ic.on_track(a, t, exit_pair, pair), pair
+        assert on_track(a, t, exit_pair, pair), pair
     negatives = [(7, 4), (9, 6), (11, 8)]
     for pair in negatives:
-        assert not ic.on_track(a, t, exit_pair, pair), pair
+        assert not on_track(a, t, exit_pair, pair), pair
     # pairs on opposite sides four steps apart are on track with each other
-    assert ic.on_track(a, t, (7, 4), (9, 10))
+    assert on_track(a, t, (7, 4), (9, 10))
 
 
 def test_on_track_is_symmetric(ladder_analysis):
     a = ladder_analysis
-    t = ic.find_tunnels(a)[0]
+    t = find_tunnels(a)[0]
     pairs = [(1, 0), (0, 2), (7, 4), (9, 8), (11, 10)]
     for p in pairs:
         for q in pairs:
-            assert ic.on_track(a, t, p, q) == ic.on_track(a, t, q, p)
+            assert on_track(a, t, p, q) == on_track(a, t, q, p)
 
 
 # -- transfer pairs ------------------------------------------------------------
@@ -141,44 +149,78 @@ def test_on_track_is_symmetric(ladder_analysis):
 
 def test_ladder_transfer_pairs(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
-    assert [(p.face, p.position) for p in ic.transfer_pairs(ladder_analysis, ccw)] == [
+    assert [(p.face, p.position) for p in transfer_pairs(ladder_analysis, ccw)] == [
         (0, 2), (2, 4), (7, 6)
     ]
     # the clockwise chain dies immediately: the face across its first
     # candidate edge is the preceding tunnel face itself
-    assert ic.transfer_pairs(ladder_analysis, cw) == []
+    assert transfer_pairs(ladder_analysis, cw) == []
 
 
 def test_ladder_transfer_negatives(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
     # (9, 8): across the merged face the edge is neither extremal nor next
     # to an extremal one, so the chain breaks there
-    assert ic.is_transfer_pair(ladder_analysis, 9, 8, ccw) is None
+    assert is_transfer_pair(ladder_analysis, 9, 8, ccw) is None
     # (11, 10): past the break nothing further qualifies
-    assert ic.is_transfer_pair(ladder_analysis, 11, 10, ccw) is None
+    assert is_transfer_pair(ladder_analysis, 11, 10, ccw) is None
 
 
 def test_is_transfer_pair_positive_lookup(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
     for face, pos in [(0, 2), (2, 4), (7, 6)]:
-        p = ic.is_transfer_pair(ladder_analysis, face, pos, ccw)
+        p = is_transfer_pair(ladder_analysis, face, pos, ccw)
         assert (p.face, p.position) == (face, pos)
 
 
 def test_lax_mode_matches_strict_on_ladder(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
-    strict = [(p.face, p.position) for p in ic.transfer_pairs(ladder_analysis, ccw)]
+    strict = [(p.face, p.position) for p in transfer_pairs(ladder_analysis, ccw)]
     lax = [
         (p.face, p.position)
-        for p in ic.transfer_pairs(ladder_analysis, ccw, strict=False)
+        for p in transfer_pairs(ladder_analysis, ccw, strict=False)
     ]
     assert strict == lax
 
 
 def test_transfer_registry_and_arches(ladder_analysis):
-    reg = ic.transfer_registry(ladder_analysis)
+    reg = transfer_registry(ladder_analysis)
     assert sorted(reg) == [(0, 2), (2, 4), (7, 6)]
-    t = ic.find_tunnels(ladder_analysis)[0]
-    assert [(A.face, A.start) for A in ic.transfer_arches(ladder_analysis, t)] == [
-        (0, 0), (2, 2), (7, 4)
+    per_track = track_transfer_pairs(ladder_analysis)
+    assert [(track.direction, len(pairs)) for track, pairs in per_track] == [
+        ("ccw", 3), ("cw", 0)
     ]
+    # the arches whose candidate pair qualified, on either track
+    qualified = [A for track, pairs in per_track for A in track.arches[: len(pairs)]]
+    assert [(A.face, A.start) for A in qualified] == [(0, 0), (2, 2), (7, 4)]
+
+
+# -- one tunnel computation per analysis ---------------------------------------
+
+
+def test_analysis_builds_tunnels_once(ladder, ladder_analysis, cyclic_instance, monkeypatch):
+    calls = []
+    original = find_tunnels
+
+    def counting(analysis):
+        calls.append(analysis)
+        return original(analysis)
+
+    # patch every module that bound the function by name, as a tracer would
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "isocycle" and getattr(mod, "find_tunnels", None) is original:
+            monkeypatch.setattr(mod, "find_tunnels", counting)
+    g, cycle = ladder
+    a = ic.analyze_cycle(g, cycle)
+    _candidate_windows(a)
+    ic.apply_discharging(a)
+    analysis_report(a)
+    assert calls == [a]
+
+    # the cached member is exactly what a fresh search finds
+    g, cycle = cyclic_instance
+    for a in (ladder_analysis, ic.analyze_cycle(g, cycle)):
+        fresh = original(a)
+        assert [(t.cyclic, t.arches) for t in a.tunnels] == [
+            (t.cyclic, t.arches) for t in fresh
+        ]
