@@ -284,11 +284,16 @@ def test_ladder_trees_and_lemma(ladder_analysis):
     tp = extension_tree(a, PLUS)
     assert (len(tm.nodes), len(tm.edges)) == (8, 7)
     assert (len(tp.nodes), len(tp.edges)) == (8, 7)
-    assert (tm.side, tp.side) == ("minus", "plus")
     assert sorted(tm.leaves()) == [("face", f) for f in (0, 5, 7, 11, 12)]
     assert sorted(tp.leaves()) == [("face", f) for f in (1, 2, 6, 9, 13)]
     assert ic.check_tree_lemma(a, MINUS)["ok"]
     assert ic.check_tree_lemma(a, PLUS)["ok"]
+
+
+def test_build_extension_trees_wrapper(ladder_analysis):
+    # the tree pair of both sides, each tagged with the side it was built on
+    tm, tp = (extension_tree(ladder_analysis, side) for side in (MINUS, PLUS))
+    assert tm.side == "minus" and tp.side == "plus"
 
 
 def test_minor_face_count_lower_bound(sweep_sample):

@@ -100,7 +100,6 @@ def test_two_isolated_three_arches_stay_separate(arch_analysis):
 
 def test_ladder_tracks_and_exits(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
-    assert tuple(tr.direction for tr in tracks(ladder_analysis, t)) == ("ccw", "cw")
     assert [A.start for A in ccw.arches] == [0, 2, 4, 6, 8]
     assert [A.start for A in cw.arches] == [8, 6, 4, 2, 0]
     # the exit pair sits just outside the first arch, across the cycle edge
@@ -116,6 +115,14 @@ def test_cyclic_tunnel_has_no_tracks(cyclic_instance):
         tracks(a, t)
     # the only tunnel is cyclic, so there is no track to pull along
     assert track_transfer_pairs(a) == []
+
+
+def test_build_tunnels_wrapper(ladder_analysis):
+    # the tunnels the analysis owns, each with the two tracks along it
+    (t,) = ladder_analysis.tunnels
+    assert t.k == 5
+    trks = tracks(ladder_analysis, t)
+    assert tuple(tr.direction for tr in trks) == ("ccw", "cw")
 
 
 # -- on-track ------------------------------------------------------------------
