@@ -11,10 +11,13 @@ import hashlib
 import json
 
 import isocycle as ic
+from conftest import short_isolating_cycles
 from isocycle.generators import base_hamiltonian_cycle, double_wheel
 
 PINNED_TIGHT14_PATTERNS = {"apex-insert": 1403, "window-reroute": 204}
 PINNED_TIGHT14 = "1eeef73bbc9a03b9a5c1254fa6c02d55ba0111d73d4c0e8b01f19e96eb7fb277"
+PINNED_CORPUS_SAMPLE_PATTERNS = {"apex-insert": 456}
+PINNED_CORPUS_SAMPLE = "f36cc11e462e1b2a68b67d2429648146bc5c2502e6171c4c44afcb17dcdf7fe0"
 PINNED_DWHEEL_200 = "16a6b84b8baf8b2cde257bda85d2f3a4bae682a3b5e2bd664410fe9a6239bafc"
 
 
@@ -45,3 +48,16 @@ def test_double_wheel_200_from_base_cycle():
     digest, patterns = trace_digest(g, [base_hamiltonian_cycle(66)])
     assert patterns == {"apex-insert": 68}
     assert digest == PINNED_DWHEEL_200
+
+
+def test_corpus_sample_short_cycles(sweep_sample):
+    # up to four short isolating cycles on each of the 23 sampled instances
+    h = hashlib.sha256()
+    patterns = {}
+    for g in sweep_sample:
+        digest, counts = trace_digest(g, short_isolating_cycles(g, cap=4))
+        h.update(digest.encode())
+        for pattern, k in counts.items():
+            patterns[pattern] = patterns.get(pattern, 0) + k
+    assert patterns == PINNED_CORPUS_SAMPLE_PATTERNS
+    assert h.hexdigest() == PINNED_CORPUS_SAMPLE
