@@ -84,7 +84,10 @@ class Parser(argparse.ArgumentParser):
 def _parse_cycle(text):
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON in cycle sidecar: {exc}") from exc
         if not isinstance(data, list):
             raise ParseError("cycle sidecar must be a JSON list of vertex ids")
         return tuple(str(v) for v in data)
@@ -285,9 +288,12 @@ def cmd_grow(args):
 
 def _seed(args):
     env = os.environ.get("ISOCYCLE_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise UsageError(f"ISOCYCLE_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_gen(args):

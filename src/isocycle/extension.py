@@ -6,7 +6,11 @@ degree-5 vertices) new ones.  The fast tier inspects the cycle structure for
 known profitable spots: a thick minor face with a single C-edge absorbs its
 apex directly, and short windows around tunnels, small minor faces, and
 faces flagged by the discharging audit are rerouted by an exact search that
-keeps every window vertex and adds a few off-cycle ones.  The exhaustive
+keeps every window vertex and adds a few off-cycle ones.  Its move is the
+first apex insert in ``minor_faces()`` order; failing that, the reroute that
+adds the fewest vertices, the first such window in ``_candidate_windows``
+order (lowest start, then shortest).  Only that winner is built as a Move,
+and no window is searched at a size beyond the winner's.  The exhaustive
 tier tries every small set of off-cycle vertices and asks for a Hamiltonian
 cycle of the induced subgraph; it is the fallback of record, and growth
 traces count how often it was needed.  Both tiers, and the growth loop,
@@ -113,21 +117,6 @@ def _cyclic_runs(cycle, pred):
 # fast tier
 
 
-def _one_face_insertions(analysis):
-    """Moves absorbing the apex of a thick minor face with one C-edge."""
-    g = analysis.g
-    cyc = analysis.cycle
-    out = []
-    for fid in analysis.minor_faces():
-        if analysis.m(fid) != 1 or analysis.is_thin(fid):
-            continue
-        s, _ = analysis.face_arc[fid]
-        w = analysis.apex[fid]
-        new = cyc[: s + 1] + (w,) + cyc[s + 1 :]
-        out.append((s, make_move(g, cyc, new, "apex-insert")))
-    return out
-
-
 def _candidate_windows(analysis):
     """Anchor windows (start, edge count) worth an exact reroute search."""
     c = analysis.c
@@ -170,47 +159,35 @@ def _candidate_windows(analysis):
     return sorted(windows)
 
 
-def _window_extras(analysis, positions):
-    """Off-cycle vertices adjacent to at least two window vertices."""
+def _window(analysis, start, length):
+    """One reroute window as (s, t, tail, keep, extras).
+
+    s and t end the ``length`` cycle edges from position ``start``, tail is
+    the rest of the cycle from t back round to s, keep holds every window
+    vertex, and extras are up to ten off-cycle vertices adjacent to at least
+    two window vertices, most such neighbours first.
+    """
     g = analysis.g
-    window_vertices = {analysis.cycle[p] for p in positions}
-    window_vertices.add(analysis.cycle[(positions[-1] + 1) % analysis.c])
+    cyc = analysis.cycle
+    c = analysis.c
+    keep = {cyc[(start + i) % c] for i in range(length + 1)}
     scored = []
     for v in g.vertices:
         if v in analysis.pos:
             continue
-        k = sum(1 for w in g.adj[v] if w in window_vertices)
+        k = sum(1 for w in g.adj[v] if w in keep)
         if k >= 2:
             scored.append((-k, g.index[v], v))
     scored.sort()
-    return [v for _, _, v in scored[:10]], window_vertices
-
-
-def _reroute_window(analysis, start, length):
-    """Cheapest exact reroute of one window, or None."""
-    g = analysis.g
-    cyc = analysis.cycle
-    c = analysis.c
-    positions = [(start + i) % c for i in range(length)]
-    extras, window_vertices = _window_extras(analysis, positions)
-    if not extras:
-        return None
-    s = cyc[start % c]
-    t = cyc[(start + length) % c]
-    tail = [cyc[(start + length + 1 + i) % c] for i in range(c - length - 1)]
-    for size in range(1, min(3, len(extras)) + 1):
-        for chosen in combinations(extras, size):
-            sub = window_vertices | set(chosen)
-            path = find_hamiltonian_path(g, sub, s, t)
-            if path is None:
-                continue
-            new = tuple(path) + tuple(tail)
-            return make_move(g, cyc, new, "window-reroute")
-    return None
+    tail = tuple(cyc[(start + length + 1 + i) % c] for i in range(c - length - 1))
+    return cyc[start], cyc[(start + length) % c], tail, keep, [v for *_, v in scored[:10]]
 
 
 def find_extension_fast(g, cycle):
     """Pattern-directed extension search.  Returns a Move or None.
+
+    The loops run in the selection order of the module docstring, so the
+    first move found is the winner and the only one built.
 
     Raises NotCycle or NotIsolating on a bad start cycle; a structural
     surprise in the analysis only makes the tier decline.
@@ -220,19 +197,22 @@ def find_extension_fast(g, cycle):
     except ContractViolation as exc:
         logger.debug("fast tier skipped, analysis failed: %s", exc)
         return None
+    cyc = analysis.cycle
 
-    candidates = []
-    for anchor, move in _one_face_insertions(analysis):
-        candidates.append((len(move.added), move.pattern, anchor, move))
-    if not candidates:
-        for start, length in _candidate_windows(analysis):
-            move = _reroute_window(analysis, start, length)
-            if move is not None:
-                candidates.append((len(move.added), move.pattern, start, move))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda t: t[:3])
-    return candidates[0][3]
+    for fid in analysis.minor_faces():
+        if analysis.m(fid) == 1 and not analysis.is_thin(fid):
+            s = analysis.face_arc[fid][0]
+            new = cyc[: s + 1] + (analysis.apex[fid],) + cyc[s + 1 :]
+            return make_move(g, cyc, new, "apex-insert")
+
+    windows = [_window(analysis, *w) for w in _candidate_windows(analysis)]
+    for size in (1, 2, 3):
+        for s, t, tail, keep, extras in windows:
+            for chosen in combinations(extras, size):
+                path = find_hamiltonian_path(g, keep | set(chosen), s, t)
+                if path is not None:
+                    return make_move(g, cyc, tuple(path) + tail, "window-reroute")
+    return None
 
 
 # ---------------------------------------------------------------------------

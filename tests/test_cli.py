@@ -85,6 +85,13 @@ def test_analyze_cycle_from_sidecar_file(octa_file, tmp_path, capsys):
     assert code == 0 and rep["c"] == 4
 
 
+def test_analyze_rejects_malformed_cycle_sidecar(octa_file, tmp_path, capsys):
+    side = tmp_path / "bad.json"
+    side.write_text("[r0, r1")
+    assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_analyze_rejects_bad_cycle(octa_file, capsys):
     assert main(["analyze", "--graph", octa_file, "--cycle", "r0,r2,a"]) == 2
 
@@ -164,6 +171,12 @@ def test_gen_random_respects_seed_env(tmp_path, capsys, monkeypatch):
     # the env var wins over a conflicting --seed
     main(["gen", "--family", "random", "--n", "12", "--seed", "9", "--out", str(b)])
     assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+
+def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ISOCYCLE_SEED", "abc")
+    assert main(["gen", "--family", "random", "--n", "8"]) == 1
+    assert "ISOCYCLE_SEED" in capsys.readouterr().err
 
 
 def test_circ_octahedron(octa_file, capsys):

@@ -3,9 +3,10 @@
 import pytest
 
 import isocycle as ic
+from isocycle import extension
 from isocycle.errors import InvalidMove, NotIsolating
 from isocycle.extension import degree_five_count, extension_budget, make_move
-from isocycle.generators import cube, k4, wheel
+from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.oracles import find_hamiltonian_cycle
 
 
@@ -13,6 +14,9 @@ EQUATOR = ("r0", "r1", "r2", "r3")
 # a face triangle of the octahedron: b, r2 and r3 stay off it and are
 # pairwise adjacent, so the triangle is a cycle but not an isolating one
 TRIANGLE = ("a", "r0", "r1")
+# an isolating 6-cycle of the n=14 tight instance whose growth takes five
+# apex inserts and one window reroute
+TIGHT14_REROUTE_START = ("a", "r0", "b", "r3", "r2", "r1")
 
 
 def test_isolation_bound_values():
@@ -167,3 +171,22 @@ def test_growth_invariants_on_sample(sweep_sample):
                 assert ic.is_isolating(g, cur)
                 assert len(set(cur) - set(prev)) <= extension_budget(g)
             assert len(trace.cycles[-1]) >= trace.bound
+
+
+@pytest.mark.parametrize(
+    "instance, patterns",
+    [
+        ((double_wheel(20), base_hamiltonian_cycle(20)), {"apex-insert": 22}),
+        ((ic.octahedron(), TIGHT14_REROUTE_START), {"apex-insert": 5, "window-reroute": 1}),
+    ],
+    ids=["dwheel20", "tight14-reroute"],
+)
+def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns):
+    base, start = instance
+    g = ic.gen_insertion_family(base)
+    built = []
+    real = extension.make_move
+    monkeypatch.setattr(extension, "make_move", lambda *a: built.append(a) or real(*a))
+    trace = ic.grow_to_bound(g, start)
+    assert trace.pattern_counts() == patterns and trace.fallbacks == 0
+    assert len(built) == len(trace.moves)
