@@ -83,10 +83,10 @@ class Parser(argparse.ArgumentParser):
 
 def _parse_cycle(text):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
+        with open(text[1:], encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParseError(f"invalid JSON in cycle sidecar: {exc}") from exc
         if not isinstance(data, list):
             raise ParseError("cycle sidecar must be a JSON list of vertex ids")

@@ -6,15 +6,24 @@ degree-5 vertices) new ones.  The fast tier inspects the cycle structure for
 known profitable spots: a thick minor face with a single C-edge absorbs its
 apex directly, and short windows around tunnels, small minor faces, and
 faces flagged by the discharging audit are rerouted by an exact search that
-keeps every window vertex and adds a few off-cycle ones.  Its move is the
-first apex insert in ``minor_faces()`` order; failing that, the reroute that
-adds the fewest vertices, the first such window in ``_candidate_windows``
-order (lowest start, then shortest).  Only that winner is built as a Move,
-and no window is searched at a size beyond the winner's.  The exhaustive
-tier tries every small set of off-cycle vertices and asks for a Hamiltonian
-cycle of the induced subgraph; it is the fallback of record, and growth
-traces count how often it was needed.  Both tiers, and the growth loop,
-raise NotIsolating on a start cycle that is not isolating.
+keeps every window vertex and adds a few off-cycle ones.
+
+A thick minor face with a single C-edge is exactly a triangular face of G
+on a C-edge whose third vertex is off C: pruning deletes only chords, and no
+chord fits inside such a triangle.  So the fast tier's move is found on G
+itself: the first cycle position s whose edge (v_s, v_{s+1}) lies on such a
+triangle, taking the triangle with the lower face id of G when both sides
+have one (the order of ``minor_faces()``, since H numbers the faces it
+shares with G in the same order).  Only when no such triangle exists is the
+cycle analysed, and the move is the reroute that adds the fewest vertices,
+the first such window in ``_candidate_windows`` order (lowest start, then
+shortest).  Only that winner is built as a Move, and no window is searched
+at a size beyond the winner's.
+
+The exhaustive tier tries every small set of off-cycle vertices and asks for
+a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
+and growth traces count how often it was needed.  Both tiers, and the growth
+loop, raise NotIsolating on a start cycle that is not isolating.
 """
 
 import logging
@@ -187,24 +196,34 @@ def find_extension_fast(g, cycle):
     """Pattern-directed extension search.  Returns a Move or None.
 
     The loops run in the selection order of the module docstring, so the
-    first move found is the winner and the only one built.
+    first move found is the winner and the only one built.  An apex insert
+    is read off the triangular faces of g along the cycle; only a reroute
+    step builds the full cycle analysis.
 
     Raises NotCycle or NotIsolating on a bad start cycle; a structural
-    surprise in the analysis only makes the tier decline.
+    surprise in the analysis of a reroute step only makes the tier decline.
     """
+    cyc = check_isolating(g, cycle)
+    c = len(cyc)
+    on = set(cyc)
+    for s in range(c):
+        u, v = cyc[s], cyc[(s + 1) % c]
+        # the faces traced from (u, v) and (v, u), each with its third vertex
+        triangles = [
+            (fid, apex)
+            for fid, apex in ((g.face_id[(u, v)], g.succ(v, u)),
+                              (g.face_id[(v, u)], g.succ(u, v)))
+            if len(g.faces[fid]) == 3 and apex not in on
+        ]
+        if triangles:
+            new = cyc[: s + 1] + (min(triangles)[1],) + cyc[s + 1 :]
+            return make_move(g, cyc, new, "apex-insert")
+
     try:
-        analysis = analyze_cycle(g, cycle)
+        analysis = analyze_cycle(g, cyc)
     except ContractViolation as exc:
         logger.debug("fast tier skipped, analysis failed: %s", exc)
         return None
-    cyc = analysis.cycle
-
-    for fid in analysis.minor_faces():
-        if analysis.m(fid) == 1 and not analysis.is_thin(fid):
-            s = analysis.face_arc[fid][0]
-            new = cyc[: s + 1] + (analysis.apex[fid],) + cyc[s + 1 :]
-            return make_move(g, cyc, new, "apex-insert")
-
     windows = [_window(analysis, *w) for w in _candidate_windows(analysis)]
     for size in (1, 2, 3):
         for s, t, tail, keep, extras in windows:

@@ -433,10 +433,10 @@ def save_graph(g, path):
 
 
 def load_graph(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(d)
 

@@ -92,6 +92,25 @@ def test_analyze_rejects_malformed_cycle_sidecar(octa_file, tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+# "[]" saved as UTF-16 with its byte-order mark: not UTF-8, so not JSON
+NOT_UTF8 = b"\xff\xfe[\x00]\x00"
+
+
+def test_validate_rejects_non_utf8_graph(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(NOT_UTF8)
+    code, rep = run_json(capsys, "validate", "--graph", str(bad))
+    assert code == 2
+    assert rep["valid"] is False and rep["error"] == "ParseError"
+
+
+def test_analyze_rejects_non_utf8_cycle_sidecar(octa_file, tmp_path, capsys):
+    side = tmp_path / "utf16.json"
+    side.write_bytes(NOT_UTF8)
+    assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_analyze_rejects_bad_cycle(octa_file, capsys):
     assert main(["analyze", "--graph", octa_file, "--cycle", "r0,r2,a"]) == 2
 

@@ -3,7 +3,9 @@
 import pytest
 
 import isocycle as ic
+from conftest import short_isolating_cycles
 from isocycle import extension
+from isocycle.cycle_analysis import analyze_cycle
 from isocycle.errors import InvalidMove, NotIsolating
 from isocycle.extension import degree_five_count, extension_budget, make_move
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
@@ -174,19 +176,60 @@ def test_growth_invariants_on_sample(sweep_sample):
 
 
 @pytest.mark.parametrize(
-    "instance, patterns",
+    "instance, patterns, analyses",
     [
-        ((double_wheel(20), base_hamiltonian_cycle(20)), {"apex-insert": 22}),
-        ((ic.octahedron(), TIGHT14_REROUTE_START), {"apex-insert": 5, "window-reroute": 1}),
+        ((double_wheel(20), base_hamiltonian_cycle(20)), {"apex-insert": 22}, 0),
+        (
+            (ic.octahedron(), TIGHT14_REROUTE_START),
+            {"apex-insert": 5, "window-reroute": 1},
+            1,
+        ),
     ],
     ids=["dwheel20", "tight14-reroute"],
 )
-def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns):
+def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analyses):
+    # one Move per step, and a cycle analysis only for reroute steps
     base, start = instance
     g = ic.gen_insertion_family(base)
     built = []
+    analysed = []
     real = extension.make_move
     monkeypatch.setattr(extension, "make_move", lambda *a: built.append(a) or real(*a))
+    real_analyze = extension.analyze_cycle
+    monkeypatch.setattr(
+        extension, "analyze_cycle", lambda *a: analysed.append(a) or real_analyze(*a)
+    )
     trace = ic.grow_to_bound(g, start)
     assert trace.pattern_counts() == patterns and trace.fallbacks == 0
     assert len(built) == len(trace.moves)
+    assert len(analysed) == analyses
+
+
+def test_apex_pick_matches_the_analysis_rule(sweep_sample):
+    # the fast tier reads apex inserts off the triangles of g; the analysis
+    # rule is the first thick minor face with one C-edge in minor_faces() order
+    tight = ic.gen_insertion_family(ic.octahedron())
+    jobs = [(tight, ic.oracle_isolating_cycles(tight)[::10])]
+    jobs += [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
+    steps = both_sides = 0
+    for g, starts in jobs:
+        for start in starts:
+            trace = ic.grow_to_bound(g, start)
+            for cyc, move in zip(trace.cycles, trace.moves):
+                a = analyze_cycle(g, cyc)
+                picks = [
+                    (a.face_arc[f][0], a.apex[f])
+                    for f in a.minor_faces()
+                    if a.m(f) == 1 and not a.is_thin(f)
+                ]
+                if picks:
+                    s, apex = picks[0]
+                    assert move.pattern == "apex-insert"
+                    assert move.new_cycle == cyc[: s + 1] + (apex,) + cyc[s + 1 :]
+                else:
+                    assert move.pattern != "apex-insert"
+                steps += 1
+                both_sides += len({s for s, _ in picks}) < len(picks)
+    # the pinned golden slices: 1403 + 204 tight14 moves, 456 corpus moves
+    assert steps == 1607 + 456
+    assert both_sides > 0
