@@ -196,13 +196,9 @@ def analysis_report(analysis, strict=True):
     }
 
 
-def _require_graph(args):
-    return load_graph(args.graph)
-
-
 def cmd_validate(args):
     try:
-        g = _require_graph(args)
+        g = load_graph(args.graph)
     except VALIDATION_ERRORS as exc:
         _emit(args, {"valid": False, "error": type(exc).__name__, "message": str(exc)})
         return 2
@@ -221,7 +217,7 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     analysis = analyze_cycle(g, cycle)
     _emit(args, analysis_report(analysis, strict=args.strict_transfer_pair))
@@ -229,7 +225,7 @@ def cmd_analyze(args):
 
 
 def cmd_audit(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     analysis = analyze_cycle(g, cycle)
     ledger = apply_discharging(analysis, strict_transfer=args.strict_transfer_pair)
@@ -254,7 +250,7 @@ def _move_report(move):
 
 
 def cmd_extend(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     move = None
     if not args.tier_2_only:
@@ -271,7 +267,7 @@ def cmd_extend(args):
 
 
 def cmd_grow(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle, tier2_only=args.tier_2_only)
     report = trace.summary()
@@ -326,14 +322,14 @@ def cmd_gen(args):
 
 
 def cmd_circ(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     value = oracle_circumference(g, limit=args.limit)
     _emit(args, {"circumference": value, "n": g.n})
     return 0
 
 
 def cmd_export_dot(args):
-    g = _require_graph(args)
+    g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle) if args.cycle else None
     if cycle:
         check_cycle(g, cycle)
@@ -389,7 +385,7 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, graph=True, cycle=False):
+    def common(sp, graph=True, cycle=False, indent=True, transfer=False):
         if graph:
             sp.add_argument("--graph", required=True, help="graph JSON file")
         if cycle:
@@ -398,20 +394,22 @@ def build_parser():
                 required=True,
                 help="comma-separated vertex ids, or @file.json",
             )
-        sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--json-indent", type=int, default=2)
-        sp.add_argument(
-            "--strict-transfer-pair",
-            action="store_true",
-            default=True,
-            help="witness arches must come from the same tunnel (default)",
-        )
-        sp.add_argument(
-            "--lax-transfer-pair",
-            dest="strict_transfer_pair",
-            action="store_false",
-            help="allow any 3-arch as a transfer-pair witness",
-        )
+        sp.add_argument("--out", help="write the output here instead of stdout")
+        if indent:
+            sp.add_argument("--json-indent", type=int, default=2)
+        if transfer:
+            sp.add_argument(
+                "--strict-transfer-pair",
+                action="store_true",
+                default=True,
+                help="witness arches must come from the same tunnel (default)",
+            )
+            sp.add_argument(
+                "--lax-transfer-pair",
+                dest="strict_transfer_pair",
+                action="store_false",
+                help="allow any 3-arch as a transfer-pair witness",
+            )
 
     sp = sub.add_parser("validate", help="check a graph file")
     common(sp)
@@ -419,11 +417,11 @@ def build_parser():
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("analyze", help="cycle structure report")
-    common(sp, cycle=True)
+    common(sp, cycle=True, transfer=True)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("audit", help="discharging ledger report")
-    common(sp, cycle=True)
+    common(sp, cycle=True, transfer=True)
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("extend", help="one extension step")
@@ -454,7 +452,7 @@ def build_parser():
     sp.set_defaults(func=cmd_circ)
 
     sp = sub.add_parser("export-dot", help="Graphviz export")
-    common(sp)
+    common(sp, indent=False)
     sp.add_argument("--cycle", help="highlight this cycle")
     sp.set_defaults(func=cmd_export_dot)
 

@@ -147,12 +147,9 @@ class CycleAnalysis:
     cycle: tuple
     pos: dict = field(repr=False)
     pos_of_edge: dict = field(repr=False)
-    chords: tuple = field(repr=False)
-    chord_side: dict = field(repr=False)
     vertex_side: dict = field(repr=False)
     v_minus: tuple = ()
     v_plus: tuple = ()
-    side_of_minus: str = "L"
     h: object = None
     deleted_chords: tuple = ()
     face_side: dict = field(default_factory=dict, repr=False)
@@ -324,18 +321,21 @@ def analyze_cycle(g, cycle):
         return MINUS if lr == side_of_minus else PLUS
 
     vertex_side = {v: to_side(lr) for v, lr in vertex_lr.items()}
-    chord_side = {e: to_side(lr) for e, lr in chord_lr.items()}
     v_minus = tuple(v for v in (v_L if side_of_minus == "L" else v_R))
     v_plus = tuple(v for v in (v_R if side_of_minus == "L" else v_L))
 
     if v_minus:
         deleted = chords
     else:
-        deleted = tuple(e for e in chords if chord_side[e] == PLUS)
+        deleted = tuple(e for e in chords if chord_lr[e] != side_of_minus)
     h = g.delete_edges(deleted)
 
-    h_lr = face_sides(h, cyc)
-    face_side = {fid: to_side(lr) for fid, lr in h_lr.items()}
+    # a face of H is faces of G merged across deleted chords, and each chord
+    # has both of its G-faces on one side, so H inherits G's colouring
+    face_side = {
+        fid: to_side(g_side[g.face_id[(face[0], face[1])]])
+        for fid, face in enumerate(h.faces)
+    }
 
     face_c_positions = {}
     for fid, face in enumerate(h.faces):
@@ -464,12 +464,9 @@ def analyze_cycle(g, cycle):
         cycle=cyc,
         pos=pos,
         pos_of_edge=pos_of_edge,
-        chords=chords,
-        chord_side=chord_side,
         vertex_side=vertex_side,
         v_minus=v_minus,
         v_plus=v_plus,
-        side_of_minus=side_of_minus,
         h=h,
         deleted_chords=tuple(deleted),
         face_side=face_side,

@@ -1,12 +1,12 @@
 """Exact brute-force oracles for small graphs.
 
 These are deliberately simple reference implementations: depth-first search
-with branch-and-bound for the circumference, backtracking with degree and
-connectivity pruning for Hamiltonian cycles and paths, and enumeration of
-isolating cycles via their complements (a cycle is isolating exactly when
-the vertices it misses form an independent set).  The oracle entry points
-refuse graphs above a size limit; the raw engines have no guard and are
-reused by the extension search on small induced subgraphs.
+with branch-and-bound for the circumference, one backtracking search with
+degree and connectivity pruning for Hamiltonian cycles and paths, and
+enumeration of isolating cycles via their complements (a cycle is isolating
+exactly when the vertices it misses form an independent set).  The oracle
+entry points refuse graphs above a size limit; the raw engines have no guard
+and are reused by the extension search on small induced subgraphs.
 """
 
 from .errors import TooLarge
@@ -25,39 +25,42 @@ def _reachable(adj, start_set, allowed):
     return seen
 
 
-def hamiltonian_cycles(g, vertices=None):
-    """Yield every Hamiltonian cycle of g[vertices], each exactly once.
+def _hamiltonian_paths(g, vertices, s, t):
+    """Yield every Hamiltonian s-t path of g[vertices], in search order.
 
-    Cycles start at the lowest-index vertex and are oriented so the second
-    vertex has lower index than the last.
+    With t == s the paths close into cycles through s, each yielded once,
+    oriented so the second vertex has lower index than the last.  The search
+    tries neighbours in index order and cuts a branch when an unvisited
+    vertex other than t has fewer than two usable neighbours, or when the
+    head cannot reach every unvisited vertex.
     """
-    vs = g.sorted_vertices(vertices if vertices is not None else g.vertices)
-    if len(vs) < 3:
-        return
+    vs = g.sorted_vertices(vertices)
     vset = frozenset(vs)
     adj = {v: [w for w in g.sorted_vertices(g.adj[v]) if w in vset] for v in vs}
-    if any(len(adj[v]) < 2 for v in vs):
-        return
-    start = vs[0]
+    closed = s == t
     total = len(vs)
-    path = [start]
-    visited = {start}
+    if closed and (total < 3 or len(adj[s]) < 2):
+        return
+    index = g.index
+    path = [s]
+    visited = {s}
 
     def rec():
         head = path[-1]
         if len(path) == total:
-            if start in g.adj[head] and g.index[path[1]] < g.index[path[-1]]:
+            # an open path can only have taken t last
+            if not closed or (s in g.adj[head] and index[path[1]] < index[head]):
                 yield tuple(path)
             return
         unvisited = vset - visited
+        usable = unvisited | {head, t}
         for u in unvisited:
-            avail = sum(1 for w in adj[u] if w in unvisited or w == head or w == start)
-            if avail < 2:
+            if u != t and len(usable.intersection(adj[u])) < 2:
                 return
         if _reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
             return
         for w in adj[head]:
-            if w in visited:
+            if w in visited or (w == t and len(path) != total - 1):
                 continue
             path.append(w)
             visited.add(w)
@@ -68,51 +71,23 @@ def hamiltonian_cycles(g, vertices=None):
     yield from rec()
 
 
-def find_hamiltonian_cycle(g, vertices=None):
-    """First Hamiltonian cycle of g[vertices], or None."""
-    for cycle in hamiltonian_cycles(g, vertices):
-        return cycle
-    return None
+def hamiltonian_cycles(g, vertices=None):
+    """Yield every Hamiltonian cycle of g[vertices], each exactly once.
+
+    Cycles start at the lowest-index vertex and are oriented so the second
+    vertex has lower index than the last.
+    """
+    vs = g.vertices if vertices is None else vertices
+    if vs:
+        start = min(vs, key=g.index.__getitem__)
+        yield from _hamiltonian_paths(g, vs, start, start)
 
 
 def find_hamiltonian_path(g, vertices, s, t):
     """A path from s to t visiting all of ``vertices``, or None."""
-    vs = g.sorted_vertices(vertices)
-    vset = frozenset(vs)
-    if s == t or s not in vset or t not in vset:
+    if s == t or s not in vertices or t not in vertices:
         raise ValueError("endpoints must be distinct members of the vertex set")
-    adj = {v: [w for w in g.sorted_vertices(g.adj[v]) if w in vset] for v in vs}
-    total = len(vs)
-    path = [s]
-    visited = {s}
-
-    def rec():
-        head = path[-1]
-        if len(path) == total:
-            return list(path) if head == t else None
-        unvisited = vset - visited
-        for u in unvisited:
-            if u == t:
-                continue
-            avail = sum(1 for w in adj[u] if w in unvisited or w == head)
-            if avail < 2:
-                return None
-        if _reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
-            return None
-        for w in adj[head]:
-            if w in visited or (w == t and len(path) != total - 1):
-                continue
-            path.append(w)
-            visited.add(w)
-            got = rec()
-            if got is not None:
-                return got
-            path.pop()
-            visited.discard(w)
-        return None
-
-    got = rec()
-    return tuple(got) if got is not None else None
+    return next(_hamiltonian_paths(g, vertices, s, t), None)
 
 
 def oracle_circumference(g, limit=30):

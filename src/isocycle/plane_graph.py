@@ -10,6 +10,7 @@ formula holds for the traced faces.
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     InconsistentRotation,
@@ -262,25 +263,6 @@ def graph_from_faces(face_list):
 # connectivity
 
 
-def is_connected(g):
-    return g.n <= 1 or _connected(g.vertices, g.adj)
-
-
-def _connected_without(g, removed):
-    remaining = [v for v in g.vertices if v not in removed]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y not in removed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(remaining)
-
-
 def _components_without(g, removed):
     remaining = set(g.vertices) - set(removed)
     comps = []
@@ -299,10 +281,12 @@ def _components_without(g, removed):
     return comps
 
 
-def is_two_connected(g):
-    if g.n < 3:
-        return False
-    return all(_connected_without(g, {v}) for v in g.vertices)
+def _separators(g, k):
+    """Yield (cut, components) for every k-set whose removal disconnects g."""
+    for cut in combinations(g.vertices, k):
+        comps = _components_without(g, cut)
+        if len(comps) > 1:
+            yield cut, comps
 
 
 def is_maximal_planar(g):
@@ -313,15 +297,8 @@ def is_maximal_planar(g):
 def is_three_connected(g):
     if g.n < 4:
         return False
-    if is_maximal_planar(g):
-        # simple maximal planar graphs on >= 4 vertices are 3-connected
-        return True
-    vs = g.vertices
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not _connected_without(g, {vs[i], vs[j]}):
-                return False
-    return True
+    # simple maximal planar graphs on >= 4 vertices are 3-connected
+    return is_maximal_planar(g) or not any(_separators(g, 2))
 
 
 def separating_triangles(g):
@@ -349,18 +326,7 @@ def is_four_connected(g):
         return False
     if is_maximal_planar(g):
         return not separating_triangles(g)
-    vs = g.vertices
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for k in range(j + 1, g.n):
-                if not _connected_without(g, {vs[i], vs[j], vs[k]}):
-                    return False
-    return True
-
-
-def _cut_isolates_vertex(g, cut):
-    comps = _components_without(g, cut)
-    return len(comps) == 2 and min(len(c) for c in comps) == 1
+    return not any(_separators(g, 3))
 
 
 def is_essentially_four_connected(g):
@@ -368,19 +334,10 @@ def is_essentially_four_connected(g):
     if not is_three_connected(g):
         return False
     if is_maximal_planar(g):
-        for t in separating_triangles(g):
-            if not _cut_isolates_vertex(g, set(t)):
-                return False
-        return True
-    vs = g.vertices
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for k in range(j + 1, g.n):
-                cut = {vs[i], vs[j], vs[k]}
-                if not _connected_without(g, cut):
-                    if not _cut_isolates_vertex(g, cut):
-                        return False
-    return True
+        splits = (_components_without(g, t) for t in separating_triangles(g))
+    else:
+        splits = (comps for _, comps in _separators(g, 3))
+    return all(len(comps) == 2 and min(map(len, comps)) == 1 for comps in splits)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,24 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["validate", "--graph", "x.json", "--frobnicate"]) == 1
 
 
+def test_gen_rejects_transfer_pair_flag(capsys):
+    # only analyze and audit read the transfer-pair flags
+    assert main(["gen", "--family", "named", "--name", "k4", "--lax-transfer-pair"]) == 1
+
+
+def test_export_dot_rejects_json_indent(octa_file, capsys):
+    # export-dot writes DOT, so a JSON indent has nothing to act on
+    assert main(["export-dot", "--graph", octa_file, "--json-indent", "4"]) == 1
+
+
+def test_analyze_accepts_lax_transfer_pair(octa_file, capsys):
+    code, rep = run_json(
+        capsys, "analyze", "--graph", octa_file, "--cycle", "r0,r1,r2,r3",
+        "--lax-transfer-pair",
+    )
+    assert code == 0 and rep["c"] == 4
+
+
 def test_missing_graph_file_is_validation_error(capsys):
     assert main(["validate", "--graph", "/nonexistent/g.json"]) == 2
 

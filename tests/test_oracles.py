@@ -1,5 +1,7 @@
 """Brute-force ground truth: circumference, Hamiltonian search, isolation."""
 
+from itertools import permutations
+
 import pytest
 
 import isocycle as ic
@@ -7,7 +9,6 @@ from isocycle.cycle_analysis import canonical_cycle
 from isocycle.errors import TooLarge
 from isocycle.generators import cube, double_wheel, k4, prism, wheel
 from isocycle.oracles import (
-    find_hamiltonian_cycle,
     find_hamiltonian_path,
     hamiltonian_cycles,
     independent_sets_of_size,
@@ -37,14 +38,14 @@ def test_k4_has_three_hamiltonian_cycles():
 
 
 def test_hamiltonian_cycle_lookup():
-    assert find_hamiltonian_cycle(cube()) is not None
-    assert find_hamiltonian_cycle(ic.octahedron()) is not None
+    assert next(hamiltonian_cycles(cube()), None) is not None
+    assert next(hamiltonian_cycles(ic.octahedron()), None) is not None
     # the star K1,3 has no cycle at all
     star = ic.build_plane_graph(
         ["h", "a", "b", "c"],
         {"h": ["a", "b", "c"], "a": ["h"], "b": ["h"], "c": ["h"]},
     )
-    assert find_hamiltonian_cycle(star) is None
+    assert next(hamiltonian_cycles(star), None) is None
 
 
 def test_hamiltonian_path_between_endpoints():
@@ -53,6 +54,85 @@ def test_hamiltonian_path_between_endpoints():
     assert path is not None
     assert path[0] == "v0" and path[-1] == "v6"
     assert len(set(path)) == g.n
+
+
+def _is_walk(g, seq):
+    return all(g.has_edge(seq[i - 1], seq[i]) for i in range(1, len(seq)))
+
+
+def _brute_cycles(g, vertices):
+    """Every Hamiltonian cycle of g[vertices] from its lowest-index vertex,
+    oriented so the second vertex has lower index than the last."""
+    start, *rest = g.sorted_vertices(vertices)
+    out = []
+    for perm in permutations(rest):
+        cyc = (start,) + perm
+        if (
+            g.index[cyc[1]] < g.index[cyc[-1]]
+            and _is_walk(g, cyc)
+            and g.has_edge(cyc[-1], start)
+        ):
+            out.append(cyc)
+    return out
+
+
+def _by_index(g):
+    return lambda seq: [g.index[v] for v in seq]
+
+
+@pytest.mark.parametrize(
+    "g, vertices",
+    [
+        (k4(), None),
+        (prism(), None),
+        (cube(), None),
+        (ic.octahedron(), None),
+        (wheel(5), None),
+        # the double wheel on 8 vertices less one rim vertex
+        (double_wheel(6), [f"r{i}" for i in range(1, 6)] + ["a", "b"]),
+    ],
+    ids=["k4", "prism", "cube", "octahedron", "wheel5", "double-wheel-less-r0"],
+)
+def test_hamiltonian_cycles_match_brute_force(g, vertices):
+    vs = list(g.vertices) if vertices is None else vertices
+    got = list(hamiltonian_cycles(g, vertices))
+    want = _brute_cycles(g, vs)
+    assert want
+    # each cycle once, in canonical orientation, in index-lexicographic order
+    assert got == sorted(want, key=_by_index(g))
+    assert all(canonical_cycle(g, c) == c for c in got)
+
+
+@pytest.mark.parametrize("g", [cube(), prism()], ids=["cube", "prism"])
+def test_hamiltonian_paths_match_brute_force(g):
+    vs = list(g.vertices)
+    for s in vs:
+        for t in vs:
+            if s == t:
+                continue
+            inner = [v for v in vs if v not in (s, t)]
+            want = [
+                (s,) + perm + (t,)
+                for perm in permutations(inner)
+                if _is_walk(g, (s,) + perm + (t,))
+            ]
+            path = find_hamiltonian_path(g, vs, s, t)
+            if not want:
+                assert path is None, (s, t)
+                continue
+            assert path is not None, (s, t)
+            assert path[0] == s and path[-1] == t
+            assert sorted(path) == sorted(vs) and _is_walk(g, path)
+            # the search tries neighbours in index order
+            assert path == min(want, key=_by_index(g))
+
+
+def test_hamiltonian_path_rejects_bad_endpoints():
+    g = cube()
+    with pytest.raises(ValueError):
+        find_hamiltonian_path(g, list(g.vertices), "v0", "v0")
+    with pytest.raises(ValueError):
+        find_hamiltonian_path(g, ["v0", "v1", "v2"], "v0", "v6")
 
 
 def test_isolating_cycle_lengths():

@@ -10,11 +10,9 @@ from isocycle.errors import (
 )
 from isocycle.generators import cube, double_wheel, k4, wheel
 from isocycle.plane_graph import (
-    is_connected,
     is_essentially_four_connected,
     is_four_connected,
     is_maximal_planar,
-    is_two_connected,
     separating_triangles,
 )
 
@@ -81,11 +79,9 @@ def test_connectivity_ladder_of_predicates():
     path = ic.build_plane_graph(
         ["a", "b", "c"], {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
     )
-    assert is_connected(path)
-    assert not is_two_connected(path)
+    assert not ic.is_three_connected(path)
 
     square = ic.graph_from_faces([("a", "b", "c", "d"), ("d", "c", "b", "a")])
-    assert is_two_connected(square)
     assert not ic.is_three_connected(square)
 
     assert ic.is_three_connected(k4())
