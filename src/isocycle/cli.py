@@ -124,7 +124,7 @@ def _tree_report(analysis, side):
     }
 
 
-def _tunnel_report(analysis, strict):
+def _tunnel_report(analysis):
     out = []
     for tunnel in analysis.tunnels:
         entry = {
@@ -137,7 +137,7 @@ def _tunnel_report(analysis, strict):
         if not tunnel.cyclic:
             entry["tracks"] = []
             for track in tracks(analysis, tunnel):
-                pairs = transfer_pairs(analysis, track, strict=strict)
+                pairs = transfer_pairs(analysis, track)
                 entry["tracks"].append(
                     {
                         "direction": track.direction,
@@ -153,7 +153,7 @@ def _tunnel_report(analysis, strict):
     return out
 
 
-def analysis_report(analysis, strict=True):
+def analysis_report(analysis):
     faces = []
     for fid in range(len(analysis.h.faces)):
         entry = {
@@ -192,7 +192,7 @@ def analysis_report(analysis, strict=True):
             "minus": _tree_report(analysis, "minus"),
             "plus": _tree_report(analysis, "plus"),
         },
-        "tunnels": _tunnel_report(analysis, strict),
+        "tunnels": _tunnel_report(analysis),
     }
 
 
@@ -220,7 +220,7 @@ def cmd_analyze(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     analysis = analyze_cycle(g, cycle)
-    _emit(args, analysis_report(analysis, strict=args.strict_transfer_pair))
+    _emit(args, analysis_report(analysis))
     return 0
 
 
@@ -228,7 +228,7 @@ def cmd_audit(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     analysis = analyze_cycle(g, cycle)
-    ledger = apply_discharging(analysis, strict_transfer=args.strict_transfer_pair)
+    ledger = apply_discharging(analysis)
     report = ledger.summary()
     report["inequality_verdicts"] = {
         "side_inequality": ledger.checks["side_inequality"],
@@ -277,7 +277,7 @@ def cmd_grow(args):
         os.makedirs(args.dump_dot, exist_ok=True)
         for i, cyc in enumerate(trace.cycles):
             path = os.path.join(args.dump_dot, f"step{i:03d}.dot")
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(graph_to_dot(g, highlight_cycle=cyc))
     return 0
 
@@ -335,7 +335,7 @@ def cmd_export_dot(args):
         check_cycle(g, cycle)
     text = graph_to_dot(g, highlight_cycle=cycle)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         print(text, end="")
@@ -385,7 +385,7 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, graph=True, cycle=False, indent=True, transfer=False):
+    def common(sp, graph=True, cycle=False, indent=True):
         if graph:
             sp.add_argument("--graph", required=True, help="graph JSON file")
         if cycle:
@@ -397,19 +397,6 @@ def build_parser():
         sp.add_argument("--out", help="write the output here instead of stdout")
         if indent:
             sp.add_argument("--json-indent", type=int, default=2)
-        if transfer:
-            sp.add_argument(
-                "--strict-transfer-pair",
-                action="store_true",
-                default=True,
-                help="witness arches must come from the same tunnel (default)",
-            )
-            sp.add_argument(
-                "--lax-transfer-pair",
-                dest="strict_transfer_pair",
-                action="store_false",
-                help="allow any 3-arch as a transfer-pair witness",
-            )
 
     sp = sub.add_parser("validate", help="check a graph file")
     common(sp)
@@ -417,11 +404,11 @@ def build_parser():
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("analyze", help="cycle structure report")
-    common(sp, cycle=True, transfer=True)
+    common(sp, cycle=True)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("audit", help="discharging ledger report")
-    common(sp, cycle=True, transfer=True)
+    common(sp, cycle=True)
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("extend", help="one extension step")

@@ -159,6 +159,7 @@ class CycleAnalysis:
     minor_set: frozenset = frozenset()
     apex: dict = field(default_factory=dict, repr=False)
     arches_of: dict = field(default_factory=dict, repr=False)
+    proper_arch: dict = field(default_factory=dict, repr=False)
     degenerate_faces: frozenset = frozenset()
 
     @property
@@ -201,33 +202,6 @@ class CycleAnalysis:
         if side is None:
             return fids
         return [f for f in fids if self.face_side[f] == side]
-
-    def extremal_positions_of_face(self, fid):
-        """C-edges of fid adjacent to at most one other C-edge of fid."""
-        arc = self.face_arc.get(fid)
-        if arc is None:
-            return ()
-        s, m = arc
-        if m == 1:
-            return (s,)
-        return (s, (s + m - 1) % self.c)
-
-    def middle_position_of_face(self, fid):
-        arc = self.face_arc.get(fid)
-        if arc is None or arc[1] % 2 == 0:
-            return None
-        s, m = arc
-        return (s + m // 2) % self.c
-
-    def extremal_vertices_of_face(self, fid):
-        arc = self.face_arc.get(fid)
-        if arc is None:
-            return ()
-        s, m = arc
-        return (self.cycle[s], self.cycle[(s + m) % self.c])
-
-    def is_extremal_edge_of_face(self, p, fid):
-        return p in self.extremal_positions_of_face(fid)
 
     # -- arches ---------------------------------------------------------------
 
@@ -421,6 +395,7 @@ def analyze_cycle(g, cycle):
         chord_hosts.setdefault(fid, []).append(e)
 
     arches_of = {}
+    proper_arch = {}
     for fid in minor_set:
         s, m = face_arc[fid]
         x, y = cyc[s], cyc[(s + m) % c]
@@ -428,7 +403,8 @@ def analyze_cycle(g, cycle):
             path = (x, y)
         else:
             path = (x, apex[fid], y)
-        arches = [Arch(fid, "proper", path, s, m, c)]
+        proper_arch[fid] = Arch(fid, "proper", path, s, m, c)
+        arches = [proper_arch[fid]]
         for a, b in chord_hosts.get(fid, ()):
             ra = (pos[a] - s) % c
             rb = (pos[b] - s) % c
@@ -476,6 +452,7 @@ def analyze_cycle(g, cycle):
         minor_set=frozenset(minor_set),
         apex=apex,
         arches_of=arches_of,
+        proper_arch=proper_arch,
         degenerate_faces=frozenset(degenerate),
     )
 

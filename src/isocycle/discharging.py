@@ -68,7 +68,7 @@ def _cond_c2(analysis, registry, g, e):
     if analysis.is_thick(g) and analysis.m(g) == 2:
         return True
     if analysis.m(g) == 3:
-        h = analysis.across(g, analysis.middle_position_of_face(g))
+        h = analysis.across(g, analysis.proper_arch[g].middle_position)
         return (
             h != f
             and analysis.is_minor(h)
@@ -90,7 +90,7 @@ def _cond_c3(analysis, registry, g, e):
             return False
     if any(analysis.is_minor(analysis.across(g, p)) is False for p in b.positions):
         return False
-    g_ext = set(analysis.extremal_positions_of_face(g))
+    g_ext = analysis.proper_arch[g].extremal_positions
     hits = [p for p in b.extremal_positions if p in g_ext]
     if not hits:
         return False
@@ -120,7 +120,7 @@ def _c45_common(analysis, g, e):
     lo, hi = b.extremal_positions
     adj = lo if (e - b.start) % c == 1 else hi
     far = hi if adj == lo else lo
-    if adj not in analysis.extremal_positions_of_face(g):
+    if adj not in analysis.proper_arch[g].extremal_positions:
         return None
     if analysis.m_shared(f, b) != 3:
         return None
@@ -165,7 +165,7 @@ def _cond_c6(analysis, registry, g, e):
         return False
     if not (analysis.is_thick(g) and analysis.m(g) == 4):
         return False
-    if e in analysis.extremal_positions_of_face(g):
+    if e in analysis.proper_arch[g].extremal_positions:
         return False
     c = analysis.c
     s, _ = analysis.face_arc[g]
@@ -193,7 +193,6 @@ _COND_FUNCS = {
 @dataclass(eq=False)
 class WeightLedger:
     analysis: object
-    strict_transfer: bool
     pulls: tuple
     initial: dict
     final: dict
@@ -207,7 +206,6 @@ class WeightLedger:
         return {
             "c": a.c,
             "n": a.g.n,
-            "strict_transfer": self.strict_transfer,
             "pulls": [
                 {
                     "condition": p.condition,
@@ -225,7 +223,7 @@ class WeightLedger:
         }
 
 
-def apply_discharging(analysis, strict_transfer=True):
+def apply_discharging(analysis):
     """Run both discharging phases and audit the resulting weights."""
     c = analysis.c
     if c < 6:
@@ -239,7 +237,7 @@ def apply_discharging(analysis, strict_transfer=True):
             )
 
     # each track's transfer pairs, shared by C5 (via their keys) and C7
-    per_track = track_transfer_pairs(analysis, strict=strict_transfer)
+    per_track = track_transfer_pairs(analysis)
     registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
 
     pulls = []
@@ -290,7 +288,6 @@ def apply_discharging(analysis, strict_transfer=True):
     checks, violations, implied = _audit(analysis, pulls, conditions_at, final)
     return WeightLedger(
         analysis=analysis,
-        strict_transfer=strict_transfer,
         pulls=tuple(pulls),
         initial=initial,
         final=final,

@@ -1,12 +1,18 @@
 """Extending isolating cycles toward the length bound.
 
-Every isolating cycle shorter than min{floor(2/3 (n+4)), n} extends to a
-longer cycle through all its vertices, adding at most 3 + (number of
-degree-5 vertices) new ones.  The fast tier inspects the cycle structure for
-known profitable spots: a thick minor face with a single C-edge absorbs its
-apex directly, and short windows around tunnels, small minor faces, and
-faces flagged by the discharging audit are rerouted by an exact search that
-keeps every window vertex and adds a few off-cycle ones.
+Every isolating cycle C with 6 <= |E(C)| < min{floor(2/3 (n+4)), n}
+extends to a longer cycle through all its vertices, adding at most
+3 + (number of degree-5 vertices) new ones.  Shorter starts, such as the
+octahedron's 4-cycle equator, still grow here but fall outside that
+guarantee.  ``extension_budget`` counts the degree-5 vertices of G, while
+the paper's abstract ties the +3 to faces of size five; which count the
+theorem needs is an open question.
+
+The fast tier inspects the cycle structure for known profitable spots: a
+thick minor face with a single C-edge absorbs its apex directly, and short
+windows around tunnels, small minor faces, and faces flagged by the
+discharging audit are rerouted by an exact search that keeps every window
+vertex and adds a few off-cycle ones.
 
 A thick minor face with a single C-edge is exactly a triangular face of G
 on a C-edge whose third vertex is off C: pruning deletes only chords, and no
@@ -38,7 +44,6 @@ from .errors import (
     DegenerateSide,
     ExtensionNotFound,
     InvalidMove,
-    MinorOneFacePresent,
 )
 from .oracles import find_hamiltonian_path, hamiltonian_cycles
 
@@ -154,7 +159,7 @@ def _candidate_windows(analysis):
 
     try:
         ledger = apply_discharging(analysis)
-    except (CycleTooShort, MinorOneFacePresent, DegenerateSide, ContractViolation):
+    except (CycleTooShort, DegenerateSide):
         ledger = None
     if ledger is not None:
         flagged = set()
@@ -200,8 +205,9 @@ def find_extension_fast(g, cycle):
     is read off the triangular faces of g along the cycle; only a reroute
     step builds the full cycle analysis.
 
-    Raises NotCycle or NotIsolating on a bad start cycle; a structural
-    surprise in the analysis of a reroute step only makes the tier decline.
+    Raises NotCycle or NotIsolating on a bad start cycle.  On a reroute
+    step a ContractViolation from ``analyze_cycle`` makes the tier decline;
+    one from ``find_tunnels`` propagates.
     """
     cyc = check_isolating(g, cycle)
     c = len(cyc)
@@ -301,10 +307,12 @@ class GrowthTrace:
 def grow_to_bound(g, cycle, tier2_only=False):
     """Extend an isolating cycle until it reaches min{floor(2/3(n+4)), n}.
 
+    The guarantee covers starts with 6 <= |E(C)| below that bound; shorter
+    isolating starts are grown the same way, outside the guarantee.
     Raises NotIsolating unless the start cycle is isolating, and
-    ExtensionNotFound (with diagnostics) if some step finds no move; for
-    cycles below the bound in a 3-connected plane graph that would disprove
-    the guarantee, so the alarm carries the full context.
+    ExtensionNotFound (with diagnostics) if some step finds no move; for a
+    cycle in the guaranteed range of a 3-connected plane graph that would
+    disprove the guarantee, so the alarm carries the full context.
     """
     bound = isolation_bound(g)
     cur = check_isolating(g, cycle)

@@ -405,11 +405,15 @@ def graph_to_dot(g, highlight_cycle=None):
         c = list(highlight_cycle)
         for i in range(len(c)):
             bold.add(g.edge(c[i - 1], c[i]))
+
+    def quote(v):
+        return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["graph G {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {quote(v)};")
     for u, v in g.edges:
         style = " [style=bold]" if (u, v) in bold else ""
-        lines.append(f'  "{u}" -- "{v}"{style};')
+        lines.append(f"  {quote(u)} -- {quote(v)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -225,13 +225,13 @@ def _adjacent_positions(p, q, c):
     return (p - q) % c in (1, c - 1)
 
 
-def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel, strict=True):
+def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel):
     """The three clauses a candidate pair (g, e) must satisfy.
 
     g is the face of ``arch``, e its forward archway edge, and
     preceding_face the face of the previous pair on the track (the exit face
-    for the first arch).  With strict=True the witness arch in the last
-    clause must belong to the same tunnel; otherwise any 3-arch qualifies.
+    for the first arch).  The witness arch in the last clause is an arch of
+    the same tunnel.
     """
     c = analysis.c
     if not analysis.is_thick(g):
@@ -239,11 +239,10 @@ def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel, strict=True):
     f = analysis.across(g, e)
     if not analysis.is_minor(f) or analysis.m(f) < 3 or preceding_face == f:
         return False
-    if analysis.is_extremal_edge_of_face(e, g):
+    g_ext = analysis.proper_arch[g].extremal_positions
+    if e in g_ext:
         return True
-    if not any(
-        _adjacent_positions(e, x, c) for x in analysis.extremal_positions_of_face(g)
-    ):
+    if not any(_adjacent_positions(e, x, c) for x in g_ext):
         return False
     across_mid = analysis.across(g, arch.middle_position)
     if across_mid == f:
@@ -252,12 +251,8 @@ def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel, strict=True):
         return False
     # across the middle lies a major face: a witness 3-arch sharing the
     # extremal edge e must point at something minor on its far end
-    if strict:
-        candidates = tunnel.arches
-    else:
-        candidates = [a for a in analysis.all_arches() if a.length == 3]
-    for a in candidates:
-        if a == arch or a.length != 3:
+    for a in tunnel.arches:
+        if a == arch:
             continue
         ext = a.extremal_positions
         if e not in ext:
@@ -268,16 +263,14 @@ def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel, strict=True):
     return False
 
 
-def transfer_pairs(analysis, track, strict=True):
+def transfer_pairs(analysis, track):
     """Transfer pairs of a track, in order from the exit."""
     out = []
     preceding = track.exit_face
     for order, arch in enumerate(track.arches, start=1):
         e = track.forward_position(arch)
         g = arch.face
-        if not transfer_bullets(
-            analysis, g, e, arch, preceding, track.tunnel, strict=strict
-        ):
+        if not transfer_bullets(analysis, g, e, arch, preceding, track.tunnel):
             break
         out.append(
             TransferPair(face=g, position=e, order=order, direction=track.direction)
@@ -286,28 +279,19 @@ def transfer_pairs(analysis, track, strict=True):
     return out
 
 
-def track_transfer_pairs(analysis, strict=True):
+def track_transfer_pairs(analysis):
     """(track, its transfer pairs) for both tracks of every acyclic tunnel."""
     return [
-        (track, transfer_pairs(analysis, track, strict=strict))
+        (track, transfer_pairs(analysis, track))
         for tunnel in analysis.tunnels
         if not tunnel.cyclic
         for track in tracks(analysis, tunnel)
     ]
 
 
-def transfer_registry(analysis, strict=True):
-    """All transfer pairs over all acyclic tunnels, keyed by (face, edge)."""
-    registry = {}
-    for _, pairs in track_transfer_pairs(analysis, strict=strict):
-        for pair in pairs:
-            registry.setdefault((pair.face, pair.position), pair)
-    return registry
-
-
-def is_transfer_pair(analysis, face, position, track, strict=True):
+def is_transfer_pair(analysis, face, position, track):
     """The transfer-pair record for (face, position) on this track, if any."""
-    for pair in transfer_pairs(analysis, track, strict=strict):
+    for pair in transfer_pairs(analysis, track):
         if pair.face == face and pair.position == position:
             return pair
     return None

@@ -6,6 +6,7 @@ import pytest
 
 import isocycle as ic
 from isocycle.cli import main
+from isocycle.generators import named_graph
 
 
 def run(capsys, *argv):
@@ -43,7 +44,7 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_gen_rejects_transfer_pair_flag(capsys):
-    # only analyze and audit read the transfer-pair flags
+    # no command takes a transfer-pair flag
     assert main(["gen", "--family", "named", "--name", "k4", "--lax-transfer-pair"]) == 1
 
 
@@ -52,12 +53,12 @@ def test_export_dot_rejects_json_indent(octa_file, capsys):
     assert main(["export-dot", "--graph", octa_file, "--json-indent", "4"]) == 1
 
 
-def test_analyze_accepts_lax_transfer_pair(octa_file, capsys):
-    code, rep = run_json(
-        capsys, "analyze", "--graph", octa_file, "--cycle", "r0,r1,r2,r3",
-        "--lax-transfer-pair",
-    )
-    assert code == 0 and rep["c"] == 4
+@pytest.mark.parametrize("flag", ["--lax-transfer-pair", "--strict-transfer-pair"])
+@pytest.mark.parametrize("command", ["analyze", "audit"])
+def test_analyze_and_audit_reject_transfer_pair_flags(octa_file, capsys, command, flag):
+    # the witness of a transfer pair is always an arch of the same tunnel
+    argv = [command, "--graph", octa_file, "--cycle", "r0,r1,r2,r3", flag]
+    assert main(argv) == 1
 
 
 def test_missing_graph_file_is_validation_error(capsys):
@@ -144,6 +145,7 @@ def test_audit_ladder(ladder_file, capsys):
     assert rep["checks"]["conservation"] is True
     assert rep["checks"]["conditions_exclusive"] is True
     assert sum(rep["final_weights"].values()) == 38
+    assert "strict_transfer" not in rep
 
 
 @pytest.mark.parametrize("command", ["extend", "grow"])
@@ -225,6 +227,17 @@ def test_export_dot_highlight(octa_file, capsys):
     code, out = run(capsys, "export-dot", "--graph", octa_file, "--cycle", "r0,r1,r2,r3")
     assert code == 0
     assert out.startswith("graph")
+
+
+def test_export_dot_out_is_utf8(tmp_path, capsys):
+    d = ic.graph_to_json_dict(named_graph("k4"))
+    d = json.loads(json.dumps(d).replace('"r1"', '"r1\u00e9"'))
+    g = ic.graph_from_json_dict(d)
+    graph = tmp_path / "k4.json"
+    ic.save_graph(g, graph)
+    out = tmp_path / "k4.dot"
+    assert main(["export-dot", "--graph", str(graph), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == ic.graph_to_dot(g)
 
 
 def test_batch_runs_clean(capsys):

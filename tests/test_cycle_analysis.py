@@ -172,7 +172,8 @@ def test_hex_thin_classification(hex_instance):
     for f in thin_minors:
         s, m = a.face_arc[f]
         assert m == 2
-        assert set(a.extremal_vertices_of_face(f)) <= set(a.h.faces[f])
+        path = a.proper_arch[f].path
+        assert {path[0], path[-1]} <= set(a.h.faces[f])
     # six thick minor 1-faces around the hub
     plus_minors = a.minor_faces(PLUS)
     assert len(plus_minors) == 6

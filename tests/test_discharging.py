@@ -106,12 +106,6 @@ def test_ladder_ledger_deterministic(ladder_analysis):
     assert runs[0].final == runs[1].final == runs[2].final
 
 
-def test_strict_flag_keeps_ladder_ledger(ladder_analysis):
-    strict = ic.apply_discharging(ladder_analysis, strict_transfer=True)
-    lax = ic.apply_discharging(ladder_analysis, strict_transfer=False)
-    assert pull_rows(strict) == pull_rows(lax)
-
-
 # -- a second pinned ledger ------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Embedding construction, validation, connectivity and serialization."""
 
+import json
+import re
+
 import pytest
 
 import isocycle as ic
@@ -163,6 +166,20 @@ def test_dot_export_mentions_all_vertices():
     assert dot.startswith("graph")
     for v in g.vertices:
         assert f'"{v}"' in dot
+
+
+def test_dot_export_escapes_vertex_ids():
+    # ids with a quote and a trailing backslash, renamed from k4's h and r0
+    text = json.dumps(ic.graph_to_json_dict(k4()))
+    text = text.replace('"h"', json.dumps('h"x')).replace('"r0"', json.dumps("r0\\"))
+    g = ic.graph_from_json_dict(json.loads(text))
+    assert {'h"x', "r0\\"} <= set(g.vertices)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    decoded = [
+        [re.sub(r"\\(.)", r"\1", tok) for tok in quoted.findall(line)]
+        for line in ic.graph_to_dot(g).splitlines()[1:-1]
+    ]
+    assert decoded == [[v] for v in g.vertices] + [list(e) for e in g.edges]
 
 
 def test_dot_export_highlights_cycle():

@@ -16,7 +16,6 @@ from isocycle.tunnels import (
     track_transfer_pairs,
     tracks,
     transfer_pairs,
-    transfer_registry,
 )
 
 
@@ -180,20 +179,11 @@ def test_is_transfer_pair_positive_lookup(ladder_analysis):
         assert (p.face, p.position) == (face, pos)
 
 
-def test_lax_mode_matches_strict_on_ladder(ladder_analysis):
-    t, ccw, cw = get_tracks(ladder_analysis)
-    strict = [(p.face, p.position) for p in transfer_pairs(ladder_analysis, ccw)]
-    lax = [
-        (p.face, p.position)
-        for p in transfer_pairs(ladder_analysis, ccw, strict=False)
-    ]
-    assert strict == lax
-
-
 def test_transfer_registry_and_arches(ladder_analysis):
-    reg = transfer_registry(ladder_analysis)
-    assert sorted(reg) == [(0, 2), (2, 4), (7, 6)]
+    # the transfer pairs over all tracks, keyed by (face, edge)
     per_track = track_transfer_pairs(ladder_analysis)
+    registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
+    assert sorted(registry) == [(0, 2), (2, 4), (7, 6)]
     assert [(track.direction, len(pairs)) for track, pairs in per_track] == [
         ("ccw", 3), ("cw", 0)
     ]
