@@ -2,7 +2,8 @@
 
 Commands: validate, analyze, audit, extend, grow, gen, circ, export-dot,
 batch.  Reports are JSON on stdout (or --out).  Exit codes: 0 ok, 1 usage,
-2 validation failure, 3 contract violation, 4 no extension found.
+else the error type's ``exit_code`` (see ``errors``), with the error as JSON
+on stderr; an unreadable file exits 2 like any other invalid input.
 The environment variable ISOCYCLE_SEED overrides any --seed value.
 """
 
@@ -15,24 +16,7 @@ import sys
 from . import __version__
 from .cycle_analysis import analyze_cycle, check_cycle, check_tree_lemma
 from .discharging import apply_discharging
-from .errors import (
-    BaseNotFourConnected,
-    ContractViolation,
-    CycleTooShort,
-    DegenerateSide,
-    ExtensionNotFound,
-    InconsistentRotation,
-    InvalidMove,
-    MinorOneFacePresent,
-    NonPlanarEmbedding,
-    NotCycle,
-    NotIsolating,
-    NotSimple,
-    ParseError,
-    SizeTooSmall,
-    TooLarge,
-    UnknownName,
-)
+from .errors import DegenerateSide, ExtensionNotFound, IsocycleError, ParseError
 from .extension import (
     find_extension_exhaustive,
     find_extension_fast,
@@ -46,30 +30,8 @@ from .plane_graph import (
     graph_to_json_dict,
     is_three_connected,
     load_graph,
-    save_graph,
 )
 from .tunnels import tracks, transfer_pairs
-
-VALIDATION_ERRORS = (
-    ParseError,
-    NotSimple,
-    InconsistentRotation,
-    NonPlanarEmbedding,
-    NotCycle,
-    NotIsolating,
-    UnknownName,
-    SizeTooSmall,
-    BaseNotFourConnected,
-    TooLarge,
-    InvalidMove,
-    OSError,
-)
-CONTRACT_ERRORS = (
-    ContractViolation,
-    CycleTooShort,
-    MinorOneFacePresent,
-    DegenerateSide,
-)
 
 
 class UsageError(Exception):
@@ -199,7 +161,7 @@ def analysis_report(analysis):
 def cmd_validate(args):
     try:
         g = load_graph(args.graph)
-    except VALIDATION_ERRORS as exc:
+    except (IsocycleError, OSError) as exc:
         _emit(args, {"valid": False, "error": type(exc).__name__, "message": str(exc)})
         return 2
     three = is_three_connected(g)
@@ -239,13 +201,35 @@ def cmd_audit(args):
     return 0
 
 
-def _move_report(move):
+def _runs_off(cycle, other):
+    """Maximal runs of consecutive edges of ``cycle`` that ``other`` lacks.
+
+    Each run is the tuple of vertices it passes, endpoints included.  A
+    cycle that shares no edge with ``other`` comes back as one closed run.
+    """
+    edges = {frozenset(e) for e in zip(other, other[1:] + other[:1])}
+    hit = [frozenset(e) not in edges for e in zip(cycle, cycle[1:] + cycle[:1])]
+    if all(hit):
+        return (tuple(cycle) + (cycle[0],),)
+    c = len(cycle)
+    runs = []
+    starts = [i for i in range(c) if hit[i] and not hit[(i - 1) % c]]
+    for i in starts:
+        j = i
+        while hit[j % c]:
+            j += 1
+        runs.append(tuple(cycle[k % c] for k in range(i, j + 1)))
+    return tuple(runs)
+
+
+def _move_report(old, move):
+    """A move from the cycle ``old``, with the arcs it drops and paths it adds."""
     return {
         "pattern": move.pattern,
         "new_cycle": list(move.new_cycle),
         "added": list(move.added),
-        "removed_arcs": [list(r) for r in move.removed_arcs],
-        "inserted_paths": [list(r) for r in move.inserted_paths],
+        "removed_arcs": [list(r) for r in _runs_off(old, move.new_cycle)],
+        "inserted_paths": [list(r) for r in _runs_off(move.new_cycle, old)],
     }
 
 
@@ -262,7 +246,7 @@ def cmd_extend(args):
             f"no extension found for a cycle of length {len(cycle)}",
             diagnostics={"cycle": list(cycle), "n": g.n},
         )
-    _emit(args, _move_report(move))
+    _emit(args, _move_report(cycle, move))
     return 0
 
 
@@ -271,7 +255,9 @@ def cmd_grow(args):
     cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle, tier2_only=args.tier_2_only)
     report = trace.summary()
-    report["moves_detail"] = [_move_report(m) for m in trace.moves]
+    report["moves_detail"] = [
+        _move_report(old, m) for old, m in zip(trace.cycles, trace.moves)
+    ]
     _emit(args, report)
     if args.dump_dot:
         os.makedirs(args.dump_dot, exist_ok=True)
@@ -306,18 +292,14 @@ def cmd_gen(args):
             base = named_graph(args.base)
         g = gen_insertion_family(base, seed=_seed(args), fill_count=args.fill)
     elif args.family == "random":
-        if not args.n:
+        if args.n is None:
             raise UsageError("gen --family random needs --n")
         g = gen_random_triangulation(
             args.n, seed=_seed(args), require_four_connected=args.four_connected
         )
     else:
         raise UsageError(f"unknown family {args.family!r}")
-    if args.out:
-        save_graph(g, args.out)
-        print(f"wrote {args.out} (n={g.n}, m={g.m})")
-    else:
-        _emit(args, graph_to_json_dict(g))
+    _emit(args, graph_to_json_dict(g))
     return 0
 
 
@@ -376,7 +358,7 @@ def cmd_batch(args):
             "fallbacks": fallbacks,
         },
     )
-    return 4 if alarms else 0
+    return ExtensionNotFound.exit_code if alarms else 0
 
 
 def build_parser():
@@ -469,27 +451,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ExtensionNotFound as exc:
-        print(
-            json.dumps(
-                {"error": "ExtensionNotFound", "message": str(exc), **exc.diagnostics},
-                indent=2,
-            ),
-            file=sys.stderr,
-        )
-        return 4
-    except CONTRACT_ERRORS as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2),
-            file=sys.stderr,
-        )
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2),
-            file=sys.stderr,
-        )
-        return 2
+    except (IsocycleError, OSError) as exc:
+        # an unreadable input file is invalid input, like a malformed one
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        report.update(getattr(exc, "diagnostics", {}))
+        print(json.dumps(report, indent=2), file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type owns the exit code the command-line interface returns for it:
+2 for invalid input (the default), 3 for a broken audit contract, and 4
+when no extension exists.
+"""
 
 
 class IsocycleError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``diagnostics`` says what was tried; the CLI adds it to the JSON report.
+    """
+
+    exit_code = 2
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class ParseError(IsocycleError):
@@ -32,13 +46,19 @@ class NotIsolating(IsocycleError):
 class CycleTooShort(IsocycleError):
     """Raised when an audit needs a cycle of length at least six."""
 
+    exit_code = 3
+
 
 class MinorOneFacePresent(IsocycleError):
     """Raised when a discharging audit meets a minor face with a single cycle edge."""
 
+    exit_code = 3
+
 
 class DegenerateSide(IsocycleError):
     """Raised when an extension tree is requested for a side with no structure."""
+
+    exit_code = 3
 
 
 class InvalidMove(IsocycleError):
@@ -46,14 +66,9 @@ class InvalidMove(IsocycleError):
 
 
 class ExtensionNotFound(IsocycleError):
-    """Raised when no admissible extension move exists within the budget.
+    """Raised when no admissible extension move exists within the budget."""
 
-    Carries a diagnostics dict so callers can inspect what was tried.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    exit_code = 4
 
 
 class TooLarge(IsocycleError):
@@ -74,3 +89,5 @@ class UnknownName(IsocycleError):
 
 class ContractViolation(IsocycleError):
     """Raised when an audit invariant that should always hold fails."""
+
+    exit_code = 3

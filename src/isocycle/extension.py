@@ -68,17 +68,15 @@ def extension_budget(g):
 
 @dataclass(frozen=True)
 class Move:
-    """One extension step: the new cycle plus derived descriptions."""
+    """One extension step: the new cycle, the vertices it adds, its pattern."""
 
     new_cycle: tuple
     added: tuple
     pattern: str
-    removed_arcs: tuple
-    inserted_paths: tuple
 
 
 def make_move(g, old_cycle, new_cycle, pattern):
-    """Validate a proposed new cycle and derive the move record."""
+    """Validate a proposed new cycle and build the move record."""
     old = check_cycle(g, old_cycle)
     new = check_cycle(g, new_cycle)
     old_set = set(old)
@@ -92,39 +90,7 @@ def make_move(g, old_cycle, new_cycle, pattern):
         raise InvalidMove(
             f"move adds {len(added)} vertices, budget is {extension_budget(g)}"
         )
-    old_edges = {g.edge(old[i - 1], old[i]) for i in range(len(old))}
-    new_edges = {g.edge(new[i - 1], new[i]) for i in range(len(new))}
-    removed = _cyclic_runs(old, lambda u, v: g.edge(u, v) not in new_edges)
-    inserted = _cyclic_runs(new, lambda u, v: g.edge(u, v) not in old_edges)
-    return Move(
-        new_cycle=new,
-        added=added,
-        pattern=pattern,
-        removed_arcs=removed,
-        inserted_paths=inserted,
-    )
-
-
-def _cyclic_runs(cycle, pred):
-    """Maximal runs of consecutive cycle edges satisfying ``pred``.
-
-    Each run is returned as the tuple of vertices it passes, endpoints
-    included.  The full cycle comes back as a single closed run.
-    """
-    c = len(cycle)
-    hit = [pred(cycle[i], cycle[(i + 1) % c]) for i in range(c)]
-    if not any(hit):
-        return ()
-    if all(hit):
-        return (tuple(cycle) + (cycle[0],),)
-    runs = []
-    starts = [i for i in range(c) if hit[i] and not hit[(i - 1) % c]]
-    for i in starts:
-        j = i
-        while hit[j % c]:
-            j += 1
-        runs.append(tuple(cycle[k % c] for k in range(i, j + 1)))
-    return tuple(runs)
+    return Move(new_cycle=new, added=added, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +229,32 @@ def find_extension_exhaustive(g, cycle):
 
 @dataclass(eq=False)
 class GrowthTrace:
+    """A growth chain: the start cycle and the moves that extended it.
+
+    The cycles, the final cycle, the bound and whether it was reached are
+    derived from these, so the trace holds each of them once.
+    """
+
     graph: object
-    bound: int
-    cycles: list
+    start_cycle: tuple
     moves: list
     fallbacks: int
-    completed: bool
 
     @property
-    def start_cycle(self):
-        return self.cycles[0]
+    def cycles(self):
+        return [self.start_cycle] + [m.new_cycle for m in self.moves]
 
     @property
     def final_cycle(self):
-        return self.cycles[-1]
+        return self.moves[-1].new_cycle if self.moves else self.start_cycle
+
+    @property
+    def bound(self):
+        return isolation_bound(self.graph)
+
+    @property
+    def completed(self):
+        return len(self.final_cycle) >= self.bound
 
     def pattern_counts(self):
         out = {}
@@ -289,8 +267,8 @@ class GrowthTrace:
             "n": self.graph.n,
             "bound": self.bound,
             "lengths": [len(c) for c in self.cycles],
-            "start": list(self.cycles[0]),
-            "final": list(self.cycles[-1]),
+            "start": list(self.start_cycle),
+            "final": list(self.final_cycle),
             "moves": [
                 {
                     "pattern": m.pattern,
@@ -315,8 +293,7 @@ def grow_to_bound(g, cycle, tier2_only=False):
     disprove the guarantee, so the alarm carries the full context.
     """
     bound = isolation_bound(g)
-    cur = check_isolating(g, cycle)
-    cycles = [cur]
+    start = cur = check_isolating(g, cycle)
     moves = []
     fallbacks = 0
     while len(cur) < bound:
@@ -342,19 +319,10 @@ def grow_to_bound(g, cycle, tier2_only=False):
                 },
             )
         cur = move.new_cycle
-        cycles.append(cur)
         moves.append(move)
-    trace = GrowthTrace(
-        graph=g,
-        bound=bound,
-        cycles=cycles,
-        moves=moves,
-        fallbacks=fallbacks,
-        completed=len(cur) >= bound,
-    )
     if fallbacks:
         logger.info(
             "growth finished at length %d with %d fallback(s) over %d move(s)",
             len(cur), fallbacks, len(moves),
         )
-    return trace
+    return GrowthTrace(graph=g, start_cycle=start, moves=moves, fallbacks=fallbacks)

@@ -66,6 +66,10 @@ ARCH_FACES = [
 ]
 ARCH_CYCLE = tuple(f"v{i}" for i in range(8))
 
+# an isolating 6-cycle of the n=14 tight instance (the octahedron with every
+# face filled) whose growth takes five apex inserts and one window reroute
+TIGHT14_REROUTE_START = ("a", "r0", "b", "r3", "r2", "r1")
+
 
 @pytest.fixture(scope="session")
 def ladder():

@@ -1,12 +1,42 @@
 """End-to-end command-line runs, in process via main()."""
 
+import hashlib
 import json
 
 import pytest
 
 import isocycle as ic
+from conftest import TIGHT14_REROUTE_START
+from isocycle import cli
 from isocycle.cli import main
+from isocycle.errors import IsocycleError
 from isocycle.generators import named_graph
+
+# the exit code of every package error: 2 invalid input, 3 a broken audit
+# contract, 4 no extension
+ERROR_EXIT_CODES = {
+    "ParseError": 2,
+    "NotSimple": 2,
+    "InconsistentRotation": 2,
+    "NonPlanarEmbedding": 2,
+    "NotCycle": 2,
+    "NotIsolating": 2,
+    "InvalidMove": 2,
+    "TooLarge": 2,
+    "SizeTooSmall": 2,
+    "BaseNotFourConnected": 2,
+    "UnknownName": 2,
+    "ContractViolation": 3,
+    "CycleTooShort": 3,
+    "MinorOneFacePresent": 3,
+    "DegenerateSide": 3,
+    "ExtensionNotFound": 4,
+}
+# sha256 of the moves_detail of `isocycle grow` on the n=14 tight instance
+# from TIGHT14_REROUTE_START, as sorted-key compact JSON
+PINNED_TIGHT14_MOVES_DETAIL = (
+    "052f1624b06a87281f80e1a536b106c76f9bf69e11f8a57d6fb81ae4d3491a50"
+)
 
 
 def run(capsys, *argv):
@@ -63,6 +93,26 @@ def test_analyze_and_audit_reject_transfer_pair_flags(octa_file, capsys, command
 
 def test_missing_graph_file_is_validation_error(capsys):
     assert main(["validate", "--graph", "/nonexistent/g.json"]) == 2
+
+
+def test_every_package_error_has_a_pinned_exit_code():
+    assert {cls.__name__ for cls in IsocycleError.__subclasses__()} == set(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "exc_type, code",
+    [(cls, ERROR_EXIT_CODES[cls.__name__]) for cls in IsocycleError.__subclasses__()]
+    + [(OSError, 2)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_errors_exit_with_their_code(monkeypatch, capsys, exc_type, code):
+    def fail(path):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "load_graph", fail)
+    assert main(["circ", "--graph", "g.json"]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == exc_type.__name__ and err["message"] == "boom"
 
 
 def test_validate_reports_polyhedral(octa_file, capsys):
@@ -165,8 +215,10 @@ def test_extend_equator(octa_file, capsys):
         capsys, "extend", "--graph", octa_file, "--cycle", "r0,r1,r2,r3"
     )
     assert code == 0
-    assert len(rep["new_cycle"]) == 5
-    assert len(rep["added"]) == 1
+    assert rep["new_cycle"] == ["r0", "a", "r1", "r2", "r3"]
+    assert rep["added"] == ["a"]
+    assert rep["removed_arcs"] == [["r0", "r1"]]
+    assert rep["inserted_paths"] == [["r0", "a", "r1"]]
 
 
 def test_grow_writes_report_and_snapshots(octa_file, tmp_path, capsys):
@@ -185,12 +237,38 @@ def test_grow_writes_report_and_snapshots(octa_file, tmp_path, capsys):
     ]
 
 
+def test_grow_moves_detail_on_tight14_reroute(tmp_path, capsys):
+    path = tmp_path / "tight14.json"
+    ic.save_graph(ic.gen_insertion_family(ic.octahedron()), path)
+    cycle = ",".join(TIGHT14_REROUTE_START)
+    code, rep = run_json(capsys, "grow", "--graph", str(path), "--cycle", cycle)
+    assert code == 0
+    detail = rep["moves_detail"]
+    assert [m["pattern"] for m in detail] == ["apex-insert"] * 5 + ["window-reroute"]
+    text = json.dumps(detail, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TIGHT14_MOVES_DETAIL
+
+
 def test_gen_named_graph_roundtrip(tmp_path, capsys):
     out = tmp_path / "cube.json"
     code = main(["gen", "--family", "named", "--name", "cube", "--out", str(out)])
     assert code == 0
     g = ic.load_graph(out)
     assert g.n == 8 and g.m == 12
+
+
+def test_gen_out_honours_json_indent(tmp_path, capsys):
+    out = tmp_path / "k4.json"
+    argv = ["gen", "--family", "named", "--name", "k4", "--json-indent", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    expected = json.dumps(ic.graph_to_json_dict(named_graph("k4")), indent=0) + "\n"
+    assert out.read_text() == expected
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_random_zero_vertices_is_validation_error(capsys):
+    assert main(["gen", "--family", "random", "--n", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeTooSmall"
 
 
 def test_gen_insertion_family(tmp_path, capsys):
