@@ -24,7 +24,23 @@ shares with G in the same order).  Only when no such triangle exists is the
 cycle analysed, and the move is the reroute that adds the fewest vertices,
 the first such window in ``_candidate_windows`` order (lowest start, then
 shortest).  Only that winner is built as a Move, and no window is searched
-at a size beyond the winner's.
+at a size beyond the winner's.  The fast tier checks the move it builds in
+O(Δ), Δ the number of cycle positions the move changes: every new edge is
+an edge of G, the added vertices are off the cycle and distinct, a reroute
+path covers exactly its window and the chosen extras, and the move fits the
+budget.  ``make_move`` keeps every check, for the exhaustive tier and users.
+
+``grow_to_bound`` carries a checked cycle from step to step: the cycle, its
+vertex set, the budget (counted once per trace) and the position where the
+apex scan resumes.  The fast tier takes it in place of a plain cycle, which
+would get the full ``check_isolating`` at entry.  Isolation needs no recheck
+between steps, since adding vertices keeps a cycle isolating; the full check
+runs on the start cycle and on the final one.  An apex insert at position s
+leaves every cycle edge before s unchanged and only grows the vertex set, so
+the next scan starts at s; after a reroute or an exhaustive move it starts
+again at 0.  Over a run of apex inserts the scan only moves forward, so all
+its scans cost O(n) together, and each step does O(Δ) Python-level work
+besides copying the new cycle tuple.
 
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
@@ -140,17 +156,18 @@ def _candidate_windows(analysis):
 
 
 def _window(analysis, start, length):
-    """One reroute window as (s, t, tail, keep, extras).
+    """One reroute window as (window, tail, extras).
 
-    s and t end the ``length`` cycle edges from position ``start``, tail is
-    the rest of the cycle from t back round to s, keep holds every window
-    vertex, and extras are up to ten off-cycle vertices adjacent to at least
+    window is the path of ``length`` cycle edges from position ``start``,
+    tail is the rest of the cycle from its last vertex back round to its
+    first, and extras are up to ten off-cycle vertices adjacent to at least
     two window vertices, most such neighbours first.
     """
     g = analysis.g
     cyc = analysis.cycle
     c = analysis.c
-    keep = {cyc[(start + i) % c] for i in range(length + 1)}
+    window = tuple(cyc[(start + i) % c] for i in range(length + 1))
+    keep = set(window)
     scored = []
     for v in g.vertices:
         if v in analysis.pos:
@@ -160,25 +177,87 @@ def _window(analysis, start, length):
             scored.append((-k, g.index[v], v))
     scored.sort()
     tail = tuple(cyc[(start + length + 1 + i) % c] for i in range(c - length - 1))
-    return cyc[start], cyc[(start + length) % c], tail, keep, [v for *_, v in scored[:10]]
+    return window, tail, [v for *_, v in scored[:10]]
+
+
+class _Growing:
+    """A checked isolating cycle, carried by grow_to_bound from step to step.
+
+    It holds the cycle, its vertex set, the move budget (counted once) and
+    the position where the next apex scan starts.  ``find_extension_fast``
+    takes it in place of a cycle and then skips its entry check.
+    """
+
+    __slots__ = ("cycle", "on", "budget", "scan")
+
+    def __init__(self, cycle, budget):
+        self.cycle = cycle
+        self.on = set(cycle)
+        self.budget = budget
+        self.scan = 0
+
+    def advance(self, move):
+        """The state of ``move.new_cycle``.
+
+        An apex insert found at position s keeps every cycle edge before s
+        and only grows the vertex set, so no earlier position can gain an
+        apex and the scan resumes at s.  Any other move starts afresh.
+        """
+        if move.pattern != "apex-insert":
+            return _Growing(move.new_cycle, self.budget)
+        self.cycle = move.new_cycle
+        self.on.update(move.added)
+        return self
+
+
+def _spliced(g, state, window, path, new_cycle, pattern):
+    """The Move to new_cycle, the state's cycle with path in place of window.
+
+    Only what the splice changes is checked, in O(len(path)): path joins the
+    ends of window through every window vertex, its other vertices are off
+    the cycle, no vertex repeats, each path edge is an edge of g, and it adds
+    between one and ``state.budget`` vertices.  The rest of new_cycle is the
+    old cycle, so new_cycle is a cycle of g through every old vertex, and it
+    is isolating because the old one is.
+    """
+    if (path[0], path[-1]) != (window[0], window[-1]):
+        raise InvalidMove("the new path must join the ends of the window")
+    if len(set(path)) != len(path):
+        raise InvalidMove("the new path repeats a vertex")
+    on = state.on
+    if {v for v in path if v in on} != set(window):
+        raise InvalidMove("the new path must keep exactly the window's cycle vertices")
+    for u, v in zip(path, path[1:]):
+        if not g.has_edge(u, v):
+            raise InvalidMove(f"missing edge {u!r}-{v!r}")
+    added = [v for v in path if v not in on]
+    if not added:
+        raise InvalidMove("the new cycle must be strictly longer")
+    if len(added) > state.budget:
+        raise InvalidMove(f"move adds {len(added)} vertices, budget is {state.budget}")
+    return Move(new_cycle=new_cycle, added=tuple(g.sorted_vertices(added)), pattern=pattern)
 
 
 def find_extension_fast(g, cycle):
     """Pattern-directed extension search.  Returns a Move or None.
 
     The loops run in the selection order of the module docstring, so the
-    first move found is the winner and the only one built.  An apex insert
-    is read off the triangular faces of g along the cycle; only a reroute
-    step builds the full cycle analysis.
+    first move found is the winner and the only one built, checked by
+    ``_spliced`` in O(size of the change).  An apex insert is read off the
+    triangular faces of g along the cycle; only a reroute step builds the
+    full cycle analysis.
 
     Raises NotCycle or NotIsolating on a bad start cycle.  On a reroute
     step a ContractViolation from ``analyze_cycle`` makes the tier decline;
     one from ``find_tunnels`` propagates.
     """
-    cyc = check_isolating(g, cycle)
+    if isinstance(cycle, _Growing):
+        state = cycle
+    else:
+        state = _Growing(check_isolating(g, cycle), extension_budget(g))
+    cyc, on = state.cycle, state.on
     c = len(cyc)
-    on = set(cyc)
-    for s in range(c):
+    for s in range(state.scan, c):
         u, v = cyc[s], cyc[(s + 1) % c]
         # the faces traced from (u, v) and (v, u), each with its third vertex
         triangles = [
@@ -188,8 +267,10 @@ def find_extension_fast(g, cycle):
             if len(g.faces[fid]) == 3 and apex not in on
         ]
         if triangles:
-            new = cyc[: s + 1] + (min(triangles)[1],) + cyc[s + 1 :]
-            return make_move(g, cyc, new, "apex-insert")
+            state.scan = s
+            apex = min(triangles)[1]
+            new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
+            return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
 
     try:
         analysis = analyze_cycle(g, cyc)
@@ -198,11 +279,12 @@ def find_extension_fast(g, cycle):
         return None
     windows = [_window(analysis, *w) for w in _candidate_windows(analysis)]
     for size in (1, 2, 3):
-        for s, t, tail, keep, extras in windows:
+        for window, tail, extras in windows:
             for chosen in combinations(extras, size):
-                path = find_hamiltonian_path(g, keep | set(chosen), s, t)
+                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
                 if path is not None:
-                    return make_move(g, cyc, tuple(path) + tail, "window-reroute")
+                    new = tuple(path) + tail
+                    return _spliced(g, state, window, path, new, "window-reroute")
     return None
 
 
@@ -287,19 +369,28 @@ def grow_to_bound(g, cycle, tier2_only=False):
 
     The guarantee covers starts with 6 <= |E(C)| below that bound; shorter
     isolating starts are grown the same way, outside the guarantee.
+
+    The start cycle gets the full ``check_isolating`` once, and so does the
+    final cycle; in between, the fast tier is handed the growth state of the
+    module docstring (checked cycle, vertex set, budget, apex scan position)
+    and checks each move in O(Δ), while an exhaustive fallback gets the
+    plain cycle and every check of ``make_move``.
+
     Raises NotIsolating unless the start cycle is isolating, and
     ExtensionNotFound (with diagnostics) if some step finds no move; for a
     cycle in the guaranteed range of a 3-connected plane graph that would
     disprove the guarantee, so the alarm carries the full context.
     """
     bound = isolation_bound(g)
-    start = cur = check_isolating(g, cycle)
+    start = check_isolating(g, cycle)
+    state = _Growing(start, extension_budget(g))
     moves = []
     fallbacks = 0
-    while len(cur) < bound:
+    while len(state.cycle) < bound:
+        cur = state.cycle
         move = None
         if not tier2_only:
-            move = find_extension_fast(g, cur)
+            move = find_extension_fast(g, state)
         if move is None:
             if not tier2_only:
                 fallbacks += 1
@@ -315,11 +406,12 @@ def grow_to_bound(g, cycle, tier2_only=False):
                     "length": len(cur),
                     "bound": bound,
                     "n": g.n,
-                    "budget": extension_budget(g),
+                    "budget": state.budget,
                 },
             )
-        cur = move.new_cycle
         moves.append(move)
+        state = state.advance(move)
+    cur = check_isolating(g, state.cycle)
     if fallbacks:
         logger.info(
             "growth finished at length %d with %d fallback(s) over %d move(s)",

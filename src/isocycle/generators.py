@@ -104,12 +104,24 @@ def insert_vertex(g, face_triple, new_id):
         raise ValueError(f"({a}, {b}, {c}) is not a directed face of the graph")
     if new_id in g.index:
         raise ValueError(f"vertex id {new_id!r} already taken")
+    return _insert_vertices(g, [(face_triple, new_id)])
+
+
+def _insert_vertices(g, insertions):
+    """Split each face triple of g by its new vertex id, then build once.
+
+    The triples must be distinct faces of g in tracing order: each stays a
+    face until it is split, so the result equals a chain of insert_vertex
+    calls in the same order.
+    """
     rotation = {v: list(g.rotation[v]) for v in g.vertices}
-    rotation[a].insert(rotation[a].index(c) + 1, new_id)
-    rotation[b].insert(rotation[b].index(a) + 1, new_id)
-    rotation[c].insert(rotation[c].index(b) + 1, new_id)
-    rotation[new_id] = [a, c, b]
-    return build_plane_graph(list(g.vertices) + [new_id], rotation)
+    for (a, b, c), new_id in insertions:
+        rotation[a].insert(rotation[a].index(c) + 1, new_id)
+        rotation[b].insert(rotation[b].index(a) + 1, new_id)
+        rotation[c].insert(rotation[c].index(b) + 1, new_id)
+        rotation[new_id] = [a, c, b]
+    new_ids = [new_id for _, new_id in insertions]
+    return build_plane_graph(list(g.vertices) + new_ids, rotation)
 
 
 def diagonal_flip(g, u, v):
@@ -154,9 +166,7 @@ def gen_insertion_family(base, seed=0, fill_count=None):
         rng = random.Random(seed)
         chosen = sorted(rng.sample(range(len(triples)), fill_count))
         triples = [base.faces[i] for i in chosen]
-    g = base
-    for i, triple in enumerate(triples):
-        g = insert_vertex(g, triple, f"w{i}")
+    g = _insert_vertices(base, [(t, f"w{i}") for i, t in enumerate(triples)])
     if not is_essentially_four_connected(g):
         raise BaseNotFourConnected("insertion result is not essentially 4-connected")
     return g

@@ -1,5 +1,7 @@
 """Extension moves, the two-tier search, and growth to the length bound."""
 
+from itertools import permutations
+
 import pytest
 
 import isocycle as ic
@@ -184,16 +186,23 @@ def test_growth_invariants_on_sample(sweep_sample):
     ids=["dwheel20", "tight14-reroute"],
 )
 def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analyses):
-    # one Move per step, and a cycle analysis only for reroute steps; growth
-    # calls the fast tier through the module attribute, once per step, so a
-    # patched attribute (as the benchmark's pacing hook uses) sees every step
+    # the fast tier checks its moves itself, so make_move never runs; the
+    # whole check_isolating runs on the start and the final cycle only, and a
+    # cycle analysis only for reroute steps; growth calls the fast tier
+    # through the module attribute, once per step, so a patched attribute
+    # (as the benchmark's pacing hook uses) sees every step
     base, start = instance
     g = ic.gen_insertion_family(base)
     built = []
+    checked = []
     analysed = []
     searched = []
     real = extension.make_move
     monkeypatch.setattr(extension, "make_move", lambda *a: built.append(a) or real(*a))
+    real_check = extension.check_isolating
+    monkeypatch.setattr(
+        extension, "check_isolating", lambda *a: checked.append(a) or real_check(*a)
+    )
     real_fast = extension.find_extension_fast
     monkeypatch.setattr(
         extension, "find_extension_fast", lambda *a: searched.append(a) or real_fast(*a)
@@ -204,19 +213,24 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
     )
     trace = ic.grow_to_bound(g, start)
     assert trace.pattern_counts() == patterns and trace.fallbacks == 0
-    assert len(built) == len(trace.moves)
+    assert len(built) == 0
+    assert [a[1] for a in checked] == [start, trace.final_cycle]
     assert len(searched) == len(trace.moves)
     assert len(analysed) == analyses
+
+
+def golden_slices(sweep_sample):
+    """(graph, starts) of the golden tight14 slice and corpus sample."""
+    tight = ic.gen_insertion_family(ic.octahedron())
+    jobs = [(tight, ic.oracle_isolating_cycles(tight)[::10])]
+    return jobs + [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
 
 
 def test_apex_pick_matches_the_analysis_rule(sweep_sample):
     # the fast tier reads apex inserts off the triangles of g; the analysis
     # rule is the first thick minor face with one C-edge in minor_faces() order
-    tight = ic.gen_insertion_family(ic.octahedron())
-    jobs = [(tight, ic.oracle_isolating_cycles(tight)[::10])]
-    jobs += [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
     steps = both_sides = 0
-    for g, starts in jobs:
+    for g, starts in golden_slices(sweep_sample):
         for start in starts:
             trace = ic.grow_to_bound(g, start)
             for cyc, move in zip(trace.cycles, trace.moves):
@@ -237,3 +251,70 @@ def test_apex_pick_matches_the_analysis_rule(sweep_sample):
     # the pinned golden slices: 1403 + 204 tight14 moves, 456 corpus moves
     assert steps == 1607 + 456
     assert both_sides > 0
+
+
+# on corpus instance 20 this start grows by three apex inserts, a reroute and
+# an apex insert; no golden slice has an apex insert after a reroute, which
+# the growth's apex scan must find by starting again at position 0
+REROUTE_THEN_APEX = (20, ("a", "r0", "r6", "b", "r5", "r4", "r3", "r2", "r1"))
+
+
+def test_growth_steps_equal_fresh_checked_calls(sweep_corpus, sweep_sample):
+    # growth carries its checked cycle, budget and apex scan position from
+    # step to step and checks each move only where it changes the cycle;
+    # every step must still be the move a fresh fast-tier call finds on the
+    # plain cycle, and the move that make_move's full checks build
+    k, start = REROUTE_THEN_APEX
+    jobs = golden_slices(sweep_sample) + [(sweep_corpus[k], [start])]
+    steps = 0
+    for g, starts in jobs:
+        for start in starts:
+            trace = ic.grow_to_bound(g, start)
+            for cyc, move in zip(trace.cycles, trace.moves):
+                assert ic.find_extension_fast(g, cyc) == move
+                assert make_move(g, cyc, move.new_cycle, move.pattern) == move
+                steps += 1
+    assert steps == 1607 + 456 + 5
+    assert [m.pattern for m in trace.moves][-2:] == ["window-reroute", "apex-insert"]
+
+
+def _drop_window_vertex(g, path):
+    # the path still joins the window's ends but skips a window vertex
+    return path[:1] + path[2:]
+
+
+def _take_a_non_edge(g, path):
+    # the same vertices between the same ends, in an order with a non-edge
+    for inner in permutations(path[1:-1]):
+        bad = (path[0],) + inner + (path[-1],)
+        if any(not g.has_edge(u, v) for u, v in zip(bad, bad[1:])):
+            return bad
+    raise AssertionError("every order is a path")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_window_vertex, "window's cycle vertices"),
+        (_take_a_non_edge, "missing edge"),
+    ],
+    ids=["missing-window-vertex", "non-edge"],
+)
+def test_growth_rejects_a_bad_reroute_path(monkeypatch, corrupt, message):
+    # the fast tier's move check is live: a corrupt path from the kernel is
+    # refused with InvalidMove instead of entering the trace
+    g = ic.gen_insertion_family(ic.octahedron())
+    trace = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    i = next(i for i, m in enumerate(trace.moves) if m.pattern == "window-reroute")
+    # the reroute's path opens the new cycle, and its second vertex (the one
+    # _drop_window_vertex skips) is on the old cycle
+    assert trace.moves[i].new_cycle[1] in trace.cycles[i]
+    real = extension.find_hamiltonian_path
+
+    def corrupted(g, vertices, s, t):
+        path = real(g, vertices, s, t)
+        return None if path is None else corrupt(g, tuple(path))
+
+    monkeypatch.setattr(extension, "find_hamiltonian_path", corrupted)
+    with pytest.raises(InvalidMove, match=message):
+        ic.grow_to_bound(g, TIGHT14_REROUTE_START)

@@ -90,6 +90,31 @@ def test_insertion_family_partial_fill_is_seeded():
     assert is_essentially_four_connected(g1)
 
 
+@pytest.mark.parametrize(
+    "base, seed, fill_count",
+    [
+        (ic.octahedron(), 0, None),
+        (double_wheel(6), 5, 4),
+        (double_wheel(10), 0, None),
+        (double_wheel(12), 3, 7),
+        (ic.gen_random_triangulation(12, seed=2, require_four_connected=True), 1, 9),
+    ],
+    ids=["octahedron", "dwheel6-fill4", "dwheel10", "dwheel12-fill7", "random12-fill9"],
+)
+def test_insertion_family_equals_the_insert_vertex_chain(base, seed, fill_count):
+    # the family is built once from every insertion; inserting the same
+    # vertices one at a time, in order, must give the identical graph
+    g = ic.gen_insertion_family(base, seed=seed, fill_count=fill_count)
+    new_ids = g.vertices[base.n :]
+    assert new_ids == tuple(f"w{i}" for i in range(len(new_ids)))
+    chain = base
+    for new_id in new_ids:
+        a, c, b = g.rotation[new_id]
+        chain = insert_vertex(chain, (a, b, c), new_id)
+    for attr in ("vertices", "rotation", "faces", "face_id", "edges"):
+        assert getattr(g, attr) == getattr(chain, attr)
+
+
 def test_insertion_family_rejects_weak_bases():
     with pytest.raises(BaseNotFourConnected):
         ic.gen_insertion_family(cube())  # not even a triangulation

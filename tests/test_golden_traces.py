@@ -20,6 +20,7 @@ PINNED_CORPUS_SAMPLE_PATTERNS = {"apex-insert": 456}
 PINNED_CORPUS_SAMPLE = "f36cc11e462e1b2a68b67d2429648146bc5c2502e6171c4c44afcb17dcdf7fe0"
 PINNED_DWHEEL_200 = "16a6b84b8baf8b2cde257bda85d2f3a4bae682a3b5e2bd664410fe9a6239bafc"
 PINNED_DWHEEL_392 = "c6f8cd7c9c329e599d9699d817b7975194a54b47ef7feb8bc7fb25786d40f6c7"
+PINNED_DWHEEL_998 = "bc50554d00fd635addaf407399e462005a73e1c675d7fa5456b3690d18ece167"
 
 
 def trace_digest(g, starts):
@@ -57,6 +58,14 @@ def test_double_wheel_392_from_base_cycle():
     digest, patterns = trace_digest(g, [base_hamiltonian_cycle(130)])
     assert patterns == {"apex-insert": 132}
     assert digest == PINNED_DWHEEL_392
+
+
+def test_double_wheel_998_from_base_cycle():
+    g = ic.gen_insertion_family(double_wheel(332))
+    assert g.n == 998
+    digest, patterns = trace_digest(g, [base_hamiltonian_cycle(332)])
+    assert patterns == {"apex-insert": 334}
+    assert digest == PINNED_DWHEEL_998
 
 
 def test_corpus_sample_short_cycles(sweep_sample):
