@@ -127,8 +127,7 @@ def analysis_report(analysis):
         }
         if analysis.is_minor(fid):
             entry["thin"] = analysis.is_thin(fid)
-            arc = analysis.face_arc[fid]
-            entry["arc"] = list(arc) if arc else None
+            entry["arc"] = list(analysis.face_arc[fid])
             if fid in analysis.apex:
                 entry["apex"] = analysis.apex[fid]
         faces.append(entry)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
+from .plane_graph import reachable
 from .tunnels import find_tunnels
 
 MINUS = "minus"
@@ -156,7 +157,6 @@ class CycleAnalysis:
     face_c_positions: dict = field(default_factory=dict, repr=False)
     face_arc: dict = field(default_factory=dict, repr=False)
     thin: dict = field(default_factory=dict, repr=False)
-    minor_set: frozenset = frozenset()
     apex: dict = field(default_factory=dict, repr=False)
     arches_of: dict = field(default_factory=dict, repr=False)
     proper_arch: dict = field(default_factory=dict, repr=False)
@@ -183,7 +183,7 @@ class CycleAnalysis:
         return len(self.face_c_positions.get(fid, ()))
 
     def is_minor(self, fid):
-        return fid in self.minor_set
+        return fid in self.face_arc
 
     def is_thin(self, fid):
         return self.thin[fid]
@@ -192,7 +192,7 @@ class CycleAnalysis:
         return not self.thin[fid]
 
     def minor_faces(self, side=None):
-        fids = sorted(self.minor_set, key=lambda f: (self.face_arc[f][0], f))
+        fids = sorted(self.face_arc, key=lambda f: (self.face_arc[f][0], f))
         if side is None:
             return fids
         return [f for f in fids if self.face_side[f] == side]
@@ -225,11 +225,9 @@ class CycleAnalysis:
 
 
 def _cyclic_run(positions, c):
-    """Start and length of a contiguous cyclic run, None for a full circle."""
+    """Start and length of a contiguous cyclic run short of the full circle."""
     ps = set(positions)
     m = len(ps)
-    if m == c:
-        return None
     starts = [p for p in ps if (p - 1) % c not in ps]
     if len(starts) != 1:
         raise ContractViolation("C-edges of a minor face are not contiguous")
@@ -343,7 +341,6 @@ def analyze_cycle(g, cycle):
     # minor: thin with exactly one non-C boundary edge, or thick with exactly
     # one off-cycle boundary vertex
     face_arc = {}
-    minor_set = set()
     apex = {}
     degenerate = set()
     for fid, ps in face_c_positions.items():
@@ -377,7 +374,6 @@ def analyze_cycle(g, cycle):
                     f"thick minor face {fid} is not an arc plus apex"
                 )
             apex[fid] = off[0]
-        minor_set.add(fid)
         face_arc[fid] = arc
 
     # host face of every deleted chord, via the merged regions of G-faces
@@ -396,8 +392,7 @@ def analyze_cycle(g, cycle):
 
     arches_of = {}
     proper_arch = {}
-    for fid in minor_set:
-        s, m = face_arc[fid]
+    for fid, (s, m) in face_arc.items():
         x, y = cyc[s], cyc[(s + m) % c]
         if thin[fid]:
             path = (x, y)
@@ -449,7 +444,6 @@ def analyze_cycle(g, cycle):
         face_c_positions=face_c_positions,
         face_arc=face_arc,
         thin=thin,
-        minor_set=frozenset(minor_set),
         apex=apex,
         arches_of=arches_of,
         proper_arch=proper_arch,
@@ -489,15 +483,8 @@ class SideTree:
             return False
         if len(self.edges) != len(self.nodes) - 1:
             return False
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(self.nodes)
+        nodes = set(self.nodes)
+        return reachable(self.adj, self.nodes[:1], nodes) == nodes
 
 
 def extension_tree(analysis, side):

@@ -132,10 +132,7 @@ def _candidate_windows(analysis):
             add(tunnel.arches[0].start - 1, 2 * k + 3)
 
     for fid in analysis.minor_faces():
-        arc = analysis.face_arc[fid]
-        if arc is None:
-            continue
-        s, m = arc
+        s, m = analysis.face_arc[fid]
         if m in (2, 3):
             add(s - 2, m + 4)
 
@@ -148,9 +145,8 @@ def _candidate_windows(analysis):
         for key in ("deficient_thin_minors", "deficient_thick_minors"):
             flagged.update(ledger.violations[key])
         for fid in sorted(flagged):
-            arc = analysis.face_arc[fid]
-            if arc is not None:
-                add(arc[0] - 2, arc[1] + 4)
+            s, m = analysis.face_arc[fid]
+            add(s - 2, m + 4)
 
     return sorted(windows)
 

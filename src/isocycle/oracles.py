@@ -7,22 +7,14 @@ enumeration of isolating cycles via their complements (a cycle is isolating
 exactly when the vertices it misses form an independent set).  The oracle
 entry points refuse graphs above a size limit; the raw engines have no guard
 and are reused by the extension search on small induced subgraphs.
+
+The module depends only on ``plane_graph``, whose ``reachable`` walk prunes
+both searches, and on ``errors``.  Nothing here reads the cycle analysis or
+the extension engine that the oracles are used to check.
 """
 
 from .errors import TooLarge
-from .cycle_analysis import canonical_cycle
-
-
-def _reachable(adj, start_set, allowed):
-    seen = set(start_set) & allowed
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in allowed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+from .plane_graph import reachable
 
 
 def _hamiltonian_paths(g, vertices, s, t):
@@ -57,7 +49,7 @@ def _hamiltonian_paths(g, vertices, s, t):
         for u in unvisited:
             if u != t and len(usable.intersection(adj[u])) < 2:
                 return
-        if _reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
+        if reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
             return
         for w in adj[head]:
             if w in visited or (w == t and len(path) != total - 1):
@@ -113,7 +105,7 @@ def oracle_circumference(g, limit=30):
             if len(path) >= 3 and anchor in g.adj[head]:
                 best = max(best, len(path))
             unvisited = allowed - visited
-            grow = _reachable(adj, [w for w in adj[head] if w in unvisited], unvisited)
+            grow = reachable(adj, [w for w in adj[head] if w in unvisited], unvisited)
             if len(path) + len(grow) <= best:
                 return
             if not any(anchor in g.adj[x] for x in grow | {head}):
@@ -178,7 +170,8 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
     A cycle is isolating exactly when the vertices it misses form an
     independent set, so the enumeration walks independent sets I of size
     n - c and lists the Hamiltonian cycles of g - I.  Cycles come out in
-    canonical form; max_count stops the enumeration early.
+    the canonical form ``hamiltonian_cycles`` yields; max_count stops the
+    enumeration early.
     """
     if g.n > limit:
         raise TooLarge(f"isolating-cycle oracle limited to {limit} vertices, got {g.n}")
@@ -190,7 +183,7 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
         for ind in independent_sets_of_size(g, n - c):
             rest = [v for v in g.vertices if v not in set(ind)]
             for cycle in hamiltonian_cycles(g, rest):
-                out.append(canonical_cycle(g, cycle))
+                out.append(cycle)
                 if max_count is not None and len(out) >= max_count:
                     return out
     return out

@@ -169,7 +169,7 @@ def build_plane_graph(vertices, rotation, outer_face=None):
                 edges.append((v, w))
     edges.sort(key=lambda e: (index[e[0]], index[e[1]]))
 
-    if len(vertices) > 1 and not _connected(vertices, adj):
+    if reachable(adj, vertices[:1], seen) != seen:
         raise NonPlanarEmbedding("graph is not connected")
 
     g = PlaneGraph(
@@ -203,19 +203,6 @@ def build_plane_graph(vertices, rotation, outer_face=None):
             f"Euler check failed: V={len(vertices)} E={len(edges)} F={len(faces)}"
         )
     return g
-
-
-def _connected(vertices, adj):
-    start = vertices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(vertices)
 
 
 def graph_from_faces(face_list):
@@ -263,28 +250,34 @@ def graph_from_faces(face_list):
 # connectivity
 
 
-def _components_without(g, removed):
-    remaining = set(g.vertices) - set(removed)
-    comps = []
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if y in remaining:
-                    remaining.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+def reachable(adj, starts, allowed):
+    """The vertices of ``allowed`` reachable from ``starts`` inside it.
+
+    adj maps each vertex to an iterable of its neighbours, and starts
+    outside ``allowed`` are ignored.  Every reachability search of the
+    package runs here, the Hamiltonian kernel's pruning at each search node
+    included.
+    """
+    seen = set(starts) & allowed
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def _separators(g, k):
     """Yield (cut, components) for every k-set whose removal disconnects g."""
     for cut in combinations(g.vertices, k):
-        comps = _components_without(g, cut)
+        remaining = set(g.vertices).difference(cut)
+        comps = []
+        while remaining:
+            comp = reachable(g.adj, [next(iter(remaining))], remaining)
+            remaining -= comp
+            comps.append(comp)
         if len(comps) > 1:
             yield cut, comps
 
@@ -330,14 +323,15 @@ def is_four_connected(g):
 
 
 def is_essentially_four_connected(g):
-    """3-connected, and every 3-cut splits off exactly one single vertex."""
+    """3-connected, and every 3-cut is the neighbourhood of a single vertex."""
     if not is_three_connected(g):
         return False
     if is_maximal_planar(g):
-        splits = (_components_without(g, t) for t in separating_triangles(g))
+        cuts = separating_triangles(g)
     else:
-        splits = (comps for _, comps in _separators(g, 3))
-    return all(len(comps) == 2 and min(map(len, comps)) == 1 for comps in splits)
+        cuts = (cut for cut, _ in _separators(g, 3))
+    necks = {g.adj[v] for v in g.vertices if g.degree(v) == 3}
+    return all(frozenset(cut) in necks for cut in cuts)
 
 
 # ---------------------------------------------------------------------------

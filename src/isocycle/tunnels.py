@@ -30,6 +30,7 @@ along the track direction; it qualifies when the previous candidate qualified
 from dataclasses import dataclass
 
 from .errors import ContractViolation
+from .plane_graph import reachable
 
 
 def eligible_three_arches(analysis):
@@ -115,20 +116,13 @@ def find_tunnels(analysis):
             raise ContractViolation("an eligible 3-arch has three consecutive mates")
 
     c = analysis.c
-    seen = set()
+    left = set(nbrs)
     tunnels = []
     for i in range(len(arches)):
-        if i in seen:
+        if i not in left:
             continue
-        comp = {i}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
+        comp = reachable(nbrs, [i], left)
+        left -= comp
         members = sorted(comp)
         cyclic = all(len(nbrs[x]) == 2 for x in members) and len(members) > 2
         if cyclic:

@@ -7,7 +7,7 @@ import pytest
 
 import isocycle as ic
 from conftest import TIGHT14_REROUTE_START
-from isocycle import cli
+from isocycle import cli, extension
 from isocycle.cli import main
 from isocycle.errors import IsocycleError
 from isocycle.generators import named_graph
@@ -247,6 +247,15 @@ def test_grow_moves_detail_on_tight14_reroute(tmp_path, capsys):
     assert [m["pattern"] for m in detail] == ["apex-insert"] * 5 + ["window-reroute"]
     text = json.dumps(detail, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TIGHT14_MOVES_DETAIL
+
+
+def test_grow_without_any_move_exits_four(monkeypatch, octa_file, capsys):
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    monkeypatch.setattr(extension, "find_extension_exhaustive", lambda g, cycle: None)
+    assert main(["grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ExtensionNotFound"
+    assert {"cycle", "length", "bound", "n", "budget"} <= set(err)
 
 
 def test_gen_named_graph_roundtrip(tmp_path, capsys):

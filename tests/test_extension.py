@@ -8,7 +8,7 @@ import isocycle as ic
 from conftest import TIGHT14_REROUTE_START, short_isolating_cycles
 from isocycle import extension
 from isocycle.cycle_analysis import analyze_cycle
-from isocycle.errors import InvalidMove, NotIsolating
+from isocycle.errors import ExtensionNotFound, InvalidMove, NotIsolating
 from isocycle.extension import degree_five_count, extension_budget, make_move
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.oracles import hamiltonian_cycles
@@ -144,6 +144,26 @@ def test_tier2_only_reaches_the_same_bound():
     assert all(m.pattern == "exhaustive" for m in trace.moves)
     # fallbacks count tier-1 misses, and tier 1 was never consulted here
     assert trace.fallbacks == 0
+
+
+def test_growth_falls_back_when_the_fast_tier_finds_nothing(monkeypatch):
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    g = ic.gen_insertion_family(ic.octahedron())
+    trace = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    assert trace.moves and all(m.pattern == "exhaustive" for m in trace.moves)
+    assert trace.fallbacks == len(trace.moves)
+    assert trace.completed
+
+
+def test_growth_without_any_move_raises_extension_not_found(monkeypatch):
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    monkeypatch.setattr(extension, "find_extension_exhaustive", lambda g, cycle: None)
+    g = ic.octahedron()
+    with pytest.raises(ExtensionNotFound) as info:
+        ic.grow_to_bound(g, EQUATOR)
+    assert info.value.diagnostics == {
+        "cycle": list(EQUATOR), "length": 4, "bound": 6, "n": 6, "budget": 3,
+    }
 
 
 def test_trace_summary_and_pattern_counts():

@@ -1,10 +1,13 @@
 """Brute-force ground truth: circumference, Hamiltonian search, isolation."""
 
+import ast
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import isocycle as ic
+from isocycle import oracles
 from isocycle.cycle_analysis import canonical_cycle
 from isocycle.errors import TooLarge
 from isocycle.generators import cube, double_wheel, k4, prism, wheel
@@ -165,6 +168,19 @@ def test_enumeration_returns_canonical_cycles():
     cycles = ic.oracle_isolating_cycles(g)
     assert len(set(cycles)) == len(cycles)
     assert all(canonical_cycle(g, c) == c for c in cycles)
+
+
+def test_oracles_depend_only_on_plane_graph_and_errors():
+    # the oracles check the cycle analysis and the extension engine, so they
+    # must not import them
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported == {"errors", "plane_graph"}
 
 
 def test_independent_set_helpers():

@@ -13,6 +13,7 @@ from isocycle.errors import (
 )
 from isocycle.generators import cube, double_wheel, k4, wheel
 from isocycle.plane_graph import (
+    _separators,
     is_essentially_four_connected,
     is_four_connected,
     is_maximal_planar,
@@ -99,9 +100,8 @@ def test_wheel_is_essentially_four_connected():
     assert is_essentially_four_connected(ic.octahedron())
 
 
-def test_glued_octahedra_are_not_essentially_four_connected():
-    # Two octahedra sharing a triangle: the shared triangle separates two
-    # triples, neither of which is a single vertex.
+def glued_octahedra():
+    """Two octahedra sharing the triangle x, y, z."""
     def antiprism(outer, inner):
         x, y, z = outer
         p, q, r = inner
@@ -112,10 +112,36 @@ def test_glued_octahedra_are_not_essentially_four_connected():
 
     inside = antiprism(("x", "y", "z"), ("p", "q", "r"))
     outside = [tuple(reversed(f)) for f in antiprism(("x", "y", "z"), ("s", "t", "u"))]
-    g = ic.graph_from_faces(inside + outside)
+    return ic.graph_from_faces(inside + outside)
+
+
+def test_glued_octahedra_are_not_essentially_four_connected():
+    # the shared triangle separates two triples, neither a single vertex
+    g = glued_octahedra()
     assert ic.is_three_connected(g)
     assert not is_essentially_four_connected(g)
     assert separating_triangles(g) == [("x", "y", "z")]
+
+
+def _component_count_rule(g):
+    """Reference: 3-connected, and every 3-cut leaves exactly two components,
+    one of them a single vertex."""
+    return ic.is_three_connected(g) and all(
+        len(comps) == 2 and min(map(len, comps)) == 1 for _, comps in _separators(g, 3)
+    )
+
+
+def test_essential_four_connectivity_matches_the_component_count_rule(sweep_corpus):
+    # the 3-cut-is-a-vertex-neighbourhood rule against the component count,
+    # on graphs where it holds (the corpus, small wheels) and fails (stacked
+    # triangulations past n = 7, larger wheels, the glued octahedra)
+    graphs = list(sweep_corpus)
+    graphs += [ic.gen_random_triangulation(n, seed=n) for n in range(5, 30)]
+    graphs += [wheel(k) for k in range(3, 13)]
+    graphs += [glued_octahedra(), cube(), ic.octahedron(), double_wheel(5)]
+    verdicts = [is_essentially_four_connected(g) for g in graphs]
+    assert verdicts == [_component_count_rule(g) for g in graphs]
+    assert True in verdicts and False in verdicts
 
 
 def test_two_k4s_sharing_a_triangle():
