@@ -74,7 +74,7 @@ def isolation_bound(g):
 
 
 def degree_five_count(g):
-    return sum(1 for v in g.vertices if g.degree(v) == 5)
+    return sum(1 for ring in g.rotation.values() if len(ring) == 5)
 
 
 def extension_budget(g):

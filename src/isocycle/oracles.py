@@ -8,13 +8,37 @@ exactly when the vertices it misses form an independent set).  The oracle
 entry points refuse graphs above a size limit; the raw engines have no guard
 and are reused by the extension search on small induced subgraphs.
 
-The module depends only on ``plane_graph``, whose ``reachable`` walk prunes
-both searches, and on ``errors``.  Nothing here reads the cycle analysis or
-the extension engine that the oracles are used to check.
+The searches hold vertex sets as int bitmasks over vertex indices, read
+neighbours from ``PlaneGraph.adj_mask`` and try them lowest bit first, which
+is index order.  Both prunes of the Hamiltonian search cut only branches
+that have no Hamiltonian completion, so the depth-first order alone fixes
+which paths come out and in what order; a sound prune, however it is
+computed, never changes that sequence.  The masks cost about n^2/8 bytes
+per graph and are built the first time a search runs on it.
+
+The module depends only on ``errors``.  Nothing here reads the cycle
+analysis or the extension engine that the oracles are used to check.
 """
 
 from .errors import TooLarge
-from .plane_graph import reachable
+
+
+def _flood(masks, seeds, allowed):
+    """Bitmask of the vertices of ``allowed`` connected to ``seeds`` in it.
+
+    masks[i] is the neighbour bitmask of vertex index i; seed bits outside
+    ``allowed`` are ignored.
+    """
+    seen = frontier = seeds & allowed
+    while frontier and seen != allowed:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def _hamiltonian_paths(g, vertices, s, t):
@@ -23,44 +47,56 @@ def _hamiltonian_paths(g, vertices, s, t):
     With t == s the paths close into cycles through s, each yielded once,
     oriented so the second vertex has lower index than the last.  The search
     tries neighbours in index order and cuts a branch when an unvisited
-    vertex other than t has fewer than two usable neighbours, or when the
-    head cannot reach every unvisited vertex.
+    vertex other than t has fewer than two usable neighbours (unvisited
+    ones, the head or t), or when the head cannot reach every unvisited
+    vertex.  Stepping off a head only takes it out of its neighbours'
+    usable sets, so below the root the degree check looks at those alone.
     """
-    vs = g.sorted_vertices(vertices)
-    vset = frozenset(vs)
-    adj = {v: [w for w in g.sorted_vertices(g.adj[v]) if w in vset] for v in vs}
-    closed = s == t
-    total = len(vs)
-    if closed and (total < 3 or len(adj[s]) < 2):
-        return
     index = g.index
-    path = [s]
-    visited = {s}
+    masks = g.adj_mask
+    names = g.vertices
+    si = index[s]
+    sbit = 1 << si
+    tbit = 1 << index[t]
+    closed = s == t
+    vmask = 0
+    for v in vertices:
+        vmask |= 1 << index[v]
+    if closed and (vmask.bit_count() < 3 or (masks[si] & vmask).bit_count() < 2):
+        return
+    path = [si]
 
-    def rec():
-        head = path[-1]
-        if len(path) == total:
+    def rec(head, unvisited, suspects):
+        # suspects: the unvisited vertices other than t that may have lost a
+        # usable neighbour since the parent node passed the degree check
+        if not unvisited:
             # an open path can only have taken t last
-            if not closed or (s in g.adj[head] and index[path[1]] < index[head]):
-                yield tuple(path)
+            if not closed or (masks[head] & sbit and path[1] < head):
+                yield tuple(names[i] for i in path)
             return
-        unvisited = vset - visited
-        usable = unvisited | {head, t}
-        for u in unvisited:
-            if u != t and len(usable.intersection(adj[u])) < 2:
+        usable = unvisited | (1 << head) | tbit
+        while suspects:
+            low = suspects & -suspects
+            x = masks[low.bit_length() - 1] & usable
+            if x & (x - 1) == 0:
                 return
-        if reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
+            suspects ^= low
+        step = masks[head] & unvisited
+        if _flood(masks, step, unvisited) != unvisited:
             return
-        for w in adj[head]:
-            if w in visited or (w == t and len(path) != total - 1):
-                continue
-            path.append(w)
-            visited.add(w)
-            yield from rec()
+        # leaving head takes it out of the usable set of its neighbours
+        around = step & ~tbit
+        if unvisited != tbit:
+            step = around  # t comes only as the last vertex
+        while step:
+            low = step & -step
+            path.append(low.bit_length() - 1)
+            yield from rec(path[-1], unvisited ^ low, around & ~low)
             path.pop()
-            visited.discard(w)
+            step ^= low
 
-    yield from rec()
+    unvisited = vmask & ~sbit
+    yield from rec(si, unvisited, unvisited & ~tbit)
 
 
 def hamiltonian_cycles(g, vertices=None):
@@ -89,79 +125,73 @@ def oracle_circumference(g, limit=30):
     if g.n < 3:
         return 0
     best = 0
-    order = list(g.vertices)
-    for ai, anchor in enumerate(order):
+    masks = g.adj_mask
+
+    def rec(head, unvisited, length):
+        # extend a path of ``length`` vertices from the anchor, ending at head
+        nonlocal best
+        if length >= 3 and closing >> head & 1:
+            best = max(best, length)
+        step = masks[head] & unvisited
+        grow = _flood(masks, step, unvisited)
+        if length + grow.bit_count() <= best:
+            return
+        if not (grow | 1 << head) & closing:
+            return
+        while step:
+            low = step & -step
+            rec(low.bit_length() - 1, unvisited ^ low, length + 1)
+            step ^= low
+
+    for anchor in range(g.n):
         # cycles whose lowest-index vertex is the anchor
-        allowed = frozenset(order[ai:])
-        if len(allowed) <= best:
+        if g.n - anchor <= best:
             break
-        adj = {v: [w for w in g.sorted_vertices(g.adj[v]) if w in allowed] for v in allowed}
-        path = [anchor]
-        visited = {anchor}
-
-        def rec():
-            nonlocal best
-            head = path[-1]
-            if len(path) >= 3 and anchor in g.adj[head]:
-                best = max(best, len(path))
-            unvisited = allowed - visited
-            grow = reachable(adj, [w for w in adj[head] if w in unvisited], unvisited)
-            if len(path) + len(grow) <= best:
-                return
-            if not any(anchor in g.adj[x] for x in grow | {head}):
-                return
-            for w in adj[head]:
-                if w in visited:
-                    continue
-                path.append(w)
-                visited.add(w)
-                rec()
-                path.pop()
-                visited.discard(w)
-
-        rec()
+        closing = masks[anchor]
+        rec(anchor, (1 << g.n) - (2 << anchor), 1)
     return best
 
 
 def max_independent_set_size(g):
     """Exact independence number, by branch and bound."""
-    order = list(g.vertices)
+    masks = g.adj_mask
 
     def rec(candidates, size):
         best = size
         while candidates:
-            if size + len(candidates) <= best:
+            if size + candidates.bit_count() <= best:
                 return best
-            v = candidates[0]
-            candidates = candidates[1:]
-            best = max(best, rec([w for w in candidates if w not in g.adj[v]], size + 1))
+            low = candidates & -candidates
+            candidates ^= low
+            best = max(best, rec(candidates & ~masks[low.bit_length() - 1], size + 1))
         return best
 
-    return rec(order, 0)
+    return rec((1 << g.n) - 1, 0)
 
 
 def independent_sets_of_size(g, k):
     """Yield every independent set of exactly k vertices, in index order."""
-    order = list(g.vertices)
+    order = g.vertices
+    masks = g.adj_mask
+    n = len(order)
 
-    def rec(i, chosen):
+    def rec(i, chosen, blocked):
         if len(chosen) == k:
             yield tuple(chosen)
             return
-        if len(order) - i < k - len(chosen):
+        if n - i < k - len(chosen):
             return
-        for j in range(i, len(order)):
-            v = order[j]
-            if any(v in g.adj[w] for w in chosen):
+        for j in range(i, n):
+            if blocked >> j & 1:
                 continue
-            chosen.append(v)
-            yield from rec(j + 1, chosen)
+            chosen.append(order[j])
+            yield from rec(j + 1, chosen, blocked | masks[j])
             chosen.pop()
 
     if k == 0:
         yield ()
     else:
-        yield from rec(0, [])
+        yield from rec(0, [], 0)
 
 
 def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, limit=30):
@@ -181,7 +211,8 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
     out = []
     for c in range(max(min_length, n - alpha), top + 1):
         for ind in independent_sets_of_size(g, n - c):
-            rest = [v for v in g.vertices if v not in set(ind)]
+            missed = set(ind)
+            rest = [v for v in g.vertices if v not in missed]
             for cycle in hamiltonian_cycles(g, rest):
                 out.append(cycle)
                 if max_count is not None and len(out) >= max_count:

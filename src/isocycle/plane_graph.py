@@ -35,6 +35,8 @@ class PlaneGraph:
         face_id: directed edge (u, v) -> index of the face traced from it.
         outer_face: optional face annotation kept for serialization; the
             combinatorial structure never depends on it.
+        adj_mask: vertex index -> int bitmask of its neighbours' indices,
+            built on first use (see :attr:`adj_mask`).
     """
 
     vertices: tuple
@@ -46,6 +48,9 @@ class PlaneGraph:
     face_id: dict = field(repr=False)
     outer_face: tuple = None
     _pos: dict = field(default=None, repr=False)
+    # a declared field, not functools.cached_property: a key added to the
+    # instance __dict__ after construction makes every attribute load slower
+    _adj_mask: list = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._pos is None:
@@ -61,6 +66,19 @@ class PlaneGraph:
     @property
     def m(self):
         return len(self.edges)
+
+    @property
+    def adj_mask(self):
+        """For each vertex index, the bitmask of its neighbours' indices.
+
+        About n^2/8 bytes, so it is built only when a search asks for it.
+        """
+        if self._adj_mask is None:
+            index = self.index
+            self._adj_mask = [
+                sum(1 << index[w] for w in self.rotation[v]) for v in self.vertices
+            ]
+        return self._adj_mask
 
     def degree(self, v):
         return len(self.rotation[v])
@@ -254,9 +272,8 @@ def reachable(adj, starts, allowed):
     """The vertices of ``allowed`` reachable from ``starts`` inside it.
 
     adj maps each vertex to an iterable of its neighbours, and starts
-    outside ``allowed`` are ignored.  Every reachability search of the
-    package runs here, the Hamiltonian kernel's pruning at each search node
-    included.
+    outside ``allowed`` are ignored.  Every set-based reachability search of
+    the package runs here; the oracles flood vertex bitmasks instead.
     """
     seen = set(starts) & allowed
     stack = list(seen)

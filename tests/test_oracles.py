@@ -1,7 +1,9 @@
 """Brute-force ground truth: circumference, Hamiltonian search, isolation."""
 
 import ast
-from itertools import permutations
+import dataclasses
+import random
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from isocycle import oracles
 from isocycle.cycle_analysis import canonical_cycle
 from isocycle.errors import TooLarge
 from isocycle.generators import cube, double_wheel, k4, prism, wheel
+from isocycle.plane_graph import PlaneGraph, reachable
 from isocycle.oracles import (
     find_hamiltonian_path,
     hamiltonian_cycles,
@@ -170,9 +173,9 @@ def test_enumeration_returns_canonical_cycles():
     assert all(canonical_cycle(g, c) == c for c in cycles)
 
 
-def test_oracles_depend_only_on_plane_graph_and_errors():
+def test_oracles_depend_only_on_errors():
     # the oracles check the cycle analysis and the extension engine, so they
-    # must not import them
+    # must not import them; they read the graph through its own attributes
     tree = ast.parse(Path(oracles.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -180,7 +183,96 @@ def test_oracles_depend_only_on_plane_graph_and_errors():
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert imported == {"errors", "plane_graph"}
+    assert imported == {"errors"}
+
+
+def _set_kernel(g, vertices, s, t):
+    """The set-based Hamiltonian search the bitmask kernel replaced, kept
+    as the reference for its output sequence."""
+    vs = g.sorted_vertices(vertices)
+    vset = frozenset(vs)
+    adj = {v: [w for w in g.sorted_vertices(g.adj[v]) if w in vset] for v in vs}
+    closed = s == t
+    total = len(vs)
+    if closed and (total < 3 or len(adj[s]) < 2):
+        return
+    index = g.index
+    path = [s]
+    visited = {s}
+
+    def rec():
+        head = path[-1]
+        if len(path) == total:
+            if not closed or (s in g.adj[head] and index[path[1]] < index[head]):
+                yield tuple(path)
+            return
+        unvisited = vset - visited
+        usable = unvisited | {head, t}
+        for u in unvisited:
+            if u != t and len(usable.intersection(adj[u])) < 2:
+                return
+        if reachable(adj, [w for w in adj[head] if w in unvisited], unvisited) != unvisited:
+            return
+        for w in adj[head]:
+            if w in visited or (w == t and len(path) != total - 1):
+                continue
+            path.append(w)
+            visited.add(w)
+            yield from rec()
+            path.pop()
+            visited.discard(w)
+
+    yield from rec()
+
+
+def test_bitmask_kernel_matches_set_kernel(
+    ladder, cyclic_instance, hex_instance, arch_instance, sweep_corpus
+):
+    # both prunes are sound, so the search order alone fixes the sequence;
+    # any difference means a prune cut a branch with a completion
+    graphs = [k4(), prism(), cube(), ic.octahedron(), wheel(5), double_wheel(6)]
+    graphs += [inst[0] for inst in (ladder, cyclic_instance, hex_instance, arch_instance)]
+    graphs.append(ic.gen_insertion_family(ic.octahedron(), fill_count=None))
+    graphs += sweep_corpus[::10]
+    rng = random.Random(0)
+    compared = found = 0
+    for g in graphs:
+        subsets = [list(g.vertices)]
+        subsets += [rng.sample(g.vertices, rng.randint(3, g.n)) for _ in range(12)]
+        for vs in subsets:
+            s, t = rng.sample(vs, 2)
+            for a, b in ((s, s), (s, t)):
+                want = list(islice(_set_kernel(g, vs, a, b), 50))
+                got = list(islice(oracles._hamiltonian_paths(g, vs, a, b), 50))
+                assert got == want, (g.n, vs, a, b)
+                compared += 1
+                found += bool(want)
+    assert found > compared // 4
+
+
+def test_kernel_leaves_the_instance_layout_alone():
+    # the masks live in a declared field; a key added to the instance
+    # __dict__ later would slow every attribute load on the graph
+    g = cube()
+    declared = {f.name for f in dataclasses.fields(PlaneGraph)}
+    assert set(vars(g)) == declared
+    assert next(hamiltonian_cycles(g), None) is not None
+    assert set(vars(g)) == declared
+    assert g.adj_mask[g.index["v0"]] == sum(1 << g.index[w] for w in g.adj["v0"])
+
+
+def test_independent_sets_match_brute_force():
+    for g in (cube(), ic.octahedron(), wheel(5), double_wheel(6)):
+        for k in range(5):
+            want = [
+                c for c in combinations(g.vertices, k)
+                if not any(g.has_edge(u, v) for u, v in combinations(c, 2))
+            ]
+            assert list(independent_sets_of_size(g, k)) == want
+            if want:
+                assert max_independent_set_size(g) >= k
+            else:
+                assert max_independent_set_size(g) < k
 
 
 def test_independent_set_helpers():
