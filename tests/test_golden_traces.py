@@ -1,10 +1,11 @@
 """Golden growth traces: refactors must leave every step byte-identical.
 
-Each test grows a fixed set of start cycles and hashes the JSON form of
-every ``GrowthTrace.summary()``.  The digests were recorded from the engine
-before it was restructured; a changed digest means some move, tie-break or
-fallback count changed.  The pattern counts are pinned alongside so that a
-failure says roughly where the traces diverged.
+Each growth test grows a fixed set of start cycles and hashes the JSON form
+of every ``GrowthTrace.summary()``.  The digests were recorded from the
+engine before it was restructured; a changed digest means some move,
+tie-break or fallback count changed.  The pattern counts are pinned
+alongside so that a failure says roughly where the traces diverged.  The
+audit test does the same for the cycle analysis and the discharging ledger.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ import json
 
 import isocycle as ic
 from conftest import short_isolating_cycles
+from isocycle.cli import analysis_report
+from isocycle.errors import IsocycleError
 from isocycle.generators import base_hamiltonian_cycle, double_wheel
 
 PINNED_TIGHT14_PATTERNS = {"apex-insert": 1403, "window-reroute": 204}
@@ -21,6 +24,7 @@ PINNED_CORPUS_SAMPLE = "f36cc11e462e1b2a68b67d2429648146bc5c2502e6171c4c44afcb17
 PINNED_DWHEEL_200 = "16a6b84b8baf8b2cde257bda85d2f3a4bae682a3b5e2bd664410fe9a6239bafc"
 PINNED_DWHEEL_392 = "c6f8cd7c9c329e599d9699d817b7975194a54b47ef7feb8bc7fb25786d40f6c7"
 PINNED_DWHEEL_998 = "bc50554d00fd635addaf407399e462005a73e1c675d7fa5456b3690d18ece167"
+PINNED_AUDIT = "a609450fd93b9714793334164ca04981c9a2557e7748fa0c07a57812971387c2"
 
 
 def trace_digest(g, starts):
@@ -79,3 +83,36 @@ def test_corpus_sample_short_cycles(sweep_sample):
             patterns[pattern] = patterns.get(pattern, 0) + k
     assert patterns == PINNED_CORPUS_SAMPLE_PATTERNS
     assert h.hexdigest() == PINNED_CORPUS_SAMPLE
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode()
+
+
+def test_audit_every_tenth_tight14_and_corpus_sample(sweep_sample):
+    # the analysis report, the ledger summary and every (face, edge)'s
+    # conditions, or the name of the error where the analysis or the
+    # audit refuses the cycle
+    g14 = ic.gen_insertion_family(ic.octahedron())
+    cases = [(g14, c) for c in ic.oracle_isolating_cycles(g14)[::10]]
+    for g in sweep_sample:
+        cases += [(g, c) for c in short_isolating_cycles(g, cap=4)]
+    assert len(cases) == 750
+    h = hashlib.sha256()
+    ledgers = chord_arches = c7_pulls = 0
+    for g, cycle in cases:
+        try:
+            analysis = ic.analyze_cycle(g, cycle)
+            h.update(_dumps(analysis_report(analysis)))
+            chord_arches += sum(a.kind == "chord" for a in analysis.all_arches())
+            ledger = ic.apply_discharging(analysis)
+        except IsocycleError as exc:
+            h.update(type(exc).__name__.encode() + b"\n")
+            continue
+        h.update(_dumps(ledger.summary()))
+        h.update(_dumps(sorted(ledger.conditions_at.items())))
+        h.update(b"\n")
+        ledgers += 1
+        c7_pulls += sum(p.condition == "C7" for p in ledger.pulls)
+    assert (ledgers, chord_arches, c7_pulls) == (43, 3077, 96)
+    assert h.hexdigest() == PINNED_AUDIT
