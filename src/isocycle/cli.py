@@ -410,7 +410,11 @@ def build_parser():
     sp.add_argument("--base", help="base graph name or JSON path (insertion family)")
     sp.add_argument("--fill", type=int, help="number of faces to fill (insertion)")
     sp.add_argument("--n", type=int, help="vertex count (random family)")
-    sp.add_argument("--four-connected", action="store_true")
+    sp.add_argument(
+        "--four-connected",
+        action="store_true",
+        help="random family: double_wheel(n - 2) for every seed (see ROADMAP item 6)",
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_gen)
 

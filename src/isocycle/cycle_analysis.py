@@ -16,6 +16,9 @@ of a minor face always form one contiguous arc of C.  Every minor face
 carries arches: its proper arch (the boundary minus the C-arc) plus one arch
 per deleted chord drawn inside the face, except chords joining the two ends
 of the face's arc.  The archway of an arch is the sub-arc of C it spans.
+A deleted chord (a, b) is drawn inside the face of H traced from (u, a),
+where u is the last neighbour before b in G's clockwise rotation at a that
+H keeps: that face turns at a through the corner the chord was drawn in.
 
 C is isolating when every vertex off C has all its neighbours on C.  The
 analysis requires an isolating cycle; everything else (including
@@ -62,9 +65,9 @@ def canonical_cycle(g, seq):
 
 
 def is_isolating(g, cycle):
-    """True when every edge of g has an endpoint on the cycle."""
+    """True when every vertex off the cycle has all its neighbours on it."""
     on = set(cycle)
-    return all(u in on or v in on for u, v in g.edges)
+    return all(g.adj[v] <= on for v in g.vertices if v not in on)
 
 
 def check_isolating(g, seq):
@@ -192,10 +195,10 @@ class CycleAnalysis:
         return not self.thin[fid]
 
     def minor_faces(self, side=None):
-        fids = sorted(self.face_arc, key=lambda f: (self.face_arc[f][0], f))
+        """Minor face ids by (arc start, id), the order face_arc is built in."""
         if side is None:
-            return fids
-        return [f for f in fids if self.face_side[f] == side]
+            return list(self.face_arc)
+        return [f for f in self.face_arc if self.face_side[f] == side]
 
     def major_faces(self, side=None):
         fids = [f for f in range(len(self.h.faces)) if not self.is_minor(f)]
@@ -235,13 +238,6 @@ def _cyclic_run(positions, c):
     if any((s + i) % c not in ps for i in range(m)):
         raise ContractViolation("C-edges of a minor face are not contiguous")
     return (s, m)
-
-
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def analyze_cycle(g, cycle):
@@ -376,19 +372,15 @@ def analyze_cycle(g, cycle):
             apex[fid] = off[0]
         face_arc[fid] = arc
 
-    # host face of every deleted chord, via the merged regions of G-faces
-    parent = list(range(len(g.faces)))
-    for a, b in deleted:
-        ra, rb = _find(parent, g.face_id[(a, b)]), _find(parent, g.face_id[(b, a)])
-        if ra != rb:
-            parent[ra] = rb
-    class_to_hface = {}
-    for fid, face in enumerate(h.faces):
-        class_to_hface[_find(parent, g.face_id[(face[0], face[1])])] = fid
+    # the face of H that holds each deleted chord (a, b): the one turning at
+    # a from u, the last neighbour before b at a that H keeps
     chord_hosts = {}
-    for e in deleted:
-        fid = class_to_hface[_find(parent, g.face_id[e])]
-        chord_hosts.setdefault(fid, []).append(e)
+    for a, b in deleted:
+        ring = g.rotation[a]
+        i = ring.index(b) - 1
+        while ring[i] not in h.adj[a]:
+            i -= 1
+        chord_hosts.setdefault(h.face_id[(ring[i], a)], []).append((a, b))
 
     arches_of = {}
     proper_arch = {}
@@ -442,7 +434,7 @@ def analyze_cycle(g, cycle):
         deleted_chords=tuple(deleted),
         face_side=face_side,
         face_c_positions=face_c_positions,
-        face_arc=face_arc,
+        face_arc=dict(sorted(face_arc.items(), key=lambda kv: (kv[1][0], kv[0]))),
         thin=thin,
         apex=apex,
         arches_of=arches_of,

@@ -3,14 +3,15 @@
 Every face of H starts with weight equal to its number of C-edges, so the
 total weight is 2c.  For every minor face g and every C-edge e of g, the
 conditions C1 to C6 decide whether g pulls one unit of weight across e from
-the face f on the other side; C7 runs afterwards and lets every transfer
-pair of a track pull when the track's exit pair itself satisfies one of C1
-to C6.  The audit records every pull, the final weights, and a set of
-verdicts: exclusivity of pulls per edge, conservation, the per-face weight
-bounds (majors stay nonnegative, thin minor faces keep at least 2, thick
-minor faces at least 4), the side inequality they imply, and the resulting
-lower bound on c.  On a cycle that still extends, some verdict must fail;
-the audit reports which.
+the face f on the other side.  C1 holds exactly when f is major, and then
+it is the only condition that holds, so C2 to C6 are asked only about a
+minor f.  C7 runs afterwards and lets every transfer pair of a track pull
+when the track's exit pair itself satisfies one of C1 to C6.  The audit
+records every pull, the final weights, and a set of verdicts: exclusivity
+of pulls per edge, conservation, the per-face weight bounds (majors stay
+nonnegative, thin minor faces keep at least 2, thick minor faces at least
+4), the side inequality they imply, and the resulting lower bound on c.  On
+a cycle that still extends, some verdict must fail; the audit reports which.
 
 Preconditions: c >= 6 and no minor face with a single C-edge (such faces are
 extension fodder, not audit input).
@@ -56,15 +57,7 @@ def _four_arch_with_inner(analysis, fid, e):
     return None
 
 
-def _cond_c1(analysis, registry, g, e):
-    f = analysis.across(g, e)
-    return not analysis.is_minor(f)
-
-
-def _cond_c2(analysis, registry, g, e):
-    f = analysis.across(g, e)
-    if not analysis.is_minor(f):
-        return False
+def _cond_c2(analysis, registry, g, f, e):
     if analysis.is_thick(g) and analysis.m(g) == 2:
         return True
     if analysis.m(g) == 3:
@@ -78,9 +71,8 @@ def _cond_c2(analysis, registry, g, e):
     return False
 
 
-def _cond_c3(analysis, registry, g, e):
-    f = analysis.across(g, e)
-    if not analysis.is_minor(f) or analysis.m(f) < 3:
+def _cond_c3(analysis, registry, g, f, e):
+    if analysis.m(f) < 3:
         return False
     b = _arch_with_middle(analysis, g, e, 3)
     if b is None:
@@ -101,18 +93,14 @@ def _cond_c3(analysis, registry, g, e):
     return analysis.across(g, other) != f
 
 
-def _is_mono(analysis, g, e):
-    f = analysis.across(g, e)
+def _is_mono(analysis, f, e):
     c = analysis.c
     ps = set(analysis.face_c_positions.get(f, ()))
     return {(e - 1) % c, e, (e + 1) % c} <= ps
 
 
-def _c45_common(analysis, g, e):
+def _c45_common(analysis, g, f, e):
     """Shared setup of C4 and C5: the 4-arch of g around e and its far end."""
-    f = analysis.across(g, e)
-    if not analysis.is_minor(f):
-        return None
     b = _four_arch_with_inner(analysis, g, e)
     if b is None:
         return None
@@ -124,23 +112,23 @@ def _c45_common(analysis, g, e):
         return None
     if analysis.m_shared(f, b) != 3:
         return None
-    return f, b, far
+    return b, far
 
 
-def _cond_c4(analysis, registry, g, e):
-    setup = _c45_common(analysis, g, e)
+def _cond_c4(analysis, registry, g, f, e):
+    setup = _c45_common(analysis, g, f, e)
     if setup is None:
         return False
-    f, b, far = setup
+    b, far = setup
     h = analysis.across(g, far)
     return analysis.is_thick(h) and analysis.m(h) == 2
 
 
-def _cond_c5(analysis, registry, g, e):
-    setup = _c45_common(analysis, g, e)
+def _cond_c5(analysis, registry, g, f, e):
+    setup = _c45_common(analysis, g, f, e)
     if setup is None:
         return False
-    f, b, far = setup
+    b, far = setup
     h = analysis.across(g, far)
     if (h, far) not in registry:
         return False
@@ -159,10 +147,7 @@ def _cond_c5(analysis, registry, g, e):
     return True
 
 
-def _cond_c6(analysis, registry, g, e):
-    f = analysis.across(g, e)
-    if not analysis.is_minor(f):
-        return False
+def _cond_c6(analysis, registry, g, f, e):
     if not (analysis.is_thick(g) and analysis.m(g) == 4):
         return False
     if e in analysis.proper_arch[g].extremal_positions:
@@ -180,14 +165,14 @@ def _cond_c6(analysis, registry, g, e):
     return False
 
 
-_COND_FUNCS = {
-    "C1": _cond_c1,
-    "C2": _cond_c2,
-    "C3": _cond_c3,
-    "C4": _cond_c4,
-    "C5": _cond_c5,
-    "C6": _cond_c6,
-}
+# C2 to C6, each asked only about a minor f
+_MINOR_CONDS = (
+    ("C2", _cond_c2),
+    ("C3", _cond_c3),
+    ("C4", _cond_c4),
+    ("C5", _cond_c5),
+    ("C6", _cond_c6),
+)
 
 
 @dataclass(eq=False)
@@ -246,20 +231,22 @@ def apply_discharging(analysis):
         s, m = analysis.face_arc[g]
         for i in range(m):
             e = (s + i) % c
-            conds = tuple(
-                name
-                for name in CONDITIONS
-                if _COND_FUNCS[name](analysis, registry, g, e)
-            )
+            f = analysis.across(g, e)
+            if analysis.is_minor(f):
+                conds = tuple(
+                    name for name, cond in _MINOR_CONDS if cond(analysis, registry, g, f, e)
+                )
+            else:
+                conds = ("C1",)
             conditions_at[(g, e)] = conds
             if conds:
                 pulls.append(
                     Pull(
                         condition=conds[0],
                         taker=g,
-                        giver=analysis.across(g, e),
+                        giver=f,
                         position=e,
-                        mono=conds[0] == "C3" and _is_mono(analysis, g, e),
+                        mono=conds[0] == "C3" and _is_mono(analysis, f, e),
                     )
                 )
 

@@ -151,27 +151,24 @@ def _candidate_windows(analysis):
     return sorted(windows)
 
 
-def _window(analysis, start, length):
-    """One reroute window as (window, tail, extras).
+def _window(g, cyc, on, start, length):
+    """One reroute window of the cycle cyc, with vertex set on.
 
-    window is the path of ``length`` cycle edges from position ``start``,
-    tail is the rest of the cycle from its last vertex back round to its
-    first, and extras are up to ten off-cycle vertices adjacent to at least
-    two window vertices, most such neighbours first.
+    Returns (window, tail, extras): window is the path of ``length`` cycle
+    edges from position ``start``, tail is the rest of the cycle from its
+    last vertex back round to its first, and extras are up to ten off-cycle
+    vertices adjacent to at least two window vertices, most such neighbours
+    first, then by index.  They are counted from the window's
+    neighbourhoods, in O(length * max degree).
     """
-    g = analysis.g
-    cyc = analysis.cycle
-    c = analysis.c
+    c = len(cyc)
     window = tuple(cyc[(start + i) % c] for i in range(length + 1))
-    keep = set(window)
-    scored = []
-    for v in g.vertices:
-        if v in analysis.pos:
-            continue
-        k = sum(1 for w in g.adj[v] if w in keep)
-        if k >= 2:
-            scored.append((-k, g.index[v], v))
-    scored.sort()
+    hits = {}
+    for w in window:
+        for v in g.adj[w]:
+            if v not in on:
+                hits[v] = hits.get(v, 0) + 1
+    scored = sorted((-k, g.index[v], v) for v, k in hits.items() if k >= 2)
     tail = tuple(cyc[(start + length + 1 + i) % c] for i in range(c - length - 1))
     return window, tail, [v for *_, v in scored[:10]]
 
@@ -273,7 +270,7 @@ def find_extension_fast(g, cycle):
     except ContractViolation as exc:
         logger.debug("fast tier skipped, analysis failed: %s", exc)
         return None
-    windows = [_window(analysis, *w) for w in _candidate_windows(analysis)]
+    windows = [_window(g, cyc, on, *w) for w in _candidate_windows(analysis)]
     for size in (1, 2, 3):
         for window, tail, extras in windows:
             for chosen in combinations(extras, size):

@@ -183,23 +183,17 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
 
     The plain variant stacks random vertex insertions from K4 (every such
     graph keeps a degree-3 vertex, so it is never 4-connected).  The
-    4-connected variant starts from a double wheel and shuffles it with
-    seeded diagonal flips, undoing any flip that breaks 4-connectivity.
+    4-connected variant is not random: it returns double_wheel(n - 2) for
+    every seed, since every diagonal flip of a double wheel leaves a vertex
+    of degree 3.  A flip walk that repairs 4-connectivity is ROADMAP item 6.
     """
-    rng = random.Random(seed)
     if require_four_connected:
         if n < 6:
             raise SizeTooSmall("4-connected planar graphs need at least 6 vertices")
-        g = double_wheel(n - 2)
-        attempts = 6 * n
-        for _ in range(attempts):
-            u, v = g.edges[rng.randrange(len(g.edges))]
-            flipped = diagonal_flip(g, u, v)
-            if flipped is not None and is_four_connected(flipped):
-                g = flipped
-        return g
+        return double_wheel(n - 2)
     if n < 4:
         raise SizeTooSmall("a triangulation needs at least 4 vertices")
+    rng = random.Random(seed)
     g = k4()
     for i in range(n - 4):
         triples = [f for f in g.faces]

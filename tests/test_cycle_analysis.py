@@ -59,6 +59,33 @@ def test_is_isolating():
     assert ic.is_isolating(g, ham)
 
 
+def _every_edge_meets(g, cycle):
+    """The edge-walk form of isolation, kept as the reference."""
+    on = set(cycle)
+    return all(u in on or v in on for u, v in g.edges)
+
+
+def test_is_isolating_matches_the_edge_walk(sweep_sample):
+    g14 = ic.gen_insertion_family(ic.octahedron())
+    cycles = ic.oracle_isolating_cycles(g14)
+    assert len(cycles) == 6580
+    for cycle in cycles:
+        assert ic.is_isolating(g14, cycle) and _every_edge_meets(g14, cycle)
+    # near misses: the vertex sets one short of an isolating cycle
+    verdicts = set()
+    for cycle in cycles[::10]:
+        for i in range(len(cycle)):
+            rest = cycle[:i] + cycle[i + 1:]
+            verdict = ic.is_isolating(g14, rest)
+            assert verdict == _every_edge_meets(g14, rest)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # a face of a triangulation on more than four vertices is not isolating
+    for g in sweep_sample:
+        for face in g.faces:
+            assert not ic.is_isolating(g, face) and not _every_edge_meets(g, face)
+
+
 def test_analyze_rejects_non_isolating_cycle():
     g = cube()
     with pytest.raises(NotIsolating):

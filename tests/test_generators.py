@@ -14,6 +14,7 @@ from isocycle.generators import (
     wheel,
 )
 from isocycle.plane_graph import (
+    graph_to_json_dict,
     is_essentially_four_connected,
     is_four_connected,
     is_maximal_planar,
@@ -140,6 +141,14 @@ def test_random_four_connected_triangulation():
     assert g.n == 10
     assert is_maximal_planar(g)
     assert is_four_connected(g)
+
+
+def test_four_connected_random_triangulation_is_the_double_wheel():
+    for n in range(6, 31):
+        wheel_json = graph_to_json_dict(double_wheel(n - 2))
+        for seed in range(4):
+            g = ic.gen_random_triangulation(n, seed=seed, require_four_connected=True)
+            assert graph_to_json_dict(g) == wheel_json
 
 
 def test_random_triangulation_size_guards():
