@@ -1,11 +1,16 @@
 """Structure of an isolating cycle in a plane graph.
 
 Fix a cycle C = v_0 ... v_{c-1} of a 3-connected plane graph G.  The two
-sides of C are told apart by 2-colouring the faces of G: crossing an edge of
-C switches sides, crossing any other edge does not.  The smaller vertex side
-is called the minus side.  The pruned graph H is obtained from G by deleting
-chords of C: all of them when the minus side has vertices, otherwise only the
-chords on the plus side.
+sides of C are read off its rotations: at v_i, the faces traced from
+(v_i, w) for w running clockwise from just after v_{i+1} up to v_{i-1} lie
+on side R, the other faces at v_i on side L.  When C is isolating every
+edge of G has an end on C, so every face meets C and gets a side this way.
+The smaller vertex side is called the minus side.  The pruned graph H is
+obtained from G by deleting chords of C: all of them when the minus side
+has vertices, otherwise only the chords on the plus side.  ``edge_faces[p]``
+holds the two faces of H on the C-edge at position p, traced from
+(v_p, v_{p+1}) and from (v_{p+1}, v_p); the C-edges of each face and the
+face across each C-edge are read from it.
 
 Every face of H lies on one side of C.  When the minus side has no vertices
 (and the plus side does) the minus-side faces are called thin; every other
@@ -79,34 +84,28 @@ def check_isolating(g, seq):
 
 
 def face_sides(g, cycle):
-    """2-colour the faces of g by the side of the cycle they lie on.
+    """Label each face of g 'L' or 'R' by the side of the cycle it lies on.
 
-    The face traced from the directed edge (v_0, v_1) gets label 'L', the one
-    traced from (v_1, v_0) gets 'R'.  g must contain the cycle.
+    At v_i, the faces traced from (v_i, w) for w clockwise from just after
+    v_{i+1} up to v_{i-1} get 'R' and the other faces at v_i get 'L', so
+    the face traced from (v_0, v_1) is 'L' and the one from (v_1, v_0) 'R'.
+    Every face is reached only when every face meets the cycle, which holds
+    for an isolating cycle; ``analyze_cycle`` checks isolation first.
     """
     c = len(cycle)
-    cycle_edges = {g.edge(cycle[i - 1], cycle[i]) for i in range(c)}
-    side = {g.face_id[(cycle[0], cycle[1])]: "L"}
-    stack = [g.face_id[(cycle[0], cycle[1])]]
-    while stack:
-        fid = stack.pop()
-        face = g.faces[fid]
-        k = len(face)
-        for i in range(k):
-            u, v = face[i], face[(i + 1) % k]
-            other = g.face_id[(v, u)]
-            if g.edge(u, v) in cycle_edges:
-                want = "R" if side[fid] == "L" else "L"
-            else:
-                want = side[fid]
-            if other in side:
-                if side[other] != want:
-                    raise ContractViolation("inconsistent side 2-colouring")
-            else:
-                side[other] = want
-                stack.append(other)
+    side = {}
+    for i, v in enumerate(cycle):
+        ring = g.rotation[v]
+        j = ring.index(cycle[(i + 1) % c]) + 1
+        prev = cycle[i - 1]
+        lr = "R"
+        for w in ring[j:] + ring[:j]:
+            if side.setdefault(g.face_id[(v, w)], lr) != lr:
+                raise ContractViolation("inconsistent side 2-colouring")
+            if w == prev:
+                lr = "L"
     if len(side) != len(g.faces):
-        raise ContractViolation("side propagation did not reach every face")
+        raise ContractViolation("side labelling did not reach every face")
     return side
 
 
@@ -149,13 +148,13 @@ class Arch:
 class CycleAnalysis:
     g: object
     cycle: tuple
-    pos: dict = field(repr=False)
     pos_of_edge: dict = field(repr=False)
     vertex_side: dict = field(repr=False)
     v_minus: tuple = ()
     v_plus: tuple = ()
     h: object = None
     deleted_chords: tuple = ()
+    edge_faces: tuple = field(default=(), repr=False)
     face_side: dict = field(default_factory=dict, repr=False)
     face_c_positions: dict = field(default_factory=dict, repr=False)
     face_arc: dict = field(default_factory=dict, repr=False)
@@ -171,13 +170,14 @@ class CycleAnalysis:
 
     # -- positions ---------------------------------------------------------
 
-    def edge_vertices(self, p):
-        return (self.cycle[p], self.cycle[(p + 1) % self.c])
-
     def across(self, fid, p):
         """The face of H on the other side of the C-edge at position p."""
-        u, v = self.edge_vertices(p)
-        return self.h.across(fid, u, v)
+        a, b = self.edge_faces[p]
+        if a == fid:
+            return b
+        if b == fid:
+            return a
+        raise KeyError(f"C-edge {p} is not on face {fid}")
 
     # -- faces --------------------------------------------------------------
 
@@ -305,16 +305,13 @@ def analyze_cycle(g, cycle):
         for fid, face in enumerate(h.faces)
     }
 
+    edge_faces = tuple(
+        (h.face_id[(u, v)], h.face_id[(v, u)]) for u, v in zip(cyc, cyc[1:] + cyc[:1])
+    )
     face_c_positions = {}
-    for fid, face in enumerate(h.faces):
-        ps = set()
-        k = len(face)
-        for i in range(k):
-            p = pos_of_edge.get(h.edge(face[i - 1], face[i]))
-            if p is not None:
-                ps.add(p)
-        if ps:
-            face_c_positions[fid] = tuple(sorted(ps))
+    for p, pair in enumerate(edge_faces):
+        for fid in pair:
+            face_c_positions.setdefault(fid, []).append(p)
 
     # every side sees each C-edge in exactly one of its minor faces
     for side in (MINUS, PLUS):
@@ -425,13 +422,13 @@ def analyze_cycle(g, cycle):
     return CycleAnalysis(
         g=g,
         cycle=cyc,
-        pos=pos,
         pos_of_edge=pos_of_edge,
         vertex_side=vertex_side,
         v_minus=v_minus,
         v_plus=v_plus,
         h=h,
         deleted_chords=tuple(deleted),
+        edge_faces=edge_faces,
         face_side=face_side,
         face_c_positions=face_c_positions,
         face_arc=dict(sorted(face_arc.items(), key=lambda kv: (kv[1][0], kv[0]))),

@@ -5,13 +5,17 @@ total weight is 2c.  For every minor face g and every C-edge e of g, the
 conditions C1 to C6 decide whether g pulls one unit of weight across e from
 the face f on the other side.  C1 holds exactly when f is major, and then
 it is the only condition that holds, so C2 to C6 are asked only about a
-minor f.  C7 runs afterwards and lets every transfer pair of a track pull
-when the track's exit pair itself satisfies one of C1 to C6.  The audit
-records every pull, the final weights, and a set of verdicts: exclusivity
-of pulls per edge, conservation, the per-face weight bounds (majors stay
-nonnegative, thin minor faces keep at least 2, thick minor faces at least
-4), the side inequality they imply, and the resulting lower bound on c.  On
-a cycle that still extends, some verdict must fail; the audit reports which.
+minor f.  Their arches are found once per (g, e): C3 and C6 share the
+3-arch of g with middle e, C4 and C5 share the 4-arch of g around e with
+its far end, and C6 reads the other minor faces' 3-arches from one map
+built per ledger, keyed by middle C-edge.  C7 runs afterwards and lets
+every transfer pair of a track pull when the track's exit pair itself
+satisfies one of C1 to C6.  The audit records every pull, the final
+weights, and a set of verdicts: exclusivity of pulls per edge,
+conservation, the per-face weight bounds (majors stay nonnegative, thin
+minor faces keep at least 2, thick minor faces at least 4), the side
+inequality they imply, and the resulting lower bound on c.  On a cycle that
+still extends, some verdict must fail; the audit reports which.
 
 Preconditions: c >= 6 and no minor face with a single C-edge (such faces are
 extension fodder, not audit input).
@@ -43,13 +47,6 @@ def _three_arches(analysis, fid):
     return [a for a in analysis.arches(fid) if a.length == 3]
 
 
-def _arch_with_middle(analysis, fid, e, length):
-    for a in analysis.arches(fid):
-        if a.length == length and a.middle_position == e:
-            return a
-    return None
-
-
 def _four_arch_with_inner(analysis, fid, e):
     for a in analysis.arches(fid):
         if a.length == 4 and e in a.positions and e not in a.extremal_positions:
@@ -57,7 +54,7 @@ def _four_arch_with_inner(analysis, fid, e):
     return None
 
 
-def _cond_c2(analysis, registry, g, f, e):
+def _cond_c2(analysis, g, f):
     if analysis.is_thick(g) and analysis.m(g) == 2:
         return True
     if analysis.m(g) == 3:
@@ -71,11 +68,9 @@ def _cond_c2(analysis, registry, g, f, e):
     return False
 
 
-def _cond_c3(analysis, registry, g, f, e):
-    if analysis.m(f) < 3:
-        return False
-    b = _arch_with_middle(analysis, g, e, 3)
-    if b is None:
+def _cond_c3(analysis, g, f, e, b):
+    """b is the 3-arch of g with middle e, or None."""
+    if b is None or analysis.m(f) < 3:
         return False
     for a in _three_arches(analysis, f):
         if e in a.extremal_positions:
@@ -100,7 +95,8 @@ def _is_mono(analysis, f, e):
 
 
 def _c45_common(analysis, g, f, e):
-    """Shared setup of C4 and C5: the 4-arch of g around e and its far end."""
+    """Shared setup of C4 and C5: the 4-arch of g around e, its far end and
+    the face across that end, or None when neither condition can hold."""
     b = _four_arch_with_inner(analysis, g, e)
     if b is None:
         return None
@@ -112,24 +108,20 @@ def _c45_common(analysis, g, f, e):
         return None
     if analysis.m_shared(f, b) != 3:
         return None
-    return b, far
+    return b, far, analysis.across(g, far)
 
 
-def _cond_c4(analysis, registry, g, f, e):
-    setup = _c45_common(analysis, g, f, e)
+def _cond_c4(analysis, setup):
     if setup is None:
         return False
-    b, far = setup
-    h = analysis.across(g, far)
+    _, _, h = setup
     return analysis.is_thick(h) and analysis.m(h) == 2
 
 
-def _cond_c5(analysis, registry, g, f, e):
-    setup = _c45_common(analysis, g, f, e)
+def _cond_c5(analysis, registry, g, f, e, setup):
     if setup is None:
         return False
-    b, far = setup
-    h = analysis.across(g, far)
+    b, far, h = setup
     if (h, far) not in registry:
         return False
     c = analysis.c
@@ -147,32 +139,17 @@ def _cond_c5(analysis, registry, g, f, e):
     return True
 
 
-def _cond_c6(analysis, registry, g, f, e):
-    if not (analysis.is_thick(g) and analysis.m(g) == 4):
+def _cond_c6(analysis, g, f, e, b, three_at):
+    """b as for C3; three_at maps a middle C-edge to the minor faces with a
+    3-arch there."""
+    if b is not None or not (analysis.is_thick(g) and analysis.m(g) == 4):
         return False
     if e in analysis.proper_arch[g].extremal_positions:
         return False
     c = analysis.c
     s, _ = analysis.face_arc[g]
     far = (s + 3) % c if (e - s) % c == 1 else s
-    if _arch_with_middle(analysis, g, e, 3) is not None:
-        return False
-    for fid in analysis.minor_faces():
-        if fid == f:
-            continue
-        if _arch_with_middle(analysis, fid, far, 3) is not None:
-            return True
-    return False
-
-
-# C2 to C6, each asked only about a minor f
-_MINOR_CONDS = (
-    ("C2", _cond_c2),
-    ("C3", _cond_c3),
-    ("C4", _cond_c4),
-    ("C5", _cond_c5),
-    ("C6", _cond_c6),
-)
+    return any(fid != f for fid in three_at.get(far, ()))
 
 
 @dataclass(eq=False)
@@ -225,6 +202,12 @@ def apply_discharging(analysis):
     per_track = track_transfer_pairs(analysis)
     registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
 
+    # middle C-edge -> {minor face: its 3-arch there}, shared by C3 and C6
+    three_at = {}
+    for a in analysis.all_arches():
+        if a.length == 3:
+            three_at.setdefault(a.middle_position, {}).setdefault(a.face, a)
+
     pulls = []
     conditions_at = {}
     for g in analysis.minor_faces():
@@ -233,9 +216,16 @@ def apply_discharging(analysis):
             e = (s + i) % c
             f = analysis.across(g, e)
             if analysis.is_minor(f):
-                conds = tuple(
-                    name for name, cond in _MINOR_CONDS if cond(analysis, registry, g, f, e)
+                b = three_at.get(e, {}).get(g)
+                setup = _c45_common(analysis, g, f, e)
+                holds = (
+                    ("C2", _cond_c2(analysis, g, f)),
+                    ("C3", _cond_c3(analysis, g, f, e, b)),
+                    ("C4", _cond_c4(analysis, setup)),
+                    ("C5", _cond_c5(analysis, registry, g, f, e, setup)),
+                    ("C6", _cond_c6(analysis, g, f, e, b, three_at)),
                 )
+                conds = tuple(name for name, ok in holds if ok)
             else:
                 conds = ("C1",)
             conditions_at[(g, e)] = conds

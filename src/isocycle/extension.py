@@ -139,15 +139,11 @@ def _candidate_windows(analysis):
     try:
         ledger = apply_discharging(analysis)
     except (CycleTooShort, DegenerateSide):
-        ledger = None
-    if ledger is not None:
-        flagged = set()
-        for key in ("deficient_thin_minors", "deficient_thick_minors"):
-            flagged.update(ledger.violations[key])
-        for fid in sorted(flagged):
+        return sorted(windows)
+    for key in ("deficient_thin_minors", "deficient_thick_minors"):
+        for fid in ledger.violations[key]:
             s, m = analysis.face_arc[fid]
             add(s - 2, m + 4)
-
     return sorted(windows)
 
 

@@ -33,8 +33,6 @@ class PlaneGraph:
         faces: tuple of faces; each face is the tuple of its boundary
             vertices in tracing order.
         face_id: directed edge (u, v) -> index of the face traced from it.
-        outer_face: optional face annotation kept for serialization; the
-            combinatorial structure never depends on it.
         adj_mask: vertex index -> int bitmask of its neighbours' indices,
             built on first use (see :attr:`adj_mask`).
     """
@@ -46,7 +44,6 @@ class PlaneGraph:
     edges: tuple = field(repr=False)
     faces: tuple = field(repr=False)
     face_id: dict = field(repr=False)
-    outer_face: tuple = None
     _pos: dict = field(default=None, repr=False)
     # a declared field, not functools.cached_property: a key added to the
     # instance __dict__ after construction makes every attribute load slower
@@ -116,16 +113,6 @@ class PlaneGraph:
         b = self.face_id[(v, u)]
         return (a, b)
 
-    def across(self, face_index, u, v):
-        """The face on the other side of edge {u, v} from ``face_index``."""
-        a = self.face_id[(u, v)]
-        b = self.face_id[(v, u)]
-        if a == face_index:
-            return b
-        if b == face_index:
-            return a
-        raise KeyError(f"edge ({u}, {v}) is not on face {face_index}")
-
     def sorted_vertices(self, vs):
         return sorted(vs, key=self.index.__getitem__)
 
@@ -142,7 +129,7 @@ class PlaneGraph:
         return build_plane_graph(list(self.vertices), rotation)
 
 
-def build_plane_graph(vertices, rotation, outer_face=None):
+def build_plane_graph(vertices, rotation):
     """Validate a rotation system and return the resulting PlaneGraph.
 
     Raises NotSimple for loops or repeated edges, InconsistentRotation when
@@ -198,7 +185,6 @@ def build_plane_graph(vertices, rotation, outer_face=None):
         edges=tuple(edges),
         faces=(),
         face_id={},
-        outer_face=tuple(outer_face) if outer_face is not None else None,
     )
     faces = []
     face_id = {}
@@ -362,13 +348,10 @@ def graph_to_json_dict(g):
         if s in names.values():
             raise ParseError(f"vertex ids collide when stringified: {s!r}")
         names[v] = s
-    d = {
+    return {
         "vertices": [names[v] for v in g.vertices],
         "rotation": {names[v]: [names[w] for w in g.rotation[v]] for v in g.vertices},
     }
-    if g.outer_face is not None:
-        d["outer_face"] = [names[v] for v in g.outer_face]
-    return d
 
 
 def graph_from_json_dict(d):
@@ -386,12 +369,7 @@ def graph_from_json_dict(d):
     for v, ring in rotation.items():
         if not isinstance(ring, list) or not all(isinstance(w, str) for w in ring):
             raise ParseError(f"rotation at {v!r} must be a list of strings")
-    outer = d.get("outer_face")
-    if outer is not None and (
-        not isinstance(outer, list) or not all(isinstance(v, str) for v in outer)
-    ):
-        raise ParseError("'outer_face' must be a list of strings")
-    return build_plane_graph(vertices, rotation, outer_face=outer)
+    return build_plane_graph(vertices, rotation)
 
 
 def save_graph(g, path):

@@ -39,13 +39,9 @@ def eligible_three_arches(analysis):
     for arch in analysis.all_arches():
         if arch.length != 3:
             continue
-        p = arch.middle_position
-        u, v = analysis.edge_vertices(p)
-        fa = analysis.h.face_id[(u, v)]
-        fb = analysis.h.face_id[(v, u)]
         if any(
             analysis.is_minor(x) and analysis.is_thin(x) and analysis.m(x) == 2
-            for x in (fa, fb)
+            for x in analysis.edge_faces[arch.middle_position]
         ):
             continue
         out.append(arch)

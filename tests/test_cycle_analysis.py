@@ -3,10 +3,17 @@
 import pytest
 
 import isocycle as ic
+from conftest import short_isolating_cycles
 from isocycle.cli import analysis_report
-from isocycle.cycle_analysis import MINUS, PLUS, canonical_cycle, extension_tree
-from isocycle.errors import DegenerateSide, NotCycle, NotIsolating
-from isocycle.generators import cube, k4, wheel
+from isocycle.cycle_analysis import (
+    MINUS,
+    PLUS,
+    canonical_cycle,
+    extension_tree,
+    face_sides,
+)
+from isocycle.errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
+from isocycle.generators import cube, k4, prism, wheel
 from isocycle.oracles import hamiltonian_cycles
 
 
@@ -111,6 +118,64 @@ def test_hamiltonian_cycle_has_empty_sides():
 def test_wheel_rim_puts_hub_on_plus_side():
     a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     assert a.v_minus == () and a.v_plus == ("h",)
+
+
+def _sides_by_search(g, cycle):
+    """The face 2-colouring search that face_sides replaced, kept as the
+    reference: crossing a cycle edge switches sides, crossing any other edge
+    does not, starting from 'L' on the face traced from (v_0, v_1)."""
+    c = len(cycle)
+    cycle_edges = {g.edge(cycle[i - 1], cycle[i]) for i in range(c)}
+    side = {g.face_id[(cycle[0], cycle[1])]: "L"}
+    stack = [g.face_id[(cycle[0], cycle[1])]]
+    while stack:
+        fid = stack.pop()
+        face = g.faces[fid]
+        k = len(face)
+        for i in range(k):
+            u, v = face[i], face[(i + 1) % k]
+            other = g.face_id[(v, u)]
+            if g.edge(u, v) in cycle_edges:
+                want = "R" if side[fid] == "L" else "L"
+            else:
+                want = side[fid]
+            if other in side:
+                if side[other] != want:
+                    raise ContractViolation("inconsistent side 2-colouring")
+            else:
+                side[other] = want
+                stack.append(other)
+    if len(side) != len(g.faces):
+        raise ContractViolation("side propagation did not reach every face")
+    return side
+
+
+def test_face_sides_match_the_colouring_search(
+    ladder, cyclic_instance, hex_instance, arch_instance, sweep_sample
+):
+    # the rotation rule against a search over all faces, on the fixtures,
+    # every isolating cycle of the n=14 tight instance, the cube and the
+    # prism, and short isolating cycles of a corpus slice
+    cases = [ladder, cyclic_instance, hex_instance, arch_instance]
+    for g in (ic.gen_insertion_family(ic.octahedron()), cube(), prism()):
+        cases += [(g, cycle) for cycle in ic.oracle_isolating_cycles(g)]
+    for g in sweep_sample:
+        cases += [(g, cycle) for cycle in short_isolating_cycles(g, cap=4)]
+    assert len(cases) == 6695
+    for g, cycle in cases:
+        assert face_sides(g, cycle) == _sides_by_search(g, cycle), cycle
+
+
+def test_across_reads_the_two_faces_of_a_c_edge(ladder_analysis):
+    a = ladder_analysis
+    for p in range(a.c):
+        u, v = a.cycle[p], a.cycle[(p + 1) % a.c]
+        f, g = a.edge_faces[p]
+        assert (f, g) == (a.h.face_id[(u, v)], a.h.face_id[(v, u)])
+        assert a.across(f, p) == g and a.across(g, p) == f
+        off = next(x for x in range(len(a.h.faces)) if x not in (f, g))
+        with pytest.raises(KeyError):
+            a.across(off, p)
 
 
 def test_equator_has_no_chords():

@@ -178,6 +178,14 @@ def test_json_round_trip():
     assert {frozenset(f) for f in h.faces} == {frozenset(f) for f in g.faces}
 
 
+def test_outer_face_key_is_ignored_on_load():
+    # saved graphs carry no outer face; older documents with one still load
+    d = ic.graph_to_json_dict(ic.octahedron())
+    assert set(d) == {"vertices", "rotation"}
+    with_key = dict(d, outer_face=["a", "r0", "r1"])
+    assert ic.graph_to_json_dict(ic.graph_from_json_dict(with_key)) == d
+
+
 def test_save_and_load(tmp_path):
     g = double_wheel(6)
     path = tmp_path / "dw.json"
