@@ -7,11 +7,12 @@ the face f on the other side.  C1 holds exactly when f is major, and then
 it is the only condition that holds, so C2 to C6 are asked only about a
 minor f.  Their arches are found once per (g, e): C3 and C6 share the
 3-arch of g with middle e, C4 and C5 share the 4-arch of g around e with
-its far end, and C6 reads the other minor faces' 3-arches from one map
-built per ledger, keyed by middle C-edge.  C7 runs afterwards and lets
-every transfer pair of a track pull when the track's exit pair itself
-satisfies one of C1 to C6.  The audit records every pull, the final
-weights, and a set of verdicts: exclusivity of pulls per edge,
+its far end, and C3, C5 and C6 read the other 3-arches they ask about from
+one map built per ledger, keyed by middle C-edge: a face has a 3-arch with
+extremal C-edge e exactly when the map lists it at e - 1 or e + 1.  C7 runs
+afterwards and lets every transfer pair of a track pull when the track's
+exit pair itself satisfies one of C1 to C6.  The audit records every pull,
+the final weights, and a set of verdicts: exclusivity of pulls per edge,
 conservation, the per-face weight bounds (majors stay nonnegative, thin
 minor faces keep at least 2, thick minor faces at least 4), the side
 inequality they imply, and the resulting lower bound on c.  On a cycle that
@@ -43,8 +44,9 @@ class Pull:
     mono: bool = False
 
 
-def _three_arches(analysis, fid):
-    return [a for a in analysis.arches(fid) if a.length == 3]
+def _three_arch_ends_at(three_at, fid, e, c):
+    """Whether fid has a 3-arch ending at C-edge e (middle e - 1 or e + 1)."""
+    return any(fid in three_at.get((e + d) % c, ()) for d in (-1, 1))
 
 
 def _four_arch_with_inner(analysis, fid, e):
@@ -68,13 +70,11 @@ def _cond_c2(analysis, g, f):
     return False
 
 
-def _cond_c3(analysis, g, f, e, b):
-    """b is the 3-arch of g with middle e, or None."""
-    if b is None or analysis.m(f) < 3:
+def _cond_c3(analysis, g, f, e, b, three_at):
+    """b is the 3-arch of g with middle e, or None; three_at maps a middle
+    C-edge to the minor faces with a 3-arch there."""
+    if b is None or analysis.m(f) < 3 or _three_arch_ends_at(three_at, f, e, analysis.c):
         return False
-    for a in _three_arches(analysis, f):
-        if e in a.extremal_positions:
-            return False
     if any(analysis.is_minor(analysis.across(g, p)) is False for p in b.positions):
         return False
     g_ext = analysis.proper_arch[g].extremal_positions
@@ -118,7 +118,7 @@ def _cond_c4(analysis, setup):
     return analysis.is_thick(h) and analysis.m(h) == 2
 
 
-def _cond_c5(analysis, registry, g, f, e, setup):
+def _cond_c5(analysis, registry, g, f, e, setup, three_at):
     if setup is None:
         return False
     b, far, h = setup
@@ -132,16 +132,11 @@ def _cond_c5(analysis, registry, g, f, e, setup):
         for a in analysis.arches(fid):
             if a.length == 2 and end_vertex in (a.path[0], a.path[-1]):
                 return False
-    for fid in (f, g):
-        for a in _three_arches(analysis, fid):
-            if e in a.extremal_positions:
-                return False
-    return True
+    return not any(_three_arch_ends_at(three_at, fid, e, c) for fid in (f, g))
 
 
 def _cond_c6(analysis, g, f, e, b, three_at):
-    """b as for C3; three_at maps a middle C-edge to the minor faces with a
-    3-arch there."""
+    """b and three_at as for C3."""
     if b is not None or not (analysis.is_thick(g) and analysis.m(g) == 4):
         return False
     if e in analysis.proper_arch[g].extremal_positions:
@@ -202,7 +197,7 @@ def apply_discharging(analysis):
     per_track = track_transfer_pairs(analysis)
     registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
 
-    # middle C-edge -> {minor face: its 3-arch there}, shared by C3 and C6
+    # middle C-edge -> {minor face: its 3-arch there}, shared by C3, C5 and C6
     three_at = {}
     for a in analysis.all_arches():
         if a.length == 3:
@@ -220,9 +215,9 @@ def apply_discharging(analysis):
                 setup = _c45_common(analysis, g, f, e)
                 holds = (
                     ("C2", _cond_c2(analysis, g, f)),
-                    ("C3", _cond_c3(analysis, g, f, e, b)),
+                    ("C3", _cond_c3(analysis, g, f, e, b, three_at)),
                     ("C4", _cond_c4(analysis, setup)),
-                    ("C5", _cond_c5(analysis, registry, g, f, e, setup)),
+                    ("C5", _cond_c5(analysis, registry, g, f, e, setup, three_at)),
                     ("C6", _cond_c6(analysis, g, f, e, b, three_at)),
                 )
                 conds = tuple(name for name, ok in holds if ok)

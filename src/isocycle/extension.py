@@ -23,12 +23,12 @@ have one (the order of ``minor_faces()``, since H numbers the faces it
 shares with G in the same order).  Only when no such triangle exists is the
 cycle analysed, and the move is the reroute that adds the fewest vertices,
 the first such window in ``_candidate_windows`` order (lowest start, then
-shortest).  Only that winner is built as a Move, and no window is searched
-at a size beyond the winner's.  The fast tier checks the move it builds in
-O(Δ), Δ the number of cycle positions the move changes: every new edge is
-an edge of G, the added vertices are off the cycle and distinct, a reroute
-path covers exactly its window and the chosen extras, and the move fits the
-budget.  ``make_move`` keeps every check, for the exhaustive tier and users.
+shortest).  Only that winner is built as a Move, and no window is built
+before the search reaches it or searched at a size beyond the winner's.
+The fast tier checks the move it builds in O(Δ), Δ the number of cycle
+positions the move changes: every new edge is an edge of G, the added
+vertices are off the cycle and distinct, a reroute path covers exactly its
+window and the chosen extras, and the move fits the budget.  ``make_move`` keeps every check, for the exhaustive tier and users.
 
 ``grow_to_bound`` carries a checked cycle from step to step: the cycle, its
 vertex set, the budget (counted once per trace) and the position where the
@@ -266,9 +266,10 @@ def find_extension_fast(g, cycle):
     except ContractViolation as exc:
         logger.debug("fast tier skipped, analysis failed: %s", exc)
         return None
-    windows = [_window(g, cyc, on, *w) for w in _candidate_windows(analysis)]
+    candidates = _candidate_windows(analysis)
     for size in (1, 2, 3):
-        for window, tail, extras in windows:
+        for start, length in candidates:
+            window, tail, extras = _window(g, cyc, on, start, length)
             for chosen in combinations(extras, size):
                 path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
                 if path is not None:

@@ -342,12 +342,13 @@ def is_essentially_four_connected(g):
 
 
 def graph_to_json_dict(g):
-    names = {}
+    names, taken = {}, set()
     for v in g.vertices:
         s = v if isinstance(v, str) else str(v)
-        if s in names.values():
+        if s in taken:
             raise ParseError(f"vertex ids collide when stringified: {s!r}")
         names[v] = s
+        taken.add(s)
     return {
         "vertices": [names[v] for v in g.vertices],
         "rotation": {names[v]: [names[w] for w in g.rotation[v]] for v in g.vertices},

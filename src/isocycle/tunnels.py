@@ -2,11 +2,13 @@
 
 A 3-arch (an arch whose archway has three C-edges) is eligible when its
 middle C-edge is not a C-edge of a thin minor 2-face.  Two eligible 3-arches
-are consecutive when their archways share exactly one C-edge; the faces of
-consecutive arches always lie on opposite sides of the cycle.  Tunnels are
-the connected components of this relation: chains T_1 ... T_k whose archway
-starts advance by two positions, either open (acyclic) or wrapping around the
-whole cycle (cyclic, which forces c = 2k).
+are consecutive when their archways share exactly one C-edge, so their
+starts lie two positions apart; the faces of consecutive arches always lie
+on opposite sides of the cycle.  Each arch has at most one such mate two
+starts below it and one two starts above it, and tunnels are the chains
+T_1 ... T_k of mates, walked by archway start: either open (acyclic) or
+wrapping around the whole cycle (cyclic, which forces c = 2k).  Within a
+tunnel each start occurs once.
 
 An acyclic tunnel is walked in two directions.  Listing the arches with
 ascending archway starts gives the counterclockwise track; the reversed order
@@ -24,13 +26,14 @@ Transfer pairs formalize pulling weight along a track.  The candidate pair of
 the j-th arch B on a track is (f(B), e) with e the archway edge of B farthest
 along the track direction; it qualifies when the previous candidate qualified
 (the exit pair grounds the recursion) and the three clauses checked in
-``transfer_bullets`` hold.
+``transfer_bullets`` hold.  The witness arch of the last clause is the next
+arch on the track, the only other arch of the tunnel with e as an extremal
+edge.
 """
 
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .plane_graph import reachable
 
 
 def eligible_three_arches(analysis):
@@ -98,56 +101,44 @@ class Track:
 def find_tunnels(analysis):
     """Partition the eligible 3-arches into tunnels.
 
-    Callers read the cached ``analysis.tunnels`` instead of searching again.
+    A tunnel is the walk from an arch down to its low end, then up; it is
+    cyclic when that walk returns to its low end, and then starts at its
+    lowest start.  Callers read the cached ``analysis.tunnels`` instead.
     """
-    arches = eligible_three_arches(analysis)
-    nbrs = {i: [] for i in range(len(arches))}
-    for i in range(len(arches)):
-        for j in range(i + 1, len(arches)):
-            if consecutive(arches[i], arches[j]):
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    for i, ns in nbrs.items():
-        if len(ns) > 2:
-            raise ContractViolation("an eligible 3-arch has three consecutive mates")
-
     c = analysis.c
-    left = set(nbrs)
+    arches = eligible_three_arches(analysis)
+    at_start = {}
+    for i, a in enumerate(arches):
+        at_start.setdefault(a.start, []).append(i)
+    # (i, -2) and (i, 2) -> the mate of arch i two starts down and up, or
+    # None; ``consecutive`` rules out c = 4, where both steps land on one start
+    mates = {}
+    for i, a in enumerate(arches):
+        for step in (-2, 2):
+            near = at_start.get((a.start + step) % c, ())
+            found = [j for j in near if consecutive(a, arches[j])]
+            if len(found) > 1:
+                raise ContractViolation("an eligible 3-arch has two mates on one side")
+            mates[i, step] = found[0] if found else None
+
+    done = set()
     tunnels = []
     for i in range(len(arches)):
-        if i not in left:
+        if i in done:
             continue
-        comp = reachable(nbrs, [i], left)
-        left -= comp
-        members = sorted(comp)
-        cyclic = all(len(nbrs[x]) == 2 for x in members) and len(members) > 2
+        low = i
+        while mates[low, -2] not in (None, i):
+            low = mates[low, -2]
+        chain = [low]
+        while mates[chain[-1], 2] not in (None, low):
+            chain.append(mates[chain[-1], 2])
+        cyclic = mates[chain[-1], 2] == low
+        done.update(chain)
         if cyclic:
-            if c != 2 * len(members):
+            if c != 2 * len(chain):
                 raise ContractViolation("cyclic tunnel does not wrap the whole cycle")
-            first = min(members, key=lambda x: arches[x].start)
-        else:
-            ends = [x for x in members if len(nbrs[x]) <= 1]
-            lows = [
-                x
-                for x in ends
-                if not any(
-                    arches[y].start == (arches[x].start - 2) % c for y in members
-                )
-            ]
-            if len(lows) != 1 and len(members) > 1:
-                raise ContractViolation("tunnel chain has no unique low end")
-            first = lows[0] if lows else members[0]
-        chain = [first]
-        while len(chain) < len(members):
-            cur = arches[chain[-1]]
-            nxt = [
-                y
-                for y in nbrs[chain[-1]]
-                if y not in chain[-2:] and arches[y].start == (cur.start + 2) % c
-            ]
-            if len(nxt) != 1:
-                raise ContractViolation("tunnel chain does not advance by two")
-            chain.append(nxt[0])
+            first = min(range(len(chain)), key=lambda x: arches[chain[x]].start)
+            chain = chain[first:] + chain[:first]
         ordered = tuple(arches[x] for x in chain)
         for a, b in zip(ordered, ordered[1:]):
             if analysis.face_side[a.face] == analysis.face_side[b.face]:
@@ -215,13 +206,13 @@ def _adjacent_positions(p, q, c):
     return (p - q) % c in (1, c - 1)
 
 
-def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel):
+def transfer_bullets(analysis, g, e, arch, preceding_face, witness):
     """The three clauses a candidate pair (g, e) must satisfy.
 
     g is the face of ``arch``, e its forward archway edge, and
     preceding_face the face of the previous pair on the track (the exit face
-    for the first arch).  The witness arch in the last clause is an arch of
-    the same tunnel.
+    for the first arch).  The witness in the last clause is the next arch on
+    the track, or None for the last arch.
     """
     c = analysis.c
     if not analysis.is_thick(g):
@@ -237,20 +228,13 @@ def transfer_bullets(analysis, g, e, arch, preceding_face, tunnel):
     across_mid = analysis.across(g, arch.middle_position)
     if across_mid == f:
         return True
-    if analysis.is_minor(across_mid):
+    if analysis.is_minor(across_mid) or witness is None:
         return False
-    # across the middle lies a major face: a witness 3-arch sharing the
-    # extremal edge e must point at something minor on its far end
-    for a in tunnel.arches:
-        if a == arch:
-            continue
-        ext = a.extremal_positions
-        if e not in ext:
-            continue
-        other = ext[0] if ext[1] == e else ext[1]
-        if analysis.is_minor(analysis.across(a.face, other)):
-            return True
-    return False
+    # across the middle lies a major face: the witness 3-arch, which shares
+    # the extremal edge e, must point at something minor on its far end
+    ext = witness.extremal_positions
+    other = ext[0] if ext[1] == e else ext[1]
+    return analysis.is_minor(analysis.across(witness.face, other))
 
 
 def transfer_pairs(analysis, track):
@@ -260,7 +244,8 @@ def transfer_pairs(analysis, track):
     for order, arch in enumerate(track.arches, start=1):
         e = track.forward_position(arch)
         g = arch.face
-        if not transfer_bullets(analysis, g, e, arch, preceding, track.tunnel):
+        witness = track.arches[order] if order < len(track.arches) else None
+        if not transfer_bullets(analysis, g, e, arch, preceding, witness):
             break
         out.append(
             TransferPair(face=g, position=e, order=order, direction=track.direction)

@@ -14,7 +14,7 @@ PACKAGE_IMPORTS = {
     "errors": set(),
     "plane_graph": {"errors"},
     "oracles": {"errors"},
-    "tunnels": {"errors", "plane_graph"},
+    "tunnels": {"errors"},
     "cycle_analysis": {"errors", "plane_graph", "tunnels"},
     "discharging": {"cycle_analysis", "errors", "tunnels"},
     "extension": {"cycle_analysis", "discharging", "errors", "oracles"},

@@ -10,6 +10,7 @@ from isocycle.errors import (
     InconsistentRotation,
     NonPlanarEmbedding,
     NotSimple,
+    ParseError,
 )
 from isocycle.generators import cube, double_wheel, k4, wheel
 from isocycle.plane_graph import (
@@ -229,3 +230,16 @@ def test_sorted_vertices_orders_by_insertion():
     assert g.sorted_vertices({"r1", "a", "r0"}) == [
         v for v in g.vertices if v in {"r1", "a", "r0"}
     ]
+
+
+def test_json_rejects_ids_that_collide_when_stringified():
+    # K4 with two of its vertices renamed 1 and "1": both serialise as "1"
+    g = k4()
+    name = {v: v for v in g.vertices}
+    name.update(zip(g.vertices, (1, "1")))
+    h = ic.build_plane_graph(
+        [name[v] for v in g.vertices],
+        {name[v]: [name[w] for w in g.rotation[v]] for v in g.vertices},
+    )
+    with pytest.raises(ParseError, match="'1'"):
+        ic.graph_to_json_dict(h)

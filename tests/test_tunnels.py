@@ -1,11 +1,14 @@
 """Eligible 3-arches, tunnels, tracks, on-track, transfer pairs."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import isocycle as ic
 from isocycle.cli import analysis_report
+from isocycle.cycle_analysis import Arch
+from isocycle.errors import ContractViolation
 from isocycle.extension import _candidate_windows
 from isocycle.tunnels import (
     consecutive,
@@ -92,6 +95,57 @@ def test_two_isolated_three_arches_stay_separate(arch_analysis):
     tunnels = find_tunnels(arch_analysis)
     assert [(t.k, t.cyclic) for t in tunnels] == [(1, False), (1, False)]
     assert sorted(t.arches[0].start for t in tunnels) == [0, 5]
+
+
+# -- tunnel invariants on hand-built arch sets ---------------------------------
+
+
+def stand_in(c, placed):
+    """An analysis holding just what find_tunnels reads.
+
+    placed lists (archway start, side) per 3-arch, each on a face of its
+    own; with no minor faces every 3-arch is eligible.
+    """
+    arches = [Arch(face, "proper", (), start, 3, c) for face, (start, _) in enumerate(placed)]
+    return SimpleNamespace(
+        c=c,
+        all_arches=lambda: arches,
+        edge_faces=[()] * c,
+        is_minor=lambda f: False,
+        is_thin=lambda f: False,
+        m=lambda f: 0,
+        face_side={face: side for face, (_, side) in enumerate(placed)},
+    )
+
+
+@pytest.mark.parametrize(
+    "c, placed, faces",
+    [
+        # a ladder: one open tunnel, listed from its low end
+        (12, [(2, "R"), (0, "L"), (4, "L")], [(False, [1, 0, 2])]),
+        # a ring wrapping c = 2k, listed from its lowest start
+        (8, [(4, "L"), (2, "R"), (6, "R"), (0, "L")], [(True, [3, 1, 0, 2])]),
+        # arches at one start are not consecutive; the tie keeps arch order
+        (12, [(3, "L"), (3, "R")], [(False, [0]), (False, [1])]),
+    ],
+)
+def test_hand_built_tunnels(c, placed, faces):
+    tunnels = find_tunnels(stand_in(c, placed))
+    assert [(t.cyclic, [A.face for A in t.arches]) for t in tunnels] == faces
+
+
+@pytest.mark.parametrize(
+    "c, placed",
+    [
+        (12, [(0, "L"), (2, "R"), (2, "R")]),  # two mates above one arch
+        (12, [(2, "L"), (0, "R"), (0, "R")]),  # two mates below one arch
+        (5, [(0, "L"), (2, "R"), (4, "L"), (1, "R"), (3, "L")]),  # wraps twice
+        (12, [(0, "L"), (2, "L")]),  # consecutive arches on one side
+    ],
+)
+def test_malformed_arch_sets_raise(c, placed):
+    with pytest.raises(ContractViolation):
+        find_tunnels(stand_in(c, placed))
 
 
 # -- tracks --------------------------------------------------------------------
