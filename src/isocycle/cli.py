@@ -31,7 +31,7 @@ from .plane_graph import (
     is_three_connected,
     load_graph,
 )
-from .tunnels import tracks, transfer_pairs
+from .tunnels import tracks
 
 
 class UsageError(Exception):
@@ -97,20 +97,18 @@ def _tunnel_report(analysis):
             ],
         }
         if not tunnel.cyclic:
-            entry["tracks"] = []
-            for track in tracks(analysis, tunnel):
-                pairs = transfer_pairs(analysis, track)
-                entry["tracks"].append(
-                    {
-                        "direction": track.direction,
-                        "exit_face": track.exit_face,
-                        "exit_position": track.exit_position,
-                        "transfer_pairs": [
-                            {"face": p.face, "position": p.position, "order": p.order}
-                            for p in pairs
-                        ],
-                    }
-                )
+            entry["tracks"] = [
+                {
+                    "direction": track.direction,
+                    "exit_face": track.exit_face,
+                    "exit_position": track.exit_position,
+                    "transfer_pairs": [
+                        {"face": face, "position": e, "order": order}
+                        for order, (face, e) in enumerate(track.pairs, start=1)
+                    ],
+                }
+                for track in tracks(analysis, tunnel)
+            ]
         out.append(entry)
     return out
 

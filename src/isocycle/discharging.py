@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cycle_analysis import MINUS, PLUS
 from .errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
-from .tunnels import track_transfer_pairs
+from .tunnels import tracks
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -193,9 +193,15 @@ def apply_discharging(analysis):
                 f"minor face {fid} has a single C-edge; extend across it first"
             )
 
-    # each track's transfer pairs, shared by C5 (via their keys) and C7
-    per_track = track_transfer_pairs(analysis)
-    registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
+    # the tracks of the acyclic tunnels: C5 asks their transfer pairs, C7
+    # pulls along them
+    all_tracks = [
+        track
+        for tunnel in analysis.tunnels
+        if not tunnel.cyclic
+        for track in tracks(analysis, tunnel)
+    ]
+    registry = {pair for track in all_tracks for pair in track.pairs}
 
     # middle C-edge -> {minor face: its 3-arch there}, shared by C3, C5 and C6
     three_at = {}
@@ -235,19 +241,18 @@ def apply_discharging(analysis):
                     )
                 )
 
-    for track, pairs in per_track:
-        exit_face, exit_pos = track.exit_pair
-        if not analysis.is_minor(exit_face):
+    for track in all_tracks:
+        if not analysis.is_minor(track.exit_face):
             continue
-        if not conditions_at.get((exit_face, exit_pos)):
+        if not conditions_at.get((track.exit_face, track.exit_position)):
             continue
-        for pair in pairs:
+        for face, e in track.pairs:
             pulls.append(
                 Pull(
                     condition="C7",
-                    taker=pair.face,
-                    giver=analysis.across(pair.face, pair.position),
-                    position=pair.position,
+                    taker=face,
+                    giver=analysis.across(face, e),
+                    position=e,
                 )
             )
 

@@ -143,8 +143,8 @@ def build_plane_graph(vertices, rotation):
             raise NotSimple(f"vertex {v!r} listed twice")
         seen.add(v)
     if set(rotation) != seen:
-        extra = set(rotation) - seen
-        missing = seen - set(rotation)
+        extra = sorted(set(rotation) - seen, key=str)
+        missing = sorted(seen - set(rotation), key=str)
         raise InconsistentRotation(
             f"rotation keys do not match vertices (extra={extra}, missing={missing})"
         )

@@ -22,13 +22,14 @@ on-track relation: the pair distance is the gap between the edge positions
 along the span, and two pairs are on-track exactly when (faces on the same
 side) coincides with (distance divisible by four).
 
-Transfer pairs formalize pulling weight along a track.  The candidate pair of
-the j-th arch B on a track is (f(B), e) with e the archway edge of B farthest
-along the track direction; it qualifies when the previous candidate qualified
-(the exit pair grounds the recursion) and the three clauses checked in
-``transfer_bullets`` hold.  The witness arch of the last clause is the next
-arch on the track, the only other arch of the tunnel with e as an extremal
-edge.
+Transfer pairs formalize pulling weight along a track, and each track
+carries its own as (face, C-edge) pairs in order from the exit.  The
+candidate pair of the j-th arch B on a track is (f(B), e) with e the
+archway edge of B farthest along the track direction; it qualifies when the
+previous candidate qualified (the exit pair grounds the recursion) and the
+three clauses checked in ``_transfer_bullets`` hold.  The witness arch of
+the last clause is the next arch on the track, the only other arch of the
+tunnel with e as an extremal edge.
 """
 
 from dataclasses import dataclass
@@ -62,40 +63,21 @@ class Tunnel:
 
     arches: tuple
     cyclic: bool
-    cycle_length: int
 
     @property
     def k(self):
         return len(self.arches)
 
-    def arc_index(self, p):
-        """Offset of the C-edge position p along the tunnel span."""
-        idx = (p - self.arches[0].start) % self.cycle_length
-        limit = self.cycle_length if self.cyclic else 2 * self.k + 1
-        if idx >= limit:
-            raise ValueError(f"C-edge {p} is not on the tunnel span")
-        return idx
-
 
 @dataclass(eq=False)
 class Track:
-    """One direction of walking an acyclic tunnel."""
+    """One direction of walking an acyclic tunnel, with its transfer pairs."""
 
-    tunnel: Tunnel
     direction: str  # 'ccw' (ascending starts) or 'cw'
     arches: tuple
     exit_face: int
     exit_position: int
-
-    @property
-    def exit_pair(self):
-        return (self.exit_face, self.exit_position)
-
-    def forward_position(self, arch):
-        """The archway edge of an arch farthest along the track direction."""
-        if self.direction == "ccw":
-            return (arch.start + 2) % arch.cycle_length
-        return arch.start
+    pairs: tuple  # (face, C-edge position) transfer pairs, in order from the exit
 
 
 def find_tunnels(analysis):
@@ -140,10 +122,11 @@ def find_tunnels(analysis):
             first = min(range(len(chain)), key=lambda x: arches[chain[x]].start)
             chain = chain[first:] + chain[:first]
         ordered = tuple(arches[x] for x in chain)
-        for a, b in zip(ordered, ordered[1:]):
+        following = ordered[1:] + ordered[:1] if cyclic else ordered[1:]
+        for a, b in zip(ordered, following):
             if analysis.face_side[a.face] == analysis.face_side[b.face]:
                 raise ContractViolation("consecutive tunnel arches on the same side")
-        tunnels.append(Tunnel(arches=ordered, cyclic=cyclic, cycle_length=c))
+        tunnels.append(Tunnel(arches=ordered, cyclic=cyclic))
     tunnels.sort(key=lambda t: t.arches[0].start)
     return tunnels
 
@@ -153,25 +136,25 @@ def tracks(analysis, tunnel):
     if tunnel.cyclic:
         raise ValueError("cyclic tunnels have no tracks")
     c = analysis.c
-    low = tunnel.arches[0]
-    high = tunnel.arches[-1]
-    low_edge = low.start
-    high_edge = (high.start + 2) % c
-    ccw = Track(
-        tunnel=tunnel,
-        direction="ccw",
-        arches=tunnel.arches,
-        exit_face=analysis.across(low.face, low_edge),
-        exit_position=low_edge,
-    )
-    cw = Track(
-        tunnel=tunnel,
-        direction="cw",
-        arches=tuple(reversed(tunnel.arches)),
-        exit_face=analysis.across(high.face, high_edge),
-        exit_position=high_edge,
-    )
-    return ccw, cw
+    out = []
+    # forward: offset from an archway start to the edge farthest along the
+    # track; the exit edge is the first arch's edge at the other end
+    for direction, arches, forward in (
+        ("ccw", tunnel.arches, 2),
+        ("cw", tunnel.arches[::-1], 0),
+    ):
+        exit_position = (arches[0].start + 2 - forward) % c
+        exit_face = analysis.across(arches[0].face, exit_position)
+        pairs = []
+        preceding = exit_face
+        for arch, witness in zip(arches, arches[1:] + (None,)):
+            e = (arch.start + forward) % c
+            if not _transfer_bullets(analysis, arch, e, preceding, witness):
+                break
+            pairs.append((arch.face, e))
+            preceding = arch.face
+        out.append(Track(direction, arches, exit_face, exit_position, tuple(pairs)))
+    return tuple(out)
 
 
 def on_track(analysis, tunnel, pair_a, pair_b):
@@ -184,37 +167,33 @@ def on_track(analysis, tunnel, pair_a, pair_b):
     """
     if tunnel.cyclic:
         raise ValueError("the on-track relation needs an acyclic tunnel")
+
+    def offset(p):
+        idx = (p - tunnel.arches[0].start) % analysis.c
+        if idx > 2 * tunnel.k:
+            raise ValueError(f"C-edge {p} is not on the tunnel span")
+        return idx
+
     fa, pa = pair_a
     fb, pb = pair_b
-    ia = tunnel.arc_index(pa)
-    ib = tunnel.arc_index(pb)
     same_side = analysis.face_side[fa] == analysis.face_side[fb]
-    return same_side == (abs(ia - ib) % 4 == 0)
-
-
-@dataclass(frozen=True)
-class TransferPair:
-    """A qualified candidate pair on a track, with its chain position."""
-
-    face: int
-    position: int
-    order: int
-    direction: str
+    return same_side == ((offset(pa) - offset(pb)) % 4 == 0)
 
 
 def _adjacent_positions(p, q, c):
     return (p - q) % c in (1, c - 1)
 
 
-def transfer_bullets(analysis, g, e, arch, preceding_face, witness):
-    """The three clauses a candidate pair (g, e) must satisfy.
+def _transfer_bullets(analysis, arch, e, preceding_face, witness):
+    """The three clauses a candidate pair (f(arch), e) must satisfy.
 
-    g is the face of ``arch``, e its forward archway edge, and
-    preceding_face the face of the previous pair on the track (the exit face
-    for the first arch).  The witness in the last clause is the next arch on
-    the track, or None for the last arch.
+    e is the forward archway edge of ``arch``, and preceding_face the face
+    of the previous pair on the track (the exit face for the first arch).
+    The witness in the last clause is the next arch on the track, or None
+    for the last arch.
     """
     c = analysis.c
+    g = arch.face
     if not analysis.is_thick(g):
         return False
     f = analysis.across(g, e)
@@ -235,38 +214,3 @@ def transfer_bullets(analysis, g, e, arch, preceding_face, witness):
     ext = witness.extremal_positions
     other = ext[0] if ext[1] == e else ext[1]
     return analysis.is_minor(analysis.across(witness.face, other))
-
-
-def transfer_pairs(analysis, track):
-    """Transfer pairs of a track, in order from the exit."""
-    out = []
-    preceding = track.exit_face
-    for order, arch in enumerate(track.arches, start=1):
-        e = track.forward_position(arch)
-        g = arch.face
-        witness = track.arches[order] if order < len(track.arches) else None
-        if not transfer_bullets(analysis, g, e, arch, preceding, witness):
-            break
-        out.append(
-            TransferPair(face=g, position=e, order=order, direction=track.direction)
-        )
-        preceding = g
-    return out
-
-
-def track_transfer_pairs(analysis):
-    """(track, its transfer pairs) for both tracks of every acyclic tunnel."""
-    return [
-        (track, transfer_pairs(analysis, track))
-        for tunnel in analysis.tunnels
-        if not tunnel.cyclic
-        for track in tracks(analysis, tunnel)
-    ]
-
-
-def is_transfer_pair(analysis, face, position, track):
-    """The transfer-pair record for (face, position) on this track, if any."""
-    for pair in transfer_pairs(analysis, track):
-        if pair.face == face and pair.position == position:
-            return pair
-    return None

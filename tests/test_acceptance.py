@@ -20,10 +20,8 @@ from isocycle.plane_graph import is_essentially_four_connected
 from isocycle.tunnels import (
     eligible_three_arches,
     find_tunnels,
-    is_transfer_pair,
     on_track,
     tracks,
-    transfer_pairs,
 )
 
 
@@ -203,12 +201,9 @@ def test_criterion_6_tunnel_machinery(
 
         trks = tracks(a, t)
         ccw = trks[0] if trks[0].direction == "ccw" else trks[1]
-        found = [(p.face, p.position) for p in transfer_pairs(a, ccw)]
-        assert found == [(0, 2), (2, 4), (7, 6)]
-        for face, pos in found:
-            assert is_transfer_pair(a, face, pos, ccw) is not None
-        assert is_transfer_pair(a, 9, 8, ccw) is None
-        assert is_transfer_pair(a, 11, 10, ccw) is None
+        assert ccw.pairs == ((0, 2), (2, 4), (7, 6))
+        assert (9, 8) not in ccw.pairs
+        assert (11, 10) not in ccw.pairs
         info["detail"] = "partition + on-track table + 3 positives, 2 negatives"
 
 

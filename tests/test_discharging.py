@@ -8,6 +8,8 @@ import isocycle as ic
 from conftest import AUDITABLE_CORPUS_CYCLE
 from isocycle.errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
 from isocycle.generators import wheel
+from isocycle.plane_graph import graph_from_json_dict
+from isocycle.tunnels import tracks
 
 
 def pull_rows(ledger):
@@ -166,3 +168,83 @@ def test_pinned_corpus_cycle_exercises_condition_seven(sweep_corpus):
         ("C7", 3, 8), ("C7", 6, 4), ("C7", 7, 5),
     ]
     assert led.checks["conservation"] and led.checks["conditions_exclusive"]
+
+
+# -- the first instances where C4 and C5 fire ---------------------------------------
+
+# Both are 3-connected non-triangulations with one face of size five; on
+# triangulations neither condition has been seen to fire.
+C4_INSTANCE = {
+    "vertices": ["h", "r0", "r1", "r2", "t0", "t1", "t2", "t3", "t4"],
+    "rotation": {
+        "h": ["t0", "t3", "r1", "r0", "t2", "t4"],
+        "r0": ["h", "r1", "r2", "t2"],
+        "r1": ["h", "t3", "r0"],
+        "r2": ["t4", "t1", "r0", "t0"],
+        "t0": ["h", "r2", "t3"],
+        "t1": ["t2", "r2", "t4"],
+        "t2": ["h", "r0", "t1"],
+        "t3": ["h", "t0", "r1"],
+        "t4": ["h", "t1", "r2"],
+    },
+}
+C4_CYCLE = ("h", "t0", "t3", "r1", "r0", "r2", "t1", "t4")
+
+C5_INSTANCE = {
+    "vertices": ["h", "r0", "r1", "r2", "t0", "t1", "t2", "t3", "t4", "t5", "t6"],
+    "rotation": {
+        "h": ["r2", "r1", "t1", "r0", "t4", "t2"],
+        "r0": ["h", "t1", "t3", "t6", "t5", "t0", "t4"],
+        "r1": ["h", "t3", "t1"],
+        "r2": ["h", "t2", "t0", "t5", "t6"],
+        "t0": ["t4", "r0", "t5", "r2", "t2"],
+        "t1": ["h", "r1", "r0"],
+        "t2": ["h", "t0", "r2"],
+        "t3": ["r0", "r1", "t6"],
+        "t4": ["h", "r0", "t0"],
+        "t5": ["r0", "r2", "t0"],
+        "t6": ["r0", "t3", "r2"],
+    },
+}
+C5_CYCLE = ("h", "r2", "t6", "t3", "r1", "t1", "r0", "t4", "t0", "t2")
+
+
+@pytest.mark.parametrize(
+    "doc, cycle, size, name, pull, failed",
+    [
+        (C4_INSTANCE, C4_CYCLE, (9, 16), "C4", (3, 1, 2), "thin_minors_keep_two"),
+        (C5_INSTANCE, C5_CYCLE, (11, 22), "C5", (1, 6, 2), "thick_minors_keep_four"),
+    ],
+    ids=["C4", "C5"],
+)
+def test_pinned_instance_fires_condition(doc, cycle, size, name, pull, failed):
+    g = graph_from_json_dict(doc)
+    assert (g.n, len(g.edges)) == size
+    assert ic.is_three_connected(g)
+    assert sorted(len(f) for f in g.faces).count(5) == 1
+    led = ic.apply_discharging(ic.analyze_cycle(g, cycle))
+    taker, giver, position = pull
+    holds = [key for key, conds in led.conditions_at.items() if name in conds]
+    assert holds == [(taker, position)]
+    assert led.conditions_at[(taker, position)] == (name,)
+    assert [
+        (p.condition, p.taker, p.giver, p.position)
+        for p in led.pulls
+        if p.condition in ("C4", "C5")
+    ] == [(name, taker, giver, position)]
+    assert [check for check, ok in led.checks.items() if not ok] == [failed]
+
+
+def test_c5_instance_rests_on_a_transfer_pair():
+    # C5 at (1, 2) asks whether (0, 0) is a transfer pair: face 0 lies
+    # across C-edge 0, the far end of face 1's 4-arch.  It is the one pair
+    # of the counterclockwise track of the tunnel at start 8.
+    a = ic.analyze_cycle(graph_from_json_dict(C5_INSTANCE), C5_CYCLE)
+    assert [
+        (t.arches[0].start, track.direction, track.pairs)
+        for t in a.tunnels
+        for track in tracks(a, t)
+    ] == [
+        (3, "ccw", ()), (3, "cw", ()), (7, "ccw", ()), (7, "cw", ()),
+        (8, "ccw", ((0, 0),)), (8, "cw", ((0, 8),)),
+    ]

@@ -27,6 +27,23 @@ def test_named_graph_lookup():
         assert ic.is_three_connected(g)
     with pytest.raises(UnknownName):
         ic.named_graph("dodecahedron-but-misspelled")
+    assert ic.named_graph("wheel:7").n == 8
+    assert ic.named_graph("double-wheel:5").n == 7
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("wheel:x", UnknownName),
+        ("double_wheel:", UnknownName),
+        ("cylinder:5", UnknownName),
+        ("wheel:2", SizeTooSmall),
+        ("double-wheel:2", SizeTooSmall),
+    ],
+)
+def test_named_graph_rejects_bad_names(name, error):
+    with pytest.raises(error):
+        ic.named_graph(name)
 
 
 def test_wheel_shape():

@@ -75,6 +75,52 @@ def test_rejects_nonplanar_rotation():
         ic.build_plane_graph(vs, rotation)
 
 
+NOT_A_LIST = "'vertices' must be a list of strings"
+NOT_A_RING = "rotation at 'a' must be a list of strings"
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ([], ParseError, "graph document must be a JSON object"),
+        ({"rotation": {}}, ParseError, "missing key 'vertices'"),
+        ({"vertices": []}, ParseError, "missing key 'rotation'"),
+        ({"vertices": "ab", "rotation": {}}, ParseError, NOT_A_LIST),
+        ({"vertices": ["a", 1], "rotation": {}}, ParseError, NOT_A_LIST),
+        ({"vertices": ["a"], "rotation": []}, ParseError, "'rotation' must be an object"),
+        ({"vertices": ["a"], "rotation": {"a": "b"}}, ParseError, NOT_A_RING),
+        ({"vertices": ["a"], "rotation": {"a": [None]}}, ParseError, NOT_A_RING),
+        ({"vertices": ["a", "a"], "rotation": {"a": []}}, NotSimple, "vertex 'a' listed twice"),
+        (
+            {"vertices": ["a", "b", "c", "d"], "rotation": {"a": [], "x": [], "y": []}},
+            InconsistentRotation,
+            "rotation keys do not match vertices"
+            " (extra=['x', 'y'], missing=['b', 'c', 'd'])",
+        ),
+        (
+            {"vertices": ["a", "b"], "rotation": {"a": ["b", "z"], "b": ["a"]}},
+            InconsistentRotation,
+            "unknown neighbour 'z' at 'a'",
+        ),
+        (
+            {
+                "vertices": ["a", "b", "c", "x", "y", "z"],
+                "rotation": {
+                    "a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"],
+                    "x": ["y", "z"], "y": ["z", "x"], "z": ["x", "y"],
+                },
+            },
+            NonPlanarEmbedding,
+            "graph is not connected",
+        ),
+    ],
+)
+def test_graph_document_validation(doc, error, message):
+    with pytest.raises(error) as info:
+        ic.graph_from_json_dict(doc)
+    assert str(info.value) == message
+
+
 def test_graph_from_faces_rejects_reused_dart():
     with pytest.raises(InconsistentRotation):
         ic.graph_from_faces([("a", "b", "c"), ("a", "b", "d")])

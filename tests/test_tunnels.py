@@ -14,11 +14,8 @@ from isocycle.tunnels import (
     consecutive,
     eligible_three_arches,
     find_tunnels,
-    is_transfer_pair,
     on_track,
-    track_transfer_pairs,
     tracks,
-    transfer_pairs,
 )
 
 
@@ -141,6 +138,7 @@ def test_hand_built_tunnels(c, placed, faces):
         (12, [(2, "L"), (0, "R"), (0, "R")]),  # two mates below one arch
         (5, [(0, "L"), (2, "R"), (4, "L"), (1, "R"), (3, "L")]),  # wraps twice
         (12, [(0, "L"), (2, "L")]),  # consecutive arches on one side
+        (6, [(0, "L"), (2, "R"), (4, "L")]),  # a ring whose last and first share a side
     ],
 )
 def test_malformed_arch_sets_raise(c, placed):
@@ -167,7 +165,7 @@ def test_cyclic_tunnel_has_no_tracks(cyclic_instance):
     with pytest.raises(ValueError):
         tracks(a, t)
     # the only tunnel is cyclic, so there is no track to pull along
-    assert track_transfer_pairs(a) == []
+    assert [t.cyclic for t in a.tunnels] == [True]
 
 
 def test_build_tunnels_wrapper(ladder_analysis):
@@ -193,6 +191,9 @@ def test_on_track_truth_table(ladder_analysis):
         assert not on_track(a, t, exit_pair, pair), pair
     # pairs on opposite sides four steps apart are on track with each other
     assert on_track(a, t, (7, 4), (9, 10))
+    # C-edge 13 lies past the span's last edge, 10
+    with pytest.raises(ValueError, match="C-edge 13 is not on the tunnel span"):
+        on_track(a, t, exit_pair, (12, 13))
 
 
 def test_on_track_is_symmetric(ladder_analysis):
@@ -209,40 +210,39 @@ def test_on_track_is_symmetric(ladder_analysis):
 
 def test_ladder_transfer_pairs(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
-    assert [(p.face, p.position) for p in transfer_pairs(ladder_analysis, ccw)] == [
-        (0, 2), (2, 4), (7, 6)
-    ]
+    assert ccw.pairs == ((0, 2), (2, 4), (7, 6))
     # the clockwise chain dies immediately: the face across its first
     # candidate edge is the preceding tunnel face itself
-    assert transfer_pairs(ladder_analysis, cw) == []
+    assert cw.pairs == ()
 
 
 def test_ladder_transfer_negatives(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
     # (9, 8): across the merged face the edge is neither extremal nor next
     # to an extremal one, so the chain breaks there
-    assert is_transfer_pair(ladder_analysis, 9, 8, ccw) is None
+    assert (9, 8) not in ccw.pairs
     # (11, 10): past the break nothing further qualifies
-    assert is_transfer_pair(ladder_analysis, 11, 10, ccw) is None
+    assert (11, 10) not in ccw.pairs
 
 
 def test_is_transfer_pair_positive_lookup(ladder_analysis):
     t, ccw, cw = get_tracks(ladder_analysis)
-    for face, pos in [(0, 2), (2, 4), (7, 6)]:
-        p = is_transfer_pair(ladder_analysis, face, pos, ccw)
-        assert (p.face, p.position) == (face, pos)
+    for pair in [(0, 2), (2, 4), (7, 6)]:
+        assert pair in ccw.pairs
 
 
 def test_transfer_registry_and_arches(ladder_analysis):
     # the transfer pairs over all tracks, keyed by (face, edge)
-    per_track = track_transfer_pairs(ladder_analysis)
-    registry = {(p.face, p.position) for _, pairs in per_track for p in pairs}
+    all_tracks = [
+        track for t in ladder_analysis.tunnels for track in tracks(ladder_analysis, t)
+    ]
+    registry = {pair for track in all_tracks for pair in track.pairs}
     assert sorted(registry) == [(0, 2), (2, 4), (7, 6)]
-    assert [(track.direction, len(pairs)) for track, pairs in per_track] == [
+    assert [(track.direction, len(track.pairs)) for track in all_tracks] == [
         ("ccw", 3), ("cw", 0)
     ]
     # the arches whose candidate pair qualified, on either track
-    qualified = [A for track, pairs in per_track for A in track.arches[: len(pairs)]]
+    qualified = [A for track in all_tracks for A in track.arches[: len(track.pairs)]]
     assert [(A.face, A.start) for A in qualified] == [(0, 0), (2, 2), (7, 4)]
 
 
