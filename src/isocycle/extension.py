@@ -28,7 +28,8 @@ before the search reaches it or searched at a size beyond the winner's.
 The fast tier checks the move it builds in O(Δ), Δ the number of cycle
 positions the move changes: every new edge is an edge of G, the added
 vertices are off the cycle and distinct, a reroute path covers exactly its
-window and the chosen extras, and the move fits the budget.  ``make_move`` keeps every check, for the exhaustive tier and users.
+window and the chosen extras, and the move fits the budget.  ``make_move``
+keeps every check, for users.
 
 ``grow_to_bound`` carries a checked cycle from step to step: the cycle, its
 vertex set, the budget (counted once per trace) and the position where the
@@ -44,8 +45,10 @@ besides copying the new cycle tuple.
 
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
-and growth traces count how often it was needed.  Both tiers, and the growth
-loop, raise NotIsolating on a start cycle that is not isolating.
+and growth traces count how often it was needed.  It checks its start cycle
+at entry and the cycle it finds on its vertex set, and never re-checks the
+start through ``make_move``.  Both tiers, and the growth loop, raise
+NotIsolating on a start cycle that is not isolating.
 """
 
 import logging
@@ -283,15 +286,25 @@ def find_extension_fast(g, cycle):
 
 
 def find_extension_exhaustive(g, cycle):
-    """Try every small off-cycle vertex set, smallest first."""
+    """Try every small off-cycle vertex set, smallest first.
+
+    The start cycle is checked once, at entry.  The move is checked where
+    it is new: the found cycle must be a cycle of g through exactly the old
+    vertices and the chosen ones, which the loop keeps within the budget.
+    """
     cyc = check_isolating(g, cycle)
     on = set(cyc)
     off = [v for v in g.vertices if v not in on]
     budget = min(extension_budget(g), len(off))
     for size in range(1, budget + 1):
+        # off is in index order, so each chosen tuple is sorted
         for chosen in combinations(off, size):
-            for found in hamiltonian_cycles(g, on | set(chosen)):
-                return make_move(g, cyc, found, "exhaustive")
+            keep = on.union(chosen)
+            for found in hamiltonian_cycles(g, keep):
+                new = check_cycle(g, found)
+                if set(new) != keep:
+                    raise InvalidMove("the cycle found misses the old or chosen vertices")
+                return Move(new_cycle=new, added=chosen, pattern="exhaustive")
     return None
 
 
@@ -364,7 +377,7 @@ def grow_to_bound(g, cycle, tier2_only=False):
     final cycle; in between, the fast tier is handed the growth state of the
     module docstring (checked cycle, vertex set, budget, apex scan position)
     and checks each move in O(Δ), while an exhaustive fallback gets the
-    plain cycle and every check of ``make_move``.
+    plain cycle, checks it in full and checks the cycle it finds.
 
     Raises NotIsolating unless the start cycle is isolating, and
     ExtensionNotFound (with diagnostics) if some step finds no move; for a

@@ -13,8 +13,15 @@ neighbours from ``PlaneGraph.adj_mask`` and try them lowest bit first, which
 is index order.  Both prunes of the Hamiltonian search cut only branches
 that have no Hamiltonian completion, so the depth-first order alone fixes
 which paths come out and in what order; a sound prune, however it is
-computed, never changes that sequence.  The masks cost about n^2/8 bytes
-per graph and are built the first time a search runs on it.
+computed, never changes that sequence.  The connectivity prune keeps an
+invariant: the unvisited set U is connected, since the rest of a completion
+is a path through all of U.  One flood checks it at the root.  Below the
+root U was connected before the head left it, so U stays connected when
+the head's unvisited neighbours are connected among themselves; that local
+check floods a few bits, and all of U is flooded only when it fails.
+
+The masks cost about n^2/8 bytes per graph and are built the first time a
+search runs on it.
 
 The module depends only on ``errors``.  Nothing here reads the cycle
 analysis or the extension engine that the oracles are used to check.
@@ -48,9 +55,12 @@ def _hamiltonian_paths(g, vertices, s, t):
     oriented so the second vertex has lower index than the last.  The search
     tries neighbours in index order and cuts a branch when an unvisited
     vertex other than t has fewer than two usable neighbours (unvisited
-    ones, the head or t), or when the head cannot reach every unvisited
-    vertex.  Stepping off a head only takes it out of its neighbours'
-    usable sets, so below the root the degree check looks at those alone.
+    ones, the head or t), or when the unvisited set is not connected.
+    Stepping off a head only takes it out of its neighbours' usable sets, so
+    below the root the degree check looks at those alone.  Likewise the
+    unvisited set, connected at the parent with the head in it, can only
+    split at the head: it is checked whole at the root, and below it only
+    when the head's unvisited neighbours are not connected among themselves.
     """
     index = g.index
     masks = g.adj_mask
@@ -81,9 +91,15 @@ def _hamiltonian_paths(g, vertices, s, t):
             if x & (x - 1) == 0:
                 return
             suspects ^= low
+        # unvisited | head was connected, so unvisited is too when head's
+        # unvisited neighbours are connected among themselves; all of
+        # unvisited is flooded only where head may be a cut vertex
         step = masks[head] & unvisited
-        if _flood(masks, step, unvisited) != unvisited:
-            return
+        low = step & -step
+        if step != low:
+            part = _flood(masks, low, step)
+            if part != step and _flood(masks, part, unvisited) != unvisited:
+                return
         # leaving head takes it out of the usable set of its neighbours
         around = step & ~tbit
         if unvisited != tbit:
@@ -96,6 +112,8 @@ def _hamiltonian_paths(g, vertices, s, t):
             step ^= low
 
     unvisited = vmask & ~sbit
+    if _flood(masks, unvisited & -unvisited, unvisited) != unvisited:
+        return
     yield from rec(si, unvisited, unvisited & ~tbit)
 
 
@@ -173,25 +191,23 @@ def independent_sets_of_size(g, k):
     """Yield every independent set of exactly k vertices, in index order."""
     order = g.vertices
     masks = g.adj_mask
-    n = len(order)
 
-    def rec(i, chosen, blocked):
+    def rec(free, chosen):
+        # free: the vertices after the last chosen one with no chosen neighbour
         if len(chosen) == k:
             yield tuple(chosen)
             return
-        if n - i < k - len(chosen):
+        if free.bit_count() < k - len(chosen):
             return
-        for j in range(i, n):
-            if blocked >> j & 1:
-                continue
+        while free:
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
             chosen.append(order[j])
-            yield from rec(j + 1, chosen, blocked | masks[j])
+            yield from rec(free & ~masks[j], chosen)
             chosen.pop()
 
-    if k == 0:
-        yield ()
-    else:
-        yield from rec(0, [], 0)
+    yield from rec((1 << len(order)) - 1, [])
 
 
 def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, limit=30):

@@ -18,6 +18,8 @@ EQUATOR = ("r0", "r1", "r2", "r3")
 # a face triangle of the octahedron: b, r2 and r3 stay off it and are
 # pairwise adjacent, so the triangle is a cycle but not an isolating one
 TRIANGLE = ("a", "r0", "r1")
+# an isolating 6-cycle of the cube: the cube is bipartite, so it grows by two
+CUBE_SIX = ("v4", "v5", "v1", "v2", "v3", "v7")
 
 
 def test_isolation_bound_values():
@@ -106,6 +108,28 @@ def test_exhaustive_tier_rejects_non_isolating_start():
         ic.find_extension_exhaustive(ic.octahedron(), TRIANGLE)
 
 
+def test_exhaustive_tier_checks_without_make_move(monkeypatch, sweep_sample):
+    # the exhaustive tier checks its start at entry and the cycle it finds
+    # on the chosen vertex set, and no longer re-checks the start through
+    # make_move; its moves still equal the ones make_move's checks build
+    def refuse(*args):
+        raise AssertionError("find_extension_exhaustive called make_move")
+
+    jobs = [(cube(), [CUBE_SIX])]
+    jobs += [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
+    with monkeypatch.context() as m:
+        m.setattr(extension, "make_move", refuse)
+        found = [
+            (g, start, ic.find_extension_exhaustive(g, start))
+            for g, starts in jobs
+            for start in starts
+        ]
+    assert len(found[0][2].added) == 2
+    for g, start, move in found:
+        assert move == make_move(g, start, move.new_cycle, "exhaustive")
+    assert len(found) == 1 + 92
+
+
 def test_grow_octahedron_step_by_step():
     g = ic.octahedron()
     trace = ic.grow_to_bound(g, EQUATOR)
@@ -117,7 +141,7 @@ def test_grow_octahedron_step_by_step():
 
 def test_grow_cube_adds_two_per_step():
     g = cube()
-    trace = ic.grow_to_bound(g, ("v4", "v5", "v1", "v2", "v3", "v7"))
+    trace = ic.grow_to_bound(g, CUBE_SIX)
     # a bipartite graph has no odd cycles, so a step adds two vertices
     assert [len(c) for c in trace.cycles] == [6, 8]
     assert trace.completed

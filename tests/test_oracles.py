@@ -235,6 +235,92 @@ def test_bitmask_kernel_matches_set_kernel(
     assert found > compared // 4
 
 
+def _parts(g, vs):
+    """The vertex sets of the components of g[vs]."""
+    left = set(vs)
+    out = []
+    while left:
+        part = reachable(g.adj, [min(left, key=g.index.__getitem__)], left)
+        out.append(part)
+        left -= part
+    return out
+
+
+def _shape(g, vs):
+    """'disconnected', 'cut vertex', 'two-cut' (two vertices split g[vs]
+    into parts of at least two vertices each) or 'other'."""
+    if len(_parts(g, vs)) > 1:
+        return "disconnected"
+    if any(len(_parts(g, set(vs) - {x})) > 1 for x in vs):
+        return "cut vertex"
+    for x, y in combinations(vs, 2):
+        parts = _parts(g, set(vs) - {x, y})
+        if len(parts) > 1 and all(len(p) >= 2 for p in parts):
+            return "two-cut"
+    return "other"
+
+
+def _shaped_vertex_sets(g, rng):
+    """Vertex sets of g built to be disconnected (a vertex cut off from the
+    rest), to have a cut vertex (a vertex hanging off one neighbour), or to
+    fall apart once the search has taken a few vertices (random subsets
+    with a two-vertex cut)."""
+    out = []
+    for v in rng.sample(g.vertices, min(4, g.n)):
+        nbrs = g.sorted_vertices(g.adj[v])
+        out.append([w for w in g.vertices if w not in g.adj[v]])
+        out.append([w for w in g.vertices if w == nbrs[0] or w not in g.adj[v]])
+    tries = 0
+    while tries < 40 and sum(_shape(g, vs) == "two-cut" for vs in out) < 3:
+        tries += 1
+        out.append(rng.sample(g.vertices, rng.randint(max(3, g.n // 2), g.n - 1)))
+    return [vs for vs in out if len(vs) >= 3]
+
+
+def test_connectivity_prune_keeps_the_full_sequence(sweep_corpus):
+    # the kernel keeps the unvisited set connected with a check on head's
+    # neighbours and floods only where that fails; whole sequences, not a
+    # prefix, must equal the reference's on sets that are disconnected,
+    # have a cut vertex or split after a few steps.  The cube and the prism
+    # have no triangles, so there the local check always falls back.
+    graphs = [prism(), cube(), ic.octahedron(), wheel(6), double_wheel(6)]
+    graphs.append(ic.gen_insertion_family(ic.octahedron(), fill_count=None))
+    graphs += sweep_corpus[::60]
+    rng = random.Random(1)
+    shapes = {}
+    found = 0
+    for g in graphs:
+        for vs in _shaped_vertex_sets(g, rng):
+            shape = _shape(g, vs)
+            shapes[shape] = shapes.get(shape, 0) + 1
+            s, t = rng.sample(vs, 2)
+            for a, b in ((s, s), (s, t), (t, t)):
+                want = list(_set_kernel(g, vs, a, b))
+                assert list(oracles._hamiltonian_paths(g, vs, a, b)) == want, (g.n, vs, a, b)
+                found += len(want)
+    assert shapes["disconnected"] >= 20 and shapes["cut vertex"] >= 20
+    assert shapes["two-cut"] >= 20
+    assert found > 100
+
+
+def test_disconnected_set_costs_one_flood(monkeypatch):
+    # the wheel's hub with two rim pairs: r0-r1 and r3-r4 meet only at h,
+    # so the set less h is disconnected and the root's one flood ends the
+    # search; a per-node flood would take one at the root and one in each
+    # of its four children
+    calls = []
+    real = oracles._flood
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_flood", counted)
+    vs = ["h", "r0", "r1", "r3", "r4"]
+    assert list(oracles._hamiltonian_paths(wheel(6), vs, "h", "h")) == []
+    assert len(calls) == 1
+
+
 def test_kernel_leaves_the_instance_layout_alone():
     # the masks live in a declared field; a key added to the instance
     # __dict__ later would slow every attribute load on the graph
