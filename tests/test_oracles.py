@@ -270,10 +270,13 @@ def _shaped_vertex_sets(g, rng):
         nbrs = g.sorted_vertices(g.adj[v])
         out.append([w for w in g.vertices if w not in g.adj[v]])
         out.append([w for w in g.vertices if w == nbrs[0] or w not in g.adj[v]])
-    tries = 0
-    while tries < 40 and sum(_shape(g, vs) == "two-cut" for vs in out) < 3:
-        tries += 1
-        out.append(rng.sample(g.vertices, rng.randint(max(3, g.n // 2), g.n - 1)))
+    two_cuts = 0
+    for _ in range(40):
+        if two_cuts == 3:
+            break
+        vs = rng.sample(g.vertices, rng.randint(max(3, g.n // 2), g.n - 1))
+        out.append(vs)
+        two_cuts += _shape(g, vs) == "two-cut"
     return [vs for vs in out if len(vs) >= 3]
 
 
