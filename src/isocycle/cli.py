@@ -411,7 +411,7 @@ def build_parser():
     sp.add_argument(
         "--four-connected",
         action="store_true",
-        help="random family: double_wheel(n - 2) for every seed (see ROADMAP item 6)",
+        help="random family: double_wheel(n - 2) for every seed (see ROADMAP item 8)",
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_gen)

@@ -94,18 +94,22 @@ class PlaneGraph:
         ring = self.rotation[v]
         return ring[(self._pos[v][u] + 1) % len(ring)]
 
-    def next_directed(self, u, v):
-        """Directed edge following (u, v) on the face traced from it."""
-        return (v, self.succ(v, u))
-
     def trace_face(self, u, v):
-        """All vertices of the face containing the directed edge (u, v)."""
-        out = [u]
-        a, b = self.next_directed(u, v)
-        while (a, b) != (u, v):
+        """All vertices of the face containing the directed edge (u, v).
+
+        The walk from (a, b) goes on with (b, succ(b, a)), with ``succ``
+        inlined: every face of every graph, and of the pruned graph of each
+        reroute analysis, is traced here.
+        """
+        rotation, pos = self.rotation, self._pos
+        out = []
+        a, b = u, v
+        while True:
             out.append(a)
-            a, b = self.next_directed(a, b)
-        return tuple(out)
+            ring = rotation[b]
+            a, b = b, ring[(pos[b][a] + 1) % len(ring)]
+            if a == u and b == v:
+                return tuple(out)
 
     def faces_of_edge(self, u, v):
         """The one or two faces incident to the undirected edge {u, v}."""
@@ -117,16 +121,43 @@ class PlaneGraph:
         return sorted(vs, key=self.index.__getitem__)
 
     def delete_edges(self, edge_keys):
-        """New plane graph with the given undirected edges removed."""
-        drop = set()
+        """New plane graph with the given undirected edges removed.
+
+        Pairs that are not edges are ignored.  The result is built without
+        re-validating what a deletion keeps: it shares this graph's
+        ``vertices`` and ``index``, keeps the rings, neighbour sets and ring
+        positions of every vertex no deleted edge touches, filters the sorted
+        ``edges``, and traces its faces with the loop of
+        :func:`build_plane_graph`.  Deleting edges from a simple, symmetric,
+        planar rotation system leaves one, so the only check left to fail is
+        Euler's formula, which raises NonPlanarEmbedding exactly when the
+        deletion disconnects the graph.
+        """
+        gone = set()
         for u, v in edge_keys:
-            drop.add((u, v))
-            drop.add((v, u))
-        rotation = {
-            v: [w for w in ring if (v, w) not in drop]
-            for v, ring in self.rotation.items()
-        }
-        return build_plane_graph(list(self.vertices), rotation)
+            if v in self.adj.get(u, ()):
+                gone.add((u, v))
+                gone.add((v, u))
+        rotation = dict(self.rotation)
+        adj = dict(self.adj)
+        pos = dict(self._pos)
+        for v in {v for v, _ in gone}:
+            ring = tuple(w for w in rotation[v] if (v, w) not in gone)
+            rotation[v] = ring
+            adj[v] = frozenset(ring)
+            pos[v] = {u: i for i, u in enumerate(ring)}
+        h = PlaneGraph(
+            vertices=self.vertices,
+            rotation=rotation,
+            index=self.index,
+            adj=adj,
+            edges=tuple(e for e in self.edges if e not in gone),
+            faces=(),
+            face_id={},
+            _pos=pos,
+        )
+        _trace_faces(h)
+        return h
 
 
 def build_plane_graph(vertices, rotation):
@@ -186,10 +217,23 @@ def build_plane_graph(vertices, rotation):
         faces=(),
         face_id={},
     )
+    _trace_faces(g)
+    return g
+
+
+def _trace_faces(g):
+    """Trace and number the faces of g, then check Euler's formula.
+
+    Faces are numbered in the order their first directed edge appears,
+    vertex by vertex in ``g.vertices`` order and round each rotation; both
+    :func:`build_plane_graph` and :meth:`PlaneGraph.delete_edges` number
+    faces here.  Raises NonPlanarEmbedding when V - E + F != 2, which also
+    catches a disconnected rotation system.
+    """
     faces = []
     face_id = {}
-    for v in vertices:
-        for w in rot[v]:
+    for v in g.vertices:
+        for w in g.rotation[v]:
             if (v, w) in face_id:
                 continue
             cycle = g.trace_face(v, w)
@@ -202,11 +246,10 @@ def build_plane_graph(vertices, rotation):
     g.face_id = face_id
 
     # Euler: V - E + F = 2 on the sphere
-    if len(vertices) - len(edges) + len(faces) != 2:
+    if g.n - g.m + len(faces) != 2:
         raise NonPlanarEmbedding(
-            f"Euler check failed: V={len(vertices)} E={len(edges)} F={len(faces)}"
+            f"Euler check failed: V={g.n} E={g.m} F={len(faces)}"
         )
-    return g
 
 
 def graph_from_faces(face_list):

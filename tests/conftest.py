@@ -71,6 +71,16 @@ ARCH_CYCLE = tuple(f"v{i}" for i in range(8))
 TIGHT14_REROUTE_START = ("a", "r0", "b", "r3", "r2", "r1")
 
 
+def tight14_slice():
+    """(graph, starts): every tenth isolating cycle of the n=14 tight instance.
+
+    Growth from these 658 starts is the golden tight14 slice: 1403 apex
+    inserts and 204 window reroutes.
+    """
+    g = ic.gen_insertion_family(ic.octahedron())
+    return g, ic.oracle_isolating_cycles(g)[::10]
+
+
 @pytest.fixture(scope="session")
 def ladder():
     return ic.graph_from_faces(LADDER_FACES), LADDER_CYCLE

@@ -1,17 +1,24 @@
 """Extension moves, the two-tier search, and growth to the length bound."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 import isocycle as ic
-from conftest import TIGHT14_REROUTE_START, short_isolating_cycles
+from conftest import TIGHT14_REROUTE_START, short_isolating_cycles, tight14_slice
 from isocycle import extension
 from isocycle.cycle_analysis import analyze_cycle
-from isocycle.errors import ExtensionNotFound, InvalidMove, NotIsolating
+from isocycle.discharging import apply_discharging
+from isocycle.errors import (
+    CycleTooShort,
+    DegenerateSide,
+    ExtensionNotFound,
+    InvalidMove,
+    NotIsolating,
+)
 from isocycle.extension import degree_five_count, extension_budget, make_move
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
-from isocycle.oracles import hamiltonian_cycles
+from isocycle.oracles import find_hamiltonian_path, hamiltonian_cycles
 
 
 EQUATOR = ("r0", "r1", "r2", "r3")
@@ -218,23 +225,25 @@ def test_growth_invariants_on_sample(sweep_sample):
 
 
 @pytest.mark.parametrize(
-    "instance, patterns, analyses",
+    "instance, patterns, analyses, ledgers",
     [
-        ((double_wheel(20), base_hamiltonian_cycle(20)), {"apex-insert": 22}, 0),
+        ((double_wheel(20), base_hamiltonian_cycle(20)), {"apex-insert": 22}, 0, 0),
         (
             (ic.octahedron(), TIGHT14_REROUTE_START),
             {"apex-insert": 5, "window-reroute": 1},
+            1,
             1,
         ),
     ],
     ids=["dwheel20", "tight14-reroute"],
 )
-def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analyses):
+def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analyses, ledgers):
     # the fast tier checks its moves itself, so make_move never runs; the
     # whole check_isolating runs on the start and the final cycle only, and a
-    # cycle analysis only for reroute steps; growth calls the fast tier
-    # through the module attribute, once per step, so a patched attribute
-    # (as the benchmark's pacing hook uses) sees every step
+    # cycle analysis (and at most one discharging ledger) only for reroute
+    # steps; growth calls the fast tier through the module attribute, once
+    # per step, so a patched attribute (as the benchmark's pacing hook uses)
+    # sees every step
     base, start = instance
     g = ic.gen_insertion_family(base)
     built = []
@@ -255,19 +264,100 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
     monkeypatch.setattr(
         extension, "analyze_cycle", lambda *a: analysed.append(a) or real_analyze(*a)
     )
+    audited = _count_ledgers(monkeypatch)
     trace = ic.grow_to_bound(g, start)
     assert trace.pattern_counts() == patterns and trace.fallbacks == 0
     assert len(built) == 0
     assert [a[1] for a in checked] == [start, trace.final_cycle]
     assert len(searched) == len(trace.moves)
     assert len(analysed) == analyses
+    assert len(audited) == ledgers
+
+
+def _count_ledgers(monkeypatch):
+    """The list of analyses the fast tier runs the discharging ledger on."""
+    audited = []
+    real = extension.apply_discharging
+    monkeypatch.setattr(
+        extension, "apply_discharging", lambda a: audited.append(a) or real(a)
+    )
+    return audited
 
 
 def golden_slices(sweep_sample):
     """(graph, starts) of the golden tight14 slice and corpus sample."""
-    tight = ic.gen_insertion_family(ic.octahedron())
-    jobs = [(tight, ic.oracle_isolating_cycles(tight)[::10])]
-    return jobs + [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
+    return [tight14_slice()] + [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
+
+
+def _eager_reroute(g, cyc):
+    """The reroute the fast tier chose when it always ran the ledger first.
+
+    Candidates are the tunnel windows, the windows of minor faces with m in
+    {2, 3} and of every face the ledger flags, each clipped as before, in
+    one sorted list; then sizes 1 to 3, windows in order, extras by
+    ``combinations``.
+    """
+    a = analyze_cycle(g, cyc)
+    c = a.c
+    windows = set()
+
+    def add(start, length):
+        length = min(length, extension.MAX_WINDOW, c - 2)
+        if length >= 2:
+            windows.add((start % c, length))
+
+    for tunnel in a.tunnels:
+        if tunnel.cyclic:
+            add(tunnel.arches[-1].start - 1, 7)
+        elif 2 * tunnel.k + 1 <= extension.MAX_WINDOW - 2:
+            add(tunnel.arches[0].start - 1, 2 * tunnel.k + 3)
+    for fid in a.minor_faces():
+        s, m = a.face_arc[fid]
+        if m in (2, 3):
+            add(s - 2, m + 4)
+    try:
+        violations = apply_discharging(a).violations
+    except (CycleTooShort, DegenerateSide):
+        violations = {}
+    for key in ("deficient_thin_minors", "deficient_thick_minors"):
+        for fid in violations.get(key, ()):
+            s, m = a.face_arc[fid]
+            add(s - 2, m + 4)
+    on = set(cyc)
+    for size in (1, 2, 3):
+        for start, length in sorted(windows):
+            window, tail, extras = extension._window(g, cyc, on, start, length)
+            for chosen in combinations(extras, size):
+                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
+                if path is not None:
+                    return tuple(path) + tail
+    return None
+
+
+def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
+    # the fast tier runs the discharging ledger only when its window walk
+    # reaches a window that only the ledger can add; every reroute of the
+    # golden tight14 slice must still be the one the eager rule picks, and
+    # the slice runs the ledger on 128 of its 204 analyses (eagerly, 204)
+    g, starts = tight14_slice()
+    analysed = []
+    real_analyze = extension.analyze_cycle
+    monkeypatch.setattr(
+        extension, "analyze_cycle", lambda *a: analysed.append(a) or real_analyze(*a)
+    )
+    audited = _count_ledgers(monkeypatch)
+    reroutes = []
+    for start in starts:
+        trace = ic.grow_to_bound(g, start)
+        reroutes += [
+            (cyc, move)
+            for cyc, move in zip(trace.cycles, trace.moves)
+            if move.pattern == "window-reroute"
+        ]
+    assert (len(reroutes), len(analysed), len(audited)) == (204, 204, 128)
+    monkeypatch.undo()
+    for cyc, move in reroutes:
+        assert _eager_reroute(g, cyc) == move.new_cycle
 
 
 def test_apex_pick_matches_the_analysis_rule(sweep_sample):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import isocycle as ic
+from conftest import tight14_slice
 from isocycle.errors import (
     InconsistentRotation,
     NonPlanarEmbedding,
@@ -73,6 +74,55 @@ def test_rejects_nonplanar_rotation():
     rotation = {v: [w for w in vs if w != v] for v in vs}
     with pytest.raises(NonPlanarEmbedding):
         ic.build_plane_graph(vs, rotation)
+
+
+def _same_graph(h, ref):
+    assert h.vertices == ref.vertices
+    assert h.rotation == ref.rotation
+    assert h.adj == ref.adj
+    assert h.edges == ref.edges
+    assert h.faces == ref.faces
+    assert h.face_id == ref.face_id
+
+
+def test_delete_edges_equals_a_validated_rebuild():
+    # delete_edges skips the checks a deletion cannot fail; on the pruned
+    # graph H of every reroute step of the golden tight14 slice it must
+    # build what build_plane_graph builds from the reduced rotation
+    g, starts = tight14_slice()
+    steps = 0
+    for start in starts:
+        trace = ic.grow_to_bound(g, start)
+        for cyc, move in zip(trace.cycles, trace.moves):
+            if move.pattern != "window-reroute":
+                continue
+            chords = ic.analyze_cycle(g, cyc).deleted_chords
+            assert chords
+            drop = {(u, v) for u, v in chords} | {(v, u) for u, v in chords}
+            rotation = {
+                v: [w for w in ring if (v, w) not in drop]
+                for v, ring in g.rotation.items()
+            }
+            _same_graph(g.delete_edges(chords), ic.build_plane_graph(g.vertices, rotation))
+            steps += 1
+    assert steps == 204
+
+
+def test_delete_edges_that_disconnect_raise():
+    # the Euler check is the one check a deletion can fail: isolating a
+    # vertex leaves V - E + F = 3
+    g = ic.octahedron()
+    v = g.vertices[0]
+    with pytest.raises(NonPlanarEmbedding, match="Euler"):
+        g.delete_edges([(v, w) for w in g.rotation[v]])
+
+
+def test_delete_edges_ignores_non_edges():
+    g = ic.octahedron()
+    u = g.vertices[0]
+    w = next(x for x in g.vertices if x != u and not g.has_edge(u, x))
+    h = g.delete_edges([(u, w), (w, u), ("no such vertex", u)])
+    _same_graph(h, g)
 
 
 NOT_A_LIST = "'vertices' must be a list of strings"
