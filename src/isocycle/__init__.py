@@ -38,21 +38,17 @@ from .errors import (
 from .plane_graph import (
     PlaneGraph,
     build_plane_graph,
+    check_cycle,
     graph_from_faces,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    is_isolating,
     is_three_connected,
     load_graph,
     save_graph,
 )
-from .cycle_analysis import (
-    CycleAnalysis,
-    analyze_cycle,
-    check_cycle,
-    check_tree_lemma,
-    is_isolating,
-)
+from .cycle_analysis import CycleAnalysis, analyze_cycle, check_tree_lemma
 from .discharging import WeightLedger, apply_discharging
 from .extension import (
     GrowthTrace,

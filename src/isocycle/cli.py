@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import __version__
-from .cycle_analysis import analyze_cycle, check_cycle, check_tree_lemma
+from .cycle_analysis import analyze_cycle
 from .discharging import apply_discharging
-from .errors import DegenerateSide, ExtensionNotFound, IsocycleError, ParseError
+from .errors import ExtensionNotFound, IsocycleError, ParseError
 from .extension import (
     find_extension_exhaustive,
     find_extension_fast,
@@ -26,12 +26,12 @@ from .extension import (
 from .generators import gen_insertion_family, gen_random_triangulation, named_graph
 from .oracles import oracle_circumference, oracle_isolating_cycles
 from .plane_graph import (
+    check_cycle,
     graph_to_dot,
     graph_to_json_dict,
     is_three_connected,
     load_graph,
 )
-from .tunnels import tracks
 
 
 class UsageError(Exception):
@@ -68,93 +68,6 @@ def _emit(args, payload):
         print(text)
 
 
-def _node_name(node):
-    return f"{node[0]}:{node[1]}"
-
-
-def _tree_report(analysis, side):
-    try:
-        checks = check_tree_lemma(analysis, side)
-    except DegenerateSide as exc:
-        return {"degenerate": str(exc)}
-    tree = checks.pop("tree")
-    return {
-        "kind": tree.kind,
-        "nodes": [_node_name(x) for x in tree.nodes],
-        "edges": [[_node_name(x), _node_name(y)] for x, y in tree.edges],
-        "checks": checks,
-    }
-
-
-def _tunnel_report(analysis):
-    out = []
-    for tunnel in analysis.tunnels:
-        entry = {
-            "cyclic": tunnel.cyclic,
-            "k": tunnel.k,
-            "arches": [
-                {"face": a.face, "kind": a.kind, "start": a.start} for a in tunnel.arches
-            ],
-        }
-        if not tunnel.cyclic:
-            entry["tracks"] = [
-                {
-                    "direction": track.direction,
-                    "exit_face": track.exit_face,
-                    "exit_position": track.exit_position,
-                    "transfer_pairs": [
-                        {"face": face, "position": e, "order": order}
-                        for order, (face, e) in enumerate(track.pairs, start=1)
-                    ],
-                }
-                for track in tracks(analysis, tunnel)
-            ]
-        out.append(entry)
-    return out
-
-
-def analysis_report(analysis):
-    faces = []
-    for fid in range(len(analysis.h.faces)):
-        entry = {
-            "id": fid,
-            "side": analysis.face_side[fid],
-            "size": len(analysis.h.faces[fid]),
-            "m": analysis.m(fid),
-            "minor": analysis.is_minor(fid),
-        }
-        if analysis.is_minor(fid):
-            entry["thin"] = analysis.is_thin(fid)
-            entry["arc"] = list(analysis.face_arc[fid])
-            if fid in analysis.apex:
-                entry["apex"] = analysis.apex[fid]
-        faces.append(entry)
-    arches = [
-        {
-            "face": a.face,
-            "kind": a.kind,
-            "path": list(a.path),
-            "start": a.start,
-            "length": a.length,
-        }
-        for a in analysis.all_arches()
-    ]
-    return {
-        "c": analysis.c,
-        "n": analysis.g.n,
-        "v_minus": list(analysis.v_minus),
-        "v_plus": list(analysis.v_plus),
-        "deleted_chords": [list(e) for e in analysis.deleted_chords],
-        "faces": faces,
-        "arches": arches,
-        "trees": {
-            "minus": _tree_report(analysis, "minus"),
-            "plus": _tree_report(analysis, "plus"),
-        },
-        "tunnels": _tunnel_report(analysis),
-    }
-
-
 def cmd_validate(args):
     try:
         g = load_graph(args.graph)
@@ -178,8 +91,7 @@ def cmd_validate(args):
 def cmd_analyze(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
-    analysis = analyze_cycle(g, cycle)
-    _emit(args, analysis_report(analysis))
+    _emit(args, analyze_cycle(g, cycle).summary())
     return 0
 
 
@@ -322,6 +234,8 @@ def cmd_export_dot(args):
 
 
 def cmd_batch(args):
+    if args.cap < 0:
+        raise UsageError(f"--cap must be 0 or more, got {args.cap}")
     seed = _seed(args)
     results = []
     alarms = 0

@@ -27,60 +27,21 @@ H keeps: that face turns at a through the corner the chord was drawn in.
 
 C is isolating when every vertex off C has all its neighbours on C.  The
 analysis requires an isolating cycle; everything else (including
-3-connectivity of G) is the caller's responsibility.  The tunnels of the
-arches (see ``tunnels``) are derived once per analysis, on first use.
+3-connectivity of G) is the caller's responsibility; the cycle checks it
+runs live in ``plane_graph``.  The tunnels of the arches (see ``tunnels``)
+are derived once per analysis, on first use.  ``CycleAnalysis.summary()``
+is the analysis report that ``isocycle analyze`` prints.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
-from .plane_graph import reachable
-from .tunnels import find_tunnels
+from .errors import ContractViolation, DegenerateSide
+from .plane_graph import check_isolating, reachable
+from .tunnels import find_tunnels, tracks
 
 MINUS = "minus"
 PLUS = "plus"
-
-
-def check_cycle(g, seq):
-    """Validate that seq is a cycle of g and return it as a tuple."""
-    seq = tuple(seq)
-    if len(seq) < 3:
-        raise NotCycle(f"a cycle needs at least 3 vertices, got {len(seq)}")
-    for v in seq:
-        if v not in g.index:
-            raise NotCycle(f"unknown vertex {v!r}")
-    if len(set(seq)) != len(seq):
-        raise NotCycle("repeated vertex")
-    for i in range(len(seq)):
-        if not g.has_edge(seq[i - 1], seq[i]):
-            raise NotCycle(f"missing edge {seq[i - 1]!r}-{seq[i]!r}")
-    return seq
-
-
-def canonical_cycle(g, seq):
-    """Rotate/reflect a cycle into a canonical form for comparisons."""
-    seq = check_cycle(g, seq)
-    k = len(seq)
-    i = min(range(k), key=lambda j: g.index[seq[j]])
-    rot = seq[i:] + seq[:i]
-    if g.index[rot[-1]] < g.index[rot[1]]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
-    return rot
-
-
-def is_isolating(g, cycle):
-    """True when every vertex off the cycle has all its neighbours on it."""
-    on = set(cycle)
-    return all(g.adj[v] <= on for v in g.vertices if v not in on)
-
-
-def check_isolating(g, seq):
-    """check_cycle, plus NotIsolating unless the cycle is isolating."""
-    cyc = check_cycle(g, seq)
-    if not is_isolating(g, cyc):
-        raise NotIsolating("some edge of the graph avoids the cycle")
-    return cyc
 
 
 def face_sides(g, cycle):
@@ -226,6 +187,87 @@ class CycleAnalysis:
         """The tunnels of the eligible 3-arches, computed once."""
         return find_tunnels(self)
 
+    # -- report ---------------------------------------------------------------
+
+    def summary(self):
+        """The analysis as plain JSON data: faces, arches, side trees, tunnels."""
+        faces = []
+        for fid in range(len(self.h.faces)):
+            entry = {
+                "id": fid,
+                "side": self.face_side[fid],
+                "size": len(self.h.faces[fid]),
+                "m": self.m(fid),
+                "minor": self.is_minor(fid),
+            }
+            if self.is_minor(fid):
+                entry["thin"] = self.is_thin(fid)
+                entry["arc"] = list(self.face_arc[fid])
+                if fid in self.apex:
+                    entry["apex"] = self.apex[fid]
+            faces.append(entry)
+        arches = [
+            {
+                "face": a.face,
+                "kind": a.kind,
+                "path": list(a.path),
+                "start": a.start,
+                "length": a.length,
+            }
+            for a in self.all_arches()
+        ]
+        return {
+            "c": self.c,
+            "n": self.g.n,
+            "v_minus": list(self.v_minus),
+            "v_plus": list(self.v_plus),
+            "deleted_chords": [list(e) for e in self.deleted_chords],
+            "faces": faces,
+            "arches": arches,
+            "trees": {side: self._tree_summary(side) for side in (MINUS, PLUS)},
+            "tunnels": [self._tunnel_summary(tunnel) for tunnel in self.tunnels],
+        }
+
+    def _tree_summary(self, side):
+        try:
+            checks = check_tree_lemma(self, side)
+        except DegenerateSide as exc:
+            return {"degenerate": str(exc)}
+        tree = checks.pop("tree")
+
+        def name(node):
+            return f"{node[0]}:{node[1]}"
+
+        return {
+            "kind": tree.kind,
+            "nodes": [name(x) for x in tree.nodes],
+            "edges": [[name(x), name(y)] for x, y in tree.edges],
+            "checks": checks,
+        }
+
+    def _tunnel_summary(self, tunnel):
+        entry = {
+            "cyclic": tunnel.cyclic,
+            "k": tunnel.k,
+            "arches": [
+                {"face": a.face, "kind": a.kind, "start": a.start} for a in tunnel.arches
+            ],
+        }
+        if not tunnel.cyclic:
+            entry["tracks"] = [
+                {
+                    "direction": track.direction,
+                    "exit_face": track.exit_face,
+                    "exit_position": track.exit_position,
+                    "transfer_pairs": [
+                        {"face": face, "position": e, "order": order}
+                        for order, (face, e) in enumerate(track.pairs, start=1)
+                    ],
+                }
+                for track in tracks(self, tunnel)
+            ]
+        return entry
+
 
 def _cyclic_run(positions, c):
     """Start and length of a contiguous cyclic run short of the full circle."""
@@ -313,7 +355,7 @@ def analyze_cycle(g, cycle):
         for fid in pair:
             face_c_positions.setdefault(fid, []).append(p)
 
-    # every side sees each C-edge in exactly one of its minor faces
+    # every side sees each C-edge in exactly one of its faces
     for side in (MINUS, PLUS):
         total = sum(
             len(ps)

@@ -62,16 +62,11 @@ import logging
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cycle_analysis import analyze_cycle, check_cycle, check_isolating
+from .cycle_analysis import analyze_cycle
 from .discharging import apply_discharging
-from .errors import (
-    ContractViolation,
-    CycleTooShort,
-    DegenerateSide,
-    ExtensionNotFound,
-    InvalidMove,
-)
+from .errors import CycleTooShort, DegenerateSide, ExtensionNotFound, InvalidMove
 from .oracles import find_hamiltonian_path, hamiltonian_cycles
+from .plane_graph import check_cycle, check_isolating
 
 logger = logging.getLogger(__name__)
 
@@ -271,11 +266,10 @@ def find_extension_fast(g, cycle):
     ledger runs only when the walk reaches a window that only it can add.
 
     Raises NotCycle or NotIsolating on a bad start cycle.  On a reroute
-    step a ContractViolation from ``analyze_cycle`` makes the tier decline;
-    one from ``find_tunnels`` propagates.  So does an ``apply_discharging``
-    error other than CycleTooShort or DegenerateSide (which flag no face),
-    but only on a step whose walk reaches a ledger-only window; no reroute
-    step of the benchmark workloads raises one.
+    step every error of ``analyze_cycle`` and ``find_tunnels`` propagates,
+    and so does every ``apply_discharging`` error but CycleTooShort and
+    DegenerateSide (which flag no face), on a step whose walk reaches a
+    ledger-only window.  None means only that no window worked.
     """
     if isinstance(cycle, _Growing):
         state = cycle
@@ -298,11 +292,7 @@ def find_extension_fast(g, cycle):
             new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
             return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
 
-    try:
-        analysis = analyze_cycle(g, cyc)
-    except ContractViolation as exc:
-        logger.debug("fast tier skipped, analysis failed: %s", exc)
-        return None
+    analysis = analyze_cycle(g, cyc)
     known, faces_of = _candidate_windows(analysis)
     candidates = sorted(known.union(faces_of))
     flagged = None
@@ -421,6 +411,10 @@ def grow_to_bound(g, cycle, tier2_only=False):
     module docstring (checked cycle, vertex set, budget, apex scan position)
     and checks each move in O(Δ), while an exhaustive fallback gets the
     plain cycle, checks it in full and checks the cycle it finds.
+
+    A fallback is counted only where the fast tier tried every window; an
+    error the fast tier raises, such as a ContractViolation from the cycle
+    analysis, propagates with its own type.
 
     Raises NotIsolating unless the start cycle is isolating, and
     ExtensionNotFound (with diagnostics) if some step finds no move; for a

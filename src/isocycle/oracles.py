@@ -27,6 +27,8 @@ The module depends only on ``errors``.  Nothing here reads the cycle
 analysis or the extension engine that the oracles are used to check.
 """
 
+from itertools import islice
+
 from .errors import TooLarge
 
 
@@ -170,23 +172,6 @@ def oracle_circumference(g, limit=30):
     return best
 
 
-def max_independent_set_size(g):
-    """Exact independence number, by branch and bound."""
-    masks = g.adj_mask
-
-    def rec(candidates, size):
-        best = size
-        while candidates:
-            if size + candidates.bit_count() <= best:
-                return best
-            low = candidates & -candidates
-            candidates ^= low
-            best = max(best, rec(candidates & ~masks[low.bit_length() - 1], size + 1))
-        return best
-
-    return rec((1 << g.n) - 1, 0)
-
-
 def independent_sets_of_size(g, k):
     """Yield every independent set of exactly k vertices, in index order."""
     order = g.vertices
@@ -215,22 +200,24 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
 
     A cycle is isolating exactly when the vertices it misses form an
     independent set, so the enumeration walks independent sets I of size
-    n - c and lists the Hamiltonian cycles of g - I.  Cycles come out in
-    the canonical form ``hamiltonian_cycles`` yields; max_count stops the
-    enumeration early.
+    n - c and lists the Hamiltonian cycles of g - I.  A length too short
+    for any independent set of size n - c costs only the popcount cut of
+    ``independent_sets_of_size``.  Cycles come out in the canonical form
+    ``hamiltonian_cycles`` yields.  max_count, when given, stops the
+    enumeration after that many cycles; 0 searches nothing, and a negative
+    count raises ValueError.
     """
+    if max_count is not None and max_count < 0:
+        raise ValueError(f"max_count must be None or at least 0, got {max_count}")
     if g.n > limit:
         raise TooLarge(f"isolating-cycle oracle limited to {limit} vertices, got {g.n}")
     n = g.n
-    alpha = max_independent_set_size(g)
     top = n if max_length is None else min(max_length, n)
-    out = []
-    for c in range(max(min_length, n - alpha), top + 1):
-        for ind in independent_sets_of_size(g, n - c):
-            missed = set(ind)
-            rest = [v for v in g.vertices if v not in missed]
-            for cycle in hamiltonian_cycles(g, rest):
-                out.append(cycle)
-                if max_count is not None and len(out) >= max_count:
-                    return out
-    return out
+
+    def cycles():
+        for c in range(min_length, top + 1):
+            for ind in independent_sets_of_size(g, n - c):
+                missed = set(ind)
+                yield from hamiltonian_cycles(g, [v for v in g.vertices if v not in missed])
+
+    return list(islice(cycles(), max_count))

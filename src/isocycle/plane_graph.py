@@ -4,8 +4,12 @@ A plane graph is stored combinatorially: every vertex carries the clockwise
 cyclic order of its neighbours.  Faces are recovered by tracing: from the
 directed edge (u, v) the walk continues with (v, w), where w is the successor
 of u in the rotation at v.  Every directed edge lies on exactly one face, and
-a rotation system describes an embedding in the sphere exactly when Euler's
-formula holds for the traced faces.
+a connected rotation system describes an embedding in the sphere exactly
+when Euler's formula holds for the traced faces.
+
+The module also owns the cycle contract, which reads only the graph:
+``check_cycle`` and ``canonical_cycle`` for cycles, ``is_isolating`` and
+``check_isolating`` for isolating ones.
 """
 
 import json
@@ -15,6 +19,8 @@ from itertools import combinations
 from .errors import (
     InconsistentRotation,
     NonPlanarEmbedding,
+    NotCycle,
+    NotIsolating,
     NotSimple,
     ParseError,
 )
@@ -129,9 +135,10 @@ class PlaneGraph:
         positions of every vertex no deleted edge touches, filters the sorted
         ``edges``, and traces its faces with the loop of
         :func:`build_plane_graph`.  Deleting edges from a simple, symmetric,
-        planar rotation system leaves one, so the only check left to fail is
-        Euler's formula, which raises NonPlanarEmbedding exactly when the
-        deletion disconnects the graph.
+        planar rotation system leaves one, and every component of the result
+        is planar, so k components trace V - E + F = 2k faces.  The only
+        check left to fail is then Euler's formula, which raises
+        NonPlanarEmbedding exactly when the deletion disconnects the graph.
         """
         gone = set()
         for u, v in edge_keys:
@@ -164,8 +171,9 @@ def build_plane_graph(vertices, rotation):
     """Validate a rotation system and return the resulting PlaneGraph.
 
     Raises NotSimple for loops or repeated edges, InconsistentRotation when
-    the two ends of an edge disagree, and NonPlanarEmbedding when the traced
-    faces violate Euler's formula (which also catches disconnected input).
+    the two ends of an edge disagree, and NonPlanarEmbedding when the graph
+    is not connected (found with :func:`reachable`) or the traced faces
+    violate Euler's formula.
     """
     vertices = tuple(vertices)
     seen = set()
@@ -227,8 +235,11 @@ def _trace_faces(g):
     Faces are numbered in the order their first directed edge appears,
     vertex by vertex in ``g.vertices`` order and round each rotation; both
     :func:`build_plane_graph` and :meth:`PlaneGraph.delete_edges` number
-    faces here.  Raises NonPlanarEmbedding when V - E + F != 2, which also
-    catches a disconnected rotation system.
+    faces here.  Raises NonPlanarEmbedding when V - E + F != 2.  That decides
+    planarity only for a connected rotation system: a toroidal K4 beside a
+    disjoint triangle gives 7 - 9 + 4 = 2.  So ``build_plane_graph`` checks
+    connectivity with :func:`reachable` first, and ``delete_edges`` relies on
+    every component of a deletion from a planar graph being planar.
     """
     faces = []
     face_id = {}
@@ -291,6 +302,51 @@ def graph_from_faces(face_list):
             )
         rotation[v] = ring
     return build_plane_graph(order, rotation)
+
+
+# ---------------------------------------------------------------------------
+# cycles
+
+
+def check_cycle(g, seq):
+    """Validate that seq is a cycle of g and return it as a tuple."""
+    seq = tuple(seq)
+    if len(seq) < 3:
+        raise NotCycle(f"a cycle needs at least 3 vertices, got {len(seq)}")
+    for v in seq:
+        if v not in g.index:
+            raise NotCycle(f"unknown vertex {v!r}")
+    if len(set(seq)) != len(seq):
+        raise NotCycle("repeated vertex")
+    for i in range(len(seq)):
+        if not g.has_edge(seq[i - 1], seq[i]):
+            raise NotCycle(f"missing edge {seq[i - 1]!r}-{seq[i]!r}")
+    return seq
+
+
+def canonical_cycle(g, seq):
+    """Rotate/reflect a cycle into a canonical form for comparisons."""
+    seq = check_cycle(g, seq)
+    k = len(seq)
+    i = min(range(k), key=lambda j: g.index[seq[j]])
+    rot = seq[i:] + seq[:i]
+    if g.index[rot[-1]] < g.index[rot[1]]:
+        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    return rot
+
+
+def is_isolating(g, cycle):
+    """True when every vertex off the cycle has all its neighbours on it."""
+    on = set(cycle)
+    return all(g.adj[v] <= on for v in g.vertices if v not in on)
+
+
+def check_isolating(g, seq):
+    """check_cycle, plus NotIsolating unless the cycle is isolating."""
+    cyc = check_cycle(g, seq)
+    if not is_isolating(g, cyc):
+        raise NotIsolating("some edge of the graph avoids the cycle")
+    return cyc
 
 
 # ---------------------------------------------------------------------------

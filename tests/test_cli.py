@@ -9,7 +9,7 @@ import isocycle as ic
 from conftest import TIGHT14_REROUTE_START
 from isocycle import cli, extension
 from isocycle.cli import main
-from isocycle.errors import IsocycleError
+from isocycle.errors import ContractViolation, IsocycleError
 from isocycle.generators import named_graph
 
 # the exit code of every package error: 2 invalid input, 3 a broken audit
@@ -258,6 +258,21 @@ def test_grow_without_any_move_exits_four(monkeypatch, octa_file, capsys):
     assert {"cycle", "length", "bound", "n", "budget"} <= set(err)
 
 
+def test_grow_on_a_broken_analysis_exits_three(monkeypatch, tmp_path, capsys):
+    # a contract failure on a reroute step is reported as one (exit 3), not
+    # as a missing extension (exit 4)
+    def broken(g, cycle):
+        raise ContractViolation("planted")
+
+    monkeypatch.setattr(extension, "analyze_cycle", broken)
+    path = tmp_path / "tight14.json"
+    ic.save_graph(ic.gen_insertion_family(ic.octahedron()), path)
+    cycle = ",".join(TIGHT14_REROUTE_START)
+    assert main(["grow", "--graph", str(path), "--cycle", cycle]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ContractViolation", "message": "planted"}
+
+
 def test_gen_named_graph_roundtrip(tmp_path, capsys):
     out = tmp_path / "cube.json"
     code = main(["gen", "--family", "named", "--name", "cube", "--out", str(out)])
@@ -335,3 +350,11 @@ def test_batch_runs_clean(capsys):
     assert len(rep["instances"]) == 2
     assert all(row["grown"] == row["cycles"] for row in rep["instances"])
     assert rep["alarms"] == 0
+
+
+def test_batch_cap_zero_grows_nothing_and_below_zero_is_usage_error(capsys):
+    code, rep = run_json(capsys, "batch", "--count", "1", "--base-n", "8", "--cap", "0")
+    assert code == 0
+    assert rep["instances"][0]["cycles"] == rep["instances"][0]["grown"] == 0
+    assert main(["batch", "--count", "1", "--cap", "-1"]) == 1
+    assert "--cap" in capsys.readouterr().err

@@ -4,17 +4,11 @@ import pytest
 
 import isocycle as ic
 from conftest import short_isolating_cycles
-from isocycle.cli import analysis_report
-from isocycle.cycle_analysis import (
-    MINUS,
-    PLUS,
-    canonical_cycle,
-    extension_tree,
-    face_sides,
-)
+from isocycle.cycle_analysis import MINUS, PLUS, extension_tree, face_sides
 from isocycle.errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
 from isocycle.generators import cube, k4, prism, wheel
 from isocycle.oracles import hamiltonian_cycles
+from isocycle.plane_graph import canonical_cycle
 
 
 EQUATOR = ("r0", "r1", "r2", "r3")
@@ -290,7 +284,7 @@ def test_degenerate_face_on_wheel_rim():
 
 
 def test_ladder_face_rows(ladder_analysis):
-    rows = analysis_report(ladder_analysis)["faces"]
+    rows = ladder_analysis.summary()["faces"]
     assert len(rows) == len(ladder_analysis.h.faces)
     minors = [r for r in rows if r["minor"]]
     assert len(minors) == len(ladder_analysis.minor_faces()) == 10

@@ -10,6 +10,7 @@ from isocycle import extension
 from isocycle.cycle_analysis import analyze_cycle
 from isocycle.discharging import apply_discharging
 from isocycle.errors import (
+    ContractViolation,
     CycleTooShort,
     DegenerateSide,
     ExtensionNotFound,
@@ -184,6 +185,29 @@ def test_growth_falls_back_when_the_fast_tier_finds_nothing(monkeypatch):
     assert trace.moves and all(m.pattern == "exhaustive" for m in trace.moves)
     assert trace.fallbacks == len(trace.moves)
     assert trace.completed
+
+
+def test_a_broken_analysis_contract_propagates(monkeypatch, caplog):
+    # a ContractViolation on a reroute step is a broken precondition: both
+    # entry points raise it, and growth neither falls back nor counts one
+    g = ic.gen_insertion_family(ic.octahedron())
+    reroute_cycle = ic.grow_to_bound(g, TIGHT14_REROUTE_START).cycles[5]
+
+    def broken(g, cycle):
+        raise ContractViolation("planted")
+
+    exhaustive = []
+    monkeypatch.setattr(extension, "analyze_cycle", broken)
+    monkeypatch.setattr(
+        extension, "find_extension_exhaustive", lambda *a: exhaustive.append(a)
+    )
+    caplog.set_level("INFO", logger=extension.__name__)
+    with pytest.raises(ContractViolation, match="planted"):
+        ic.find_extension_fast(g, reroute_cycle)
+    with pytest.raises(ContractViolation, match="planted"):
+        ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    assert exhaustive == []
+    assert not [r for r in caplog.records if "falling back" in r.getMessage()]
 
 
 def test_growth_without_any_move_raises_extension_not_found(monkeypatch):

@@ -13,7 +13,6 @@ import json
 
 import isocycle as ic
 from conftest import short_isolating_cycles
-from isocycle.cli import analysis_report
 from isocycle.errors import IsocycleError
 from isocycle.generators import base_hamiltonian_cycle, double_wheel
 
@@ -103,7 +102,7 @@ def test_audit_every_tenth_tight14_and_corpus_sample(sweep_sample):
     for g, cycle in cases:
         try:
             analysis = ic.analyze_cycle(g, cycle)
-            h.update(_dumps(analysis_report(analysis)))
+            h.update(_dumps(analysis.summary()))
             chord_arches += sum(a.kind == "chord" for a in analysis.all_arches())
             ledger = ic.apply_discharging(analysis)
         except IsocycleError as exc:

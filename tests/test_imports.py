@@ -1,6 +1,7 @@
 """Each module of the package imports only the layers below it."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ PACKAGE_IMPORTS = {
     "tunnels": {"errors"},
     "cycle_analysis": {"errors", "plane_graph", "tunnels"},
     "discharging": {"cycle_analysis", "errors", "tunnels"},
-    "extension": {"cycle_analysis", "discharging", "errors", "oracles"},
+    "extension": {"cycle_analysis", "discharging", "errors", "oracles", "plane_graph"},
     "generators": {"errors", "plane_graph"},
 }
 
@@ -45,3 +46,22 @@ def package_imports(module):
 @pytest.mark.parametrize("module", sorted(PACKAGE_IMPORTS))
 def test_package_imports(module):
     assert package_imports(module) == PACKAGE_IMPORTS[module]
+
+
+def test_no_runtime_dependencies():
+    # every import in the package is the package itself or the standard
+    # library; networkx, hypothesis and pytest stay test-only
+    outside = set()
+    for path in Path(isocycle.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "isocycle" and top not in sys.stdlib_module_names:
+                    outside.add((path.name, name))
+    assert outside == set()

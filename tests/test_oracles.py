@@ -8,15 +8,13 @@ import pytest
 
 import isocycle as ic
 from isocycle import oracles
-from isocycle.cycle_analysis import canonical_cycle
 from isocycle.errors import TooLarge
 from isocycle.generators import cube, double_wheel, k4, prism, wheel
-from isocycle.plane_graph import PlaneGraph, reachable
+from isocycle.plane_graph import PlaneGraph, canonical_cycle, reachable
 from isocycle.oracles import (
     find_hamiltonian_path,
     hamiltonian_cycles,
     independent_sets_of_size,
-    max_independent_set_size,
 )
 
 
@@ -154,7 +152,7 @@ def test_isolating_cycle_count_on_octahedron():
     assert len(ic.oracle_isolating_cycles(ic.octahedron())) == 43
 
 
-def test_isolating_enumeration_respects_filters():
+def test_isolating_enumeration_respects_filters(monkeypatch):
     g = ic.octahedron()
     fives = ic.oracle_isolating_cycles(g, min_length=5, max_length=5)
     assert fives and all(len(c) == 5 for c in fives)
@@ -162,6 +160,20 @@ def test_isolating_enumeration_respects_filters():
     assert len(capped) == 7
     for c in capped:
         assert ic.is_isolating(g, c)
+    # a cap is a prefix of the full list; 0 searches nothing, and a negative
+    # cap is an error rather than one cycle
+    every = ic.oracle_isolating_cycles(g)
+    for cap in (1, 7, len(every), len(every) + 1):
+        assert ic.oracle_isolating_cycles(g, max_count=cap) == every[:cap]
+    with pytest.raises(ValueError, match="max_count"):
+        ic.oracle_isolating_cycles(g, max_count=-1)
+
+    def no_search(*args):
+        raise AssertionError("searched with a cap of 0")
+
+    monkeypatch.setattr(oracles, "independent_sets_of_size", no_search)
+    monkeypatch.setattr(oracles, "hamiltonian_cycles", no_search)
+    assert ic.oracle_isolating_cycles(g, max_count=0) == []
 
 
 def test_enumeration_returns_canonical_cycles():
@@ -343,17 +355,14 @@ def test_independent_sets_match_brute_force():
                 if not any(g.has_edge(u, v) for u, v in combinations(c, 2))
             ]
             assert list(independent_sets_of_size(g, k)) == want
-            if want:
-                assert max_independent_set_size(g) >= k
-            else:
-                assert max_independent_set_size(g) < k
 
 
 def test_independent_set_helpers():
     # the octahedron pairs up antipodal vertices; the cube splits in half
-    assert max_independent_set_size(ic.octahedron()) == 2
     assert len(list(independent_sets_of_size(ic.octahedron(), 2))) == 3
-    assert max_independent_set_size(cube()) == 4
+    assert list(independent_sets_of_size(ic.octahedron(), 3)) == []
+    assert len(list(independent_sets_of_size(cube(), 4))) == 2
+    assert list(independent_sets_of_size(cube(), 5)) == []
 
 
 def test_size_guard():

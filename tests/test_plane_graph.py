@@ -163,6 +163,21 @@ NOT_A_RING = "rotation at 'a' must be a list of strings"
             NonPlanarEmbedding,
             "graph is not connected",
         ),
+        (
+            # a toroidal K4 (rings in index order, 2 faces) beside a
+            # triangle passes Euler, 7 - 9 + 4 = 2: only the connectivity
+            # check refuses it
+            {
+                "vertices": ["a", "b", "c", "d", "x", "y", "z"],
+                "rotation": {
+                    "a": ["b", "c", "d"], "b": ["a", "c", "d"],
+                    "c": ["a", "b", "d"], "d": ["a", "b", "c"],
+                    "x": ["y", "z"], "y": ["z", "x"], "z": ["x", "y"],
+                },
+            },
+            NonPlanarEmbedding,
+            "graph is not connected",
+        ),
     ],
 )
 def test_graph_document_validation(doc, error, message):

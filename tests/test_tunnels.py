@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 import isocycle as ic
-from isocycle.cli import analysis_report
 from isocycle.cycle_analysis import Arch
 from isocycle.errors import ContractViolation
 from isocycle.extension import _candidate_windows
@@ -265,7 +264,7 @@ def test_analysis_builds_tunnels_once(ladder, ladder_analysis, cyclic_instance, 
     a = ic.analyze_cycle(g, cycle)
     _candidate_windows(a)
     ic.apply_discharging(a)
-    analysis_report(a)
+    a.summary()
     assert calls == [a]
 
     # the cached member is exactly what a fresh search finds
