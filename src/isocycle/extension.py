@@ -30,8 +30,20 @@ windows of tunnels and of minor faces with m in {2, 3} are known without
 it, and the walk runs ``apply_discharging`` once, the first time it reaches
 a window that only the ledger can add (a minor face with another m), then
 skips each such window whose faces the ledger does not flag.  Every list
-the walk reads is the list an eager ledger would give; on the tight14
-workload the ledger runs on 1080 of the 1763 reroute steps.
+the walk reads is the list an eager ledger would give.
+
+The reroute search depends only on the graph and the exact cycle tuple, so
+the graph remembers its result, in ``PlaneGraph._reroutes``, for as long as
+the graph lives.  The key is the tuple itself, not its canonical form: the
+winning window depends on where the cycle starts and which way it runs.  A
+search that finds nothing stores None; a search that raises stores nothing,
+so the next call searches again.  A remembered result is rebuilt into the
+move and checked exactly as a new one is.  The memory is one entry per
+distinct cycle a reroute step meets, each a path of at most MAX_WINDOW + 4
+vertices: a cold full pass over the n=14 tight instance makes 1763 reroute
+steps on 364 distinct cycles, so it analyses 364 cycles and runs the
+ledger on 189 of them.  A graph that never reroutes builds no memo.
+
 The fast tier checks the move it builds in O(Δ), Δ the number of cycle
 positions the move changes: every new edge is an edge of G, the added
 vertices are off the cycle and distinct, a reroute path covers exactly its
@@ -176,12 +188,11 @@ def _flagged_faces(analysis):
 def _window(g, cyc, on, start, length):
     """One reroute window of the cycle cyc, with vertex set on.
 
-    Returns (window, tail, extras): window is the path of ``length`` cycle
-    edges from position ``start``, tail is the rest of the cycle from its
-    last vertex back round to its first, and extras are up to ten off-cycle
-    vertices adjacent to at least two window vertices, most such neighbours
-    first, then by index.  They are counted from the window's
-    neighbourhoods, in O(length * max degree).
+    Returns (window, extras): window is the path of ``length`` cycle edges
+    from position ``start``, and extras are up to ten off-cycle vertices
+    adjacent to at least two window vertices, most such neighbours first,
+    then by index.  They are counted from the window's neighbourhoods, in
+    O(length * max degree).
     """
     c = len(cyc)
     window = tuple(cyc[(start + i) % c] for i in range(length + 1))
@@ -191,8 +202,36 @@ def _window(g, cyc, on, start, length):
             if v not in on:
                 hits[v] = hits.get(v, 0) + 1
     scored = sorted((-k, g.index[v], v) for v, k in hits.items() if k >= 2)
-    tail = tuple(cyc[(start + length + 1 + i) % c] for i in range(c - length - 1))
-    return window, tail, [v for *_, v in scored[:10]]
+    return window, [v for *_, v in scored[:10]]
+
+
+def _reroute(g, cyc, on):
+    """The winning reroute of the cycle cyc, with vertex set on.
+
+    Returns (start, length, path), path the tuple that replaces the window
+    of ``length`` cycle edges from position ``start``, or None when no
+    window works.  The walk is the selection rule of the module docstring,
+    so the result depends only on g and cyc.
+    """
+    analysis = analyze_cycle(g, cyc)
+    known, faces_of = _candidate_windows(analysis)
+    candidates = sorted(known.union(faces_of))
+    flagged = None
+    for size in (1, 2, 3):
+        for start, length in candidates:
+            faces = faces_of.get((start, length))
+            if faces is not None:
+                # only the ledger can make this window a candidate
+                if flagged is None:
+                    flagged = _flagged_faces(analysis)
+                if flagged.isdisjoint(faces):
+                    continue
+            window, extras = _window(g, cyc, on, start, length)
+            for chosen in combinations(extras, size):
+                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
+                if path is not None:
+                    return start, length, tuple(path)
+    return None
 
 
 class _Growing:
@@ -265,11 +304,17 @@ def find_extension_fast(g, cycle):
     The selection rule is unchanged by the lazy ledger: the discharging
     ledger runs only when the walk reaches a window that only it can add.
 
+    A reroute step searches each cycle once per graph: ``_reroute``'s
+    result, None included, is kept in ``g._reroutes`` under the exact cycle
+    tuple.  A hit rebuilds the window and the rest of the cycle in O(c) and
+    goes through the same ``_spliced`` check as a fresh search.
+
     Raises NotCycle or NotIsolating on a bad start cycle.  On a reroute
     step every error of ``analyze_cycle`` and ``find_tunnels`` propagates,
     and so does every ``apply_discharging`` error but CycleTooShort and
     DegenerateSide (which flag no face), on a step whose walk reaches a
-    ledger-only window.  None means only that no window worked.
+    ledger-only window; such an error stores nothing in the memo.  None
+    means only that no window worked.
     """
     if isinstance(cycle, _Growing):
         state = cycle
@@ -292,26 +337,19 @@ def find_extension_fast(g, cycle):
             new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
             return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
 
-    analysis = analyze_cycle(g, cyc)
-    known, faces_of = _candidate_windows(analysis)
-    candidates = sorted(known.union(faces_of))
-    flagged = None
-    for size in (1, 2, 3):
-        for start, length in candidates:
-            faces = faces_of.get((start, length))
-            if faces is not None:
-                # only the ledger can make this window a candidate
-                if flagged is None:
-                    flagged = _flagged_faces(analysis)
-                if flagged.isdisjoint(faces):
-                    continue
-            window, tail, extras = _window(g, cyc, on, start, length)
-            for chosen in combinations(extras, size):
-                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
-                if path is not None:
-                    new = tuple(path) + tail
-                    return _spliced(g, state, window, path, new, "window-reroute")
-    return None
+    memo = g._reroutes
+    if memo is None:
+        memo = g._reroutes = {}
+    if cyc not in memo:
+        # a raising search stores nothing
+        memo[cyc] = _reroute(g, cyc, on)
+    found = memo[cyc]
+    if found is None:
+        return None
+    start, length, path = found
+    # the cycle from the window's first vertex: the window, then the tail
+    rot = cyc[start:] + cyc[:start]
+    return _spliced(g, state, rot[: length + 1], path, path + rot[length + 1 :], "window-reroute")
 
 
 # ---------------------------------------------------------------------------

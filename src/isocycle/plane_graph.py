@@ -41,6 +41,10 @@ class PlaneGraph:
         face_id: directed edge (u, v) -> index of the face traced from it.
         adj_mask: vertex index -> int bitmask of its neighbours' indices,
             built on first use (see :attr:`adj_mask`).
+
+    The fast extension tier keeps its reroute results in ``_reroutes``, a
+    dict it builds on the graph's first reroute step (see
+    :func:`isocycle.extension.find_extension_fast`).
     """
 
     vertices: tuple
@@ -54,6 +58,7 @@ class PlaneGraph:
     # a declared field, not functools.cached_property: a key added to the
     # instance __dict__ after construction makes every attribute load slower
     _adj_mask: list = field(default=None, repr=False)
+    _reroutes: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._pos is None:

@@ -189,9 +189,11 @@ def test_growth_falls_back_when_the_fast_tier_finds_nothing(monkeypatch):
 
 def test_a_broken_analysis_contract_propagates(monkeypatch, caplog):
     # a ContractViolation on a reroute step is a broken precondition: both
-    # entry points raise it, and growth neither falls back nor counts one
+    # entry points raise it, and growth neither falls back nor counts one;
+    # the patched calls run on a fresh graph, whose reroute memo is empty
+    grown = ic.gen_insertion_family(ic.octahedron())
+    reroute_cycle = ic.grow_to_bound(grown, TIGHT14_REROUTE_START).cycles[5]
     g = ic.gen_insertion_family(ic.octahedron())
-    reroute_cycle = ic.grow_to_bound(g, TIGHT14_REROUTE_START).cycles[5]
 
     def broken(g, cycle):
         raise ContractViolation("planted")
@@ -350,19 +352,21 @@ def _eager_reroute(g, cyc):
     on = set(cyc)
     for size in (1, 2, 3):
         for start, length in sorted(windows):
-            window, tail, extras = extension._window(g, cyc, on, start, length)
+            window, extras = extension._window(g, cyc, on, start, length)
             for chosen in combinations(extras, size):
                 path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
                 if path is not None:
-                    return tuple(path) + tail
+                    return tuple(path) + (cyc[start:] + cyc[:start])[length + 1 :]
     return None
 
 
 def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
     # the fast tier runs the discharging ledger only when its window walk
     # reaches a window that only the ledger can add; every reroute of the
-    # golden tight14 slice must still be the one the eager rule picks, and
-    # the slice runs the ledger on 128 of its 204 analyses (eagerly, 204)
+    # golden tight14 slice must still be the one the eager rule picks.  The
+    # slice grows on one graph, whose reroute memo searches each of the 156
+    # distinct cycles of its 204 reroute steps once, and runs the ledger on
+    # 93 of those 156 analyses (eagerly and without the memo, 204 each)
     g, starts = tight14_slice()
     analysed = []
     real_analyze = extension.analyze_cycle
@@ -378,7 +382,8 @@ def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
             for cyc, move in zip(trace.cycles, trace.moves)
             if move.pattern == "window-reroute"
         ]
-    assert (len(reroutes), len(analysed), len(audited)) == (204, 204, 128)
+    assert (len(reroutes), len(analysed), len(audited)) == (204, 156, 93)
+    assert len({cyc for cyc, _ in reroutes}) == 156
     monkeypatch.undo()
     for cyc, move in reroutes:
         assert _eager_reroute(g, cyc) == move.new_cycle
@@ -460,9 +465,9 @@ def _take_a_non_edge(g, path):
 )
 def test_growth_rejects_a_bad_reroute_path(monkeypatch, corrupt, message):
     # the fast tier's move check is live: a corrupt path from the kernel is
-    # refused with InvalidMove instead of entering the trace
-    g = ic.gen_insertion_family(ic.octahedron())
-    trace = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    # refused with InvalidMove instead of entering the trace; the patched
+    # growth runs on a fresh graph, so its reroute step reaches the kernel
+    trace = ic.grow_to_bound(ic.gen_insertion_family(ic.octahedron()), TIGHT14_REROUTE_START)
     i = next(i for i, m in enumerate(trace.moves) if m.pattern == "window-reroute")
     # the reroute's path opens the new cycle, and its second vertex (the one
     # _drop_window_vertex skips) is on the old cycle
@@ -474,5 +479,76 @@ def test_growth_rejects_a_bad_reroute_path(monkeypatch, corrupt, message):
         return None if path is None else corrupt(g, tuple(path))
 
     monkeypatch.setattr(extension, "find_hamiltonian_path", corrupted)
+    g = ic.gen_insertion_family(ic.octahedron())
     with pytest.raises(InvalidMove, match=message):
         ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+
+
+def _reroute_step(g):
+    """(cycle, move) of the window reroute in the growth of the reroute start."""
+    trace = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    return next(
+        (cyc, move)
+        for cyc, move in zip(trace.cycles, trace.moves)
+        if move.pattern == "window-reroute"
+    )
+
+
+def test_reroute_memo_searches_each_cycle_once(monkeypatch):
+    # the graph keeps each reroute search's result, keyed by the exact cycle
+    # tuple: a second growth on the same graph reuses it and gives the same
+    # trace, and a growth without a reroute step builds no memo
+    dwheel = ic.gen_insertion_family(double_wheel(20))
+    ic.grow_to_bound(dwheel, base_hamiltonian_cycle(20))
+    assert dwheel._reroutes is None
+    g = ic.gen_insertion_family(ic.octahedron())
+    analysed = []
+    real_analyze = extension.analyze_cycle
+    monkeypatch.setattr(
+        extension, "analyze_cycle", lambda *a: analysed.append(a) or real_analyze(*a)
+    )
+    first = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    second = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+    assert first.summary() == second.summary()
+    assert first.pattern_counts()["window-reroute"] == 1
+    assert len(analysed) == 1
+    assert list(g._reroutes) == [analysed[0][1]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_window_vertex, "window's cycle vertices"),
+        (_take_a_non_edge, "missing edge"),
+    ],
+    ids=["missing-window-vertex", "non-edge"],
+)
+def test_a_corrupt_memo_entry_is_refused(corrupt, message):
+    # a memo hit is checked like a fresh search: the move built from a
+    # stored path goes through the same O(change) check
+    g = ic.gen_insertion_family(ic.octahedron())
+    cyc, _ = _reroute_step(g)
+    start, length, path = g._reroutes[cyc]
+    g._reroutes[cyc] = (start, length, corrupt(g, path))
+    with pytest.raises(InvalidMove, match=message):
+        ic.find_extension_fast(g, cyc)
+    with pytest.raises(InvalidMove, match=message):
+        ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+
+
+def test_a_failed_reroute_search_is_not_stored(monkeypatch):
+    # an error in the search leaves no memo entry, so the next call on the
+    # same graph searches again
+    cyc, move = _reroute_step(ic.gen_insertion_family(ic.octahedron()))
+    g = ic.gen_insertion_family(ic.octahedron())
+
+    def broken(g, cycle):
+        raise ContractViolation("planted")
+
+    monkeypatch.setattr(extension, "analyze_cycle", broken)
+    with pytest.raises(ContractViolation, match="planted"):
+        ic.find_extension_fast(g, cyc)
+    assert g._reroutes == {}
+    monkeypatch.undo()
+    assert ic.find_extension_fast(g, cyc) == move
+    assert list(g._reroutes) == [cyc]

@@ -10,9 +10,10 @@ audit test does the same for the cycle analysis and the discharging ledger.
 
 import hashlib
 import json
+import random
 
 import isocycle as ic
-from conftest import short_isolating_cycles
+from conftest import short_isolating_cycles, tight14_slice
 from isocycle.errors import IsocycleError
 from isocycle.generators import base_hamiltonian_cycle, double_wheel
 
@@ -45,6 +46,20 @@ def test_tight14_every_tenth_start():
     digest, patterns = trace_digest(g, starts)
     assert patterns == PINNED_TIGHT14_PATTERNS
     assert digest == PINNED_TIGHT14
+
+
+def test_tight14_reroute_memo_keeps_every_trace():
+    # the fast tier memoises its reroute searches on the graph; growing the
+    # golden slice on one shared graph, in a seeded shuffled order, must give
+    # each start the trace it gets on a graph of its own
+    g, starts = tight14_slice()
+    order = list(range(len(starts)))
+    random.Random(1).shuffle(order)
+    shared = {i: ic.grow_to_bound(g, starts[i]).summary() for i in order}
+    assert len(g._reroutes) == 156
+    for i, start in enumerate(starts):
+        fresh = ic.gen_insertion_family(ic.octahedron())
+        assert ic.grow_to_bound(fresh, start).summary() == shared[i]
 
 
 def test_double_wheel_200_from_base_cycle():
