@@ -234,6 +234,8 @@ def cmd_export_dot(args):
 
 
 def cmd_batch(args):
+    if args.count < 0:
+        raise UsageError(f"--count must be 0 or more, got {args.count}")
     if args.cap < 0:
         raise UsageError(f"--cap must be 0 or more, got {args.cap}")
     seed = _seed(args)

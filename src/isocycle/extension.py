@@ -20,7 +20,11 @@ chord fits inside such a triangle.  So the fast tier's move is found on G
 itself: the first cycle position s whose edge (v_s, v_{s+1}) lies on such a
 triangle, taking the triangle with the lower face id of G when both sides
 have one (the order of ``minor_faces()``, since H numbers the faces it
-shares with G in the same order).  Only when no such triangle exists is the
+shares with G in the same order).  The apexes are read off the per-graph
+triangle table ``PlaneGraph.triangles``, which lists the third vertices of
+the triangles on each edge in increasing face id and is built on the
+graph's first apex scan; the first apex off the cycle wins, which is the
+same lowest-face-id rule.  Only when no such triangle exists is the
 cycle analysed, and the move is the reroute that adds the fewest vertices,
 the first such window in ``_candidate_windows`` order (lowest start, then
 shortest).  Only that winner is built as a Move, and no window is built
@@ -274,17 +278,19 @@ def _spliced(g, state, window, path, new_cycle, pattern):
     old cycle, so new_cycle is a cycle of g through every old vertex, and it
     is isolating because the old one is.
     """
-    if (path[0], path[-1]) != (window[0], window[-1]):
+    if path[0] != window[0] or path[-1] != window[-1]:
         raise InvalidMove("the new path must join the ends of the window")
-    if len(set(path)) != len(path):
+    vs = set(path)
+    if len(vs) != len(path):
         raise InvalidMove("the new path repeats a vertex")
     on = state.on
-    if {v for v in path if v in on} != set(window):
+    if vs & on != set(window):
         raise InvalidMove("the new path must keep exactly the window's cycle vertices")
+    adj = g.adj
     for u, v in zip(path, path[1:]):
-        if not g.has_edge(u, v):
+        if v not in adj[u]:
             raise InvalidMove(f"missing edge {u!r}-{v!r}")
-    added = [v for v in path if v not in on]
+    added = vs - on
     if not added:
         raise InvalidMove("the new cycle must be strictly longer")
     if len(added) > state.budget:
@@ -298,8 +304,9 @@ def find_extension_fast(g, cycle):
     The loops run in the selection order of the module docstring, so the
     first move found is the winner and the only one built, checked by
     ``_spliced`` in O(size of the change).  An apex insert is read off the
-    triangular faces of g along the cycle; only a reroute step builds the
-    full cycle analysis.
+    per-graph triangle table ``g.triangles``, one lookup per cycle position:
+    the first apex off the cycle is the one on the triangle with the lowest
+    face id.  Only a reroute step builds the full cycle analysis.
 
     The selection rule is unchanged by the lazy ledger: the discharging
     ledger runs only when the walk reaches a window that only it can add.
@@ -322,20 +329,15 @@ def find_extension_fast(g, cycle):
         state = _Growing(check_isolating(g, cycle), extension_budget(g))
     cyc, on = state.cycle, state.on
     c = len(cyc)
+    triangles = g.triangles
     for s in range(state.scan, c):
         u, v = cyc[s], cyc[(s + 1) % c]
-        # the faces traced from (u, v) and (v, u), each with its third vertex
-        triangles = [
-            (fid, apex)
-            for fid, apex in ((g.face_id[(u, v)], g.succ(v, u)),
-                              (g.face_id[(v, u)], g.succ(u, v)))
-            if len(g.faces[fid]) == 3 and apex not in on
-        ]
-        if triangles:
-            state.scan = s
-            apex = min(triangles)[1]
-            new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
-            return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
+        # the apexes on (u, v) come in increasing face id
+        for apex in triangles.get((u, v), ()):
+            if apex not in on:
+                state.scan = s
+                new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
+                return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
 
     memo = g._reroutes
     if memo is None:

@@ -41,6 +41,9 @@ class PlaneGraph:
         face_id: directed edge (u, v) -> index of the face traced from it.
         adj_mask: vertex index -> int bitmask of its neighbours' indices,
             built on first use (see :attr:`adj_mask`).
+        triangles: directed edge (u, v) -> the third vertices of the
+            triangular faces on {u, v}, in increasing face id, built on
+            first use (see :attr:`triangles`).
 
     The fast extension tier keeps its reroute results in ``_reroutes``, a
     dict it builds on the graph's first reroute step (see
@@ -58,14 +61,22 @@ class PlaneGraph:
     # a declared field, not functools.cached_property: a key added to the
     # instance __dict__ after construction makes every attribute load slower
     _adj_mask: list = field(default=None, repr=False)
+    _triangles: dict = field(default=None, repr=False)
     _reroutes: dict = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def _ring_pos(self):
+        """vertex -> {neighbour: its position in the vertex's ring}.
+
+        Face tracing needs it; :func:`build_plane_graph` drops it once the
+        faces are traced, and a graph rebuilds it only when
+        :meth:`delete_edges` derives an H from it.
+        """
         if self._pos is None:
             self._pos = {
                 v: {u: i for i, u in enumerate(ring)}
                 for v, ring in self.rotation.items()
             }
+        return self._pos
 
     @property
     def n(self):
@@ -88,6 +99,36 @@ class PlaneGraph:
             ]
         return self._adj_mask
 
+    @property
+    def triangles(self):
+        """For each directed edge (u, v) on a triangular face, the third
+        vertices of the triangular faces on {u, v}, in increasing face id.
+
+        Edges on no triangular face have no entry.  Built on first use, so a
+        graph that never asks (such as the pruned graph of a reroute
+        analysis) pays nothing.  Both directions of an edge share one value
+        tuple, and the keys are ``face_id``'s own key tuples, so the table
+        adds one dict slot per directed edge and one small tuple per edge.
+        """
+        if self._triangles is None:
+            faces, face_id = self.faces, self.face_id
+            table = {}
+            for key, fid in face_id.items():
+                u, v = key
+                apexes = table.get((v, u))
+                if apexes is None:
+                    apexes = tuple(
+                        w
+                        for f in sorted((fid, face_id[(v, u)]))
+                        if len(faces[f]) == 3
+                        for w in faces[f]
+                        if w != u and w != v
+                    )
+                if apexes:
+                    table[key] = apexes
+            self._triangles = table
+        return self._triangles
+
     def degree(self, v):
         return len(self.rotation[v])
 
@@ -100,19 +141,14 @@ class PlaneGraph:
             return (u, v)
         return (v, u)
 
-    def succ(self, v, u):
-        """Neighbour directly after u in the clockwise rotation at v."""
-        ring = self.rotation[v]
-        return ring[(self._pos[v][u] + 1) % len(ring)]
-
     def trace_face(self, u, v):
         """All vertices of the face containing the directed edge (u, v).
 
-        The walk from (a, b) goes on with (b, succ(b, a)), with ``succ``
-        inlined: every face of every graph, and of the pruned graph of each
-        reroute analysis, is traced here.
+        The walk from (a, b) goes on with (b, w), w the neighbour directly
+        after a in the clockwise rotation at b: every face of every graph,
+        and of the pruned graph of each reroute analysis, is traced here.
         """
-        rotation, pos = self.rotation, self._pos
+        rotation, pos = self.rotation, self._ring_pos()
         out = []
         a, b = u, v
         while True:
@@ -152,7 +188,7 @@ class PlaneGraph:
                 gone.add((v, u))
         rotation = dict(self.rotation)
         adj = dict(self.adj)
-        pos = dict(self._pos)
+        pos = dict(self._ring_pos())
         for v in {v for v, _ in gone}:
             ring = tuple(w for w in rotation[v] if (v, w) not in gone)
             rotation[v] = ring
@@ -231,6 +267,8 @@ def build_plane_graph(vertices, rotation):
         face_id={},
     )
     _trace_faces(g)
+    # one dict per vertex, kept only by graphs that go on to build an H
+    g._pos = None
     return g
 
 
@@ -323,9 +361,13 @@ def check_cycle(g, seq):
             raise NotCycle(f"unknown vertex {v!r}")
     if len(set(seq)) != len(seq):
         raise NotCycle("repeated vertex")
-    for i in range(len(seq)):
-        if not g.has_edge(seq[i - 1], seq[i]):
-            raise NotCycle(f"missing edge {seq[i - 1]!r}-{seq[i]!r}")
+    # the wrap-around pair (seq[-1], seq[0]) is checked first
+    adj = g.adj
+    u = seq[-1]
+    for v in seq:
+        if v not in adj[u]:
+            raise NotCycle(f"missing edge {u!r}-{v!r}")
+        u = v
     return seq
 
 
@@ -343,7 +385,8 @@ def canonical_cycle(g, seq):
 def is_isolating(g, cycle):
     """True when every vertex off the cycle has all its neighbours on it."""
     on = set(cycle)
-    return all(g.adj[v] <= on for v in g.vertices if v not in on)
+    adj = g.adj
+    return all(adj[v] <= on for v in g.vertices if v not in on)
 
 
 def check_isolating(g, seq):

@@ -358,3 +358,6 @@ def test_batch_cap_zero_grows_nothing_and_below_zero_is_usage_error(capsys):
     assert rep["instances"][0]["cycles"] == rep["instances"][0]["grown"] == 0
     assert main(["batch", "--count", "1", "--cap", "-1"]) == 1
     assert "--cap" in capsys.readouterr().err
+    # a negative count used to print an empty batch and exit 0
+    assert main(["batch", "--count", "-2"]) == 1
+    assert "--count" in capsys.readouterr().err

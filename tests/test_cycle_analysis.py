@@ -38,8 +38,15 @@ def test_check_cycle_rejects_repeats():
 
 def test_check_cycle_rejects_non_edges():
     # r0 and r2 are the one antipodal pair among the rim labels
-    with pytest.raises(NotCycle):
+    with pytest.raises(NotCycle, match="^missing edge 'r0'-'r2'$"):
         ic.check_cycle(octa(), ("r0", "r2", "a"))
+
+
+def test_check_cycle_reports_the_wrap_around_pair_first():
+    # r2-r0 (last to first) and r1-r3 are both missing; the pair that
+    # closes the cycle is checked first
+    with pytest.raises(NotCycle, match="^missing edge 'r2'-'r0'$"):
+        ic.check_cycle(octa(), ("r0", "r1", "r3", "r2"))
 
 
 def test_canonical_cycle_collapses_rotation_and_reflection():

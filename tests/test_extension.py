@@ -455,13 +455,25 @@ def _take_a_non_edge(g, path):
     raise AssertionError("every order is a path")
 
 
+def _repeat_a_vertex(g, path):
+    # the same ends, with the second vertex visited twice
+    return path[:2] + path[1:]
+
+
+def _drop_the_last_vertex(g, path):
+    # the path stops one vertex short of the window's far end
+    return path[:-1]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_drop_window_vertex, "window's cycle vertices"),
         (_take_a_non_edge, "missing edge"),
+        (_repeat_a_vertex, "repeats a vertex"),
+        (_drop_the_last_vertex, "join the ends"),
     ],
-    ids=["missing-window-vertex", "non-edge"],
+    ids=["missing-window-vertex", "non-edge", "repeated-vertex", "loose-end"],
 )
 def test_growth_rejects_a_bad_reroute_path(monkeypatch, corrupt, message):
     # the fast tier's move check is live: a corrupt path from the kernel is

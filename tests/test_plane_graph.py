@@ -6,16 +6,17 @@ import re
 import pytest
 
 import isocycle as ic
-from conftest import tight14_slice
+from conftest import short_isolating_cycles, tight14_slice
 from isocycle.errors import (
     InconsistentRotation,
     NonPlanarEmbedding,
     NotSimple,
     ParseError,
 )
-from isocycle.generators import cube, double_wheel, k4, wheel
+from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.plane_graph import (
     _separators,
+    graph_from_json_dict,
     is_essentially_four_connected,
     is_four_connected,
     is_maximal_planar,
@@ -123,6 +124,112 @@ def test_delete_edges_ignores_non_edges():
     w = next(x for x in g.vertices if x != u and not g.has_edge(u, x))
     h = g.delete_edges([(u, w), (w, u), ("no such vertex", u)])
     _same_graph(h, g)
+
+
+# -- the triangle table ------------------------------------------------------
+
+
+def _old_apex(g, u, v, on):
+    """The apex rule the table replaces: of the faces traced from (u, v) and
+    (v, u), the triangles whose third vertex is off the cycle, lowest face id
+    first."""
+
+    def succ(x, w):
+        ring = g.rotation[x]
+        return ring[(ring.index(w) + 1) % len(ring)]
+
+    triangles = [
+        (fid, apex)
+        for fid, apex in ((g.face_id[(u, v)], succ(v, u)), (g.face_id[(v, u)], succ(u, v)))
+        if len(g.faces[fid]) == 3 and apex not in on
+    ]
+    return min(triangles)[1] if triangles else None
+
+
+def _table_apex(g, u, v, on):
+    return next((w for w in g.triangles.get((u, v), ()) if w not in on), None)
+
+
+def _same_apexes(g, cycles):
+    """Table and old rule agree on every edge of every cycle; returns the
+    number of edges with an apex off the cycle."""
+    found = 0
+    for cyc in cycles:
+        on = set(cyc)
+        for i in range(len(cyc)):
+            u, v = cyc[i - 1], cyc[i]
+            apex = _old_apex(g, u, v, on)
+            assert _table_apex(g, u, v, on) == apex, (cyc, u, v)
+            found += apex is not None
+    return found
+
+
+def _c4_c5_graphs():
+    from test_discharging import C4_INSTANCE, C5_INSTANCE
+
+    return [graph_from_json_dict(doc) for doc in (C4_INSTANCE, C5_INSTANCE)]
+
+
+def test_triangle_table_picks_the_old_apex_on_small_graphs(sweep_sample):
+    # every isolating cycle of the octahedron, the cube, the tight14 graph and
+    # the pinned C4 and C5 non-triangulations (triangles beside a 4- or
+    # 5-face), and short isolating cycles of the corpus sample
+    tight14 = ic.gen_insertion_family(ic.octahedron())
+    graphs = [ic.octahedron(), cube(), tight14, *_c4_c5_graphs()]
+    jobs = [(g, ic.oracle_isolating_cycles(g)) for g in graphs]
+    assert len(jobs[2][1]) == 6580
+    jobs += [(g, short_isolating_cycles(g, cap=30)) for g in sweep_sample]
+    found = [_same_apexes(g, cycles) for g, cycles in jobs]
+    assert graphs[1].triangles == {}
+    assert found[1] == 0
+    assert all(found[i] > 0 for i in (0, 2, 3, 4))
+    # C4 and C5 have edges with a triangle on one side only
+    assert all(any(len(a) == 1 for a in g.triangles.values()) for g in graphs[3:])
+
+
+def test_triangle_table_picks_the_old_apex_on_the_double_wheel():
+    # the n=200 filled double wheel: every cycle of the growth from its base
+    # cycle is isolating, and every step there is an apex insert
+    g = ic.gen_insertion_family(double_wheel(66))
+    trace = ic.grow_to_bound(g, base_hamiltonian_cycle(66))
+    assert _same_apexes(g, trace.cycles) > 0
+
+
+def test_triangle_table_shares_keys_and_values():
+    # both directions of an edge share one value tuple, and the keys are
+    # face_id's own key tuples
+    g = ic.gen_insertion_family(ic.octahedron())
+    keys = {k: k for k in g.face_id}
+    assert len(g.triangles) == 2 * g.m
+    for key, apexes in g.triangles.items():
+        u, v = key
+        assert key is keys[key]
+        assert g.triangles[(v, u)] is apexes
+        fids = sorted((g.face_id[(u, v)], g.face_id[(v, u)]))
+        assert apexes == tuple(
+            w for f in fids for w in g.faces[f] if len(g.faces[f]) == 3 and w not in key
+        )
+
+
+def test_delete_edges_builds_its_own_triangle_table():
+    # H never inherits G's table: it has none until its own first use, and
+    # that table is built from H's faces.  G keeps no ring positions once
+    # its faces are traced; deriving H rebuilds them
+    g = ic.octahedron()
+    assert g._pos is None
+    u, v = g.edges[0]
+    assert (u, v) in g.triangles
+    h = g.delete_edges([(u, v)])
+    assert g._pos is not None
+    assert h._triangles is None
+    assert (u, v) not in h.triangles
+    assert h.triangles == ic.build_plane_graph(h.vertices, h.rotation).triangles
+    # the two triangles on {u, v} merge into one 4-face of H
+    assert sorted(map(len, h.faces)) == [3] * 6 + [4]
+    # whose four edges keep only their other triangle
+    assert len(h.triangles) == len(g.triangles) - 2
+    four = next(f for f in h.faces if len(f) == 4)
+    assert [len(h.triangles[(four[i - 1], four[i])]) for i in range(4)] == [1] * 4
 
 
 NOT_A_LIST = "'vertices' must be a list of strings"
