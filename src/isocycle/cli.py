@@ -48,7 +48,7 @@ def _parse_cycle(text):
         with open(text[1:], encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ParseError(f"invalid JSON in cycle sidecar: {exc}") from exc
         if not isinstance(data, list):
             raise ParseError("cycle sidecar must be a JSON list of vertex ids")
@@ -327,7 +327,7 @@ def build_parser():
     sp.add_argument(
         "--four-connected",
         action="store_true",
-        help="random family: double_wheel(n - 2) for every seed (see ROADMAP item 8)",
+        help="random family: double_wheel(n - 2) for every seed (see ROADMAP item 10)",
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_gen)

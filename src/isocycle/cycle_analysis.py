@@ -549,7 +549,7 @@ def extension_tree(analysis, side):
         for e in h.edges:
             if e in analysis.pos_of_edge:
                 continue
-            a, b = h.faces_of_edge(*e)
+            a, b = h.face_id[e], h.face_id[e[::-1]]
             if analysis.face_side[a] == side and analysis.face_side[b] == side:
                 if a != b:
                     edges.add(tuple(sorted((("face", a), ("face", b)))))

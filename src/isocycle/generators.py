@@ -185,7 +185,7 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
     graph keeps a degree-3 vertex, so it is never 4-connected).  The
     4-connected variant is not random: it returns double_wheel(n - 2) for
     every seed, since every diagonal flip of a double wheel leaves a vertex
-    of degree 3.  A flip walk that repairs 4-connectivity is ROADMAP item 8.
+    of degree 3.  A flip walk that repairs 4-connectivity is ROADMAP item 10.
     """
     if require_four_connected:
         if n < 6:

@@ -45,6 +45,12 @@ class PlaneGraph:
             triangular faces on {u, v}, in increasing face id, built on
             first use (see :attr:`triangles`).
 
+    A graph is constructed once, with its faces: :func:`build_plane_graph`
+    and :meth:`delete_edges` both hand their rotation system to
+    :func:`_with_faces`, which walks every face through a successor map on
+    the directed edges and returns the finished graph.  No graph keeps that
+    map or any other per-vertex ring index.
+
     The fast extension tier keeps its reroute results in ``_reroutes``, a
     dict it builds on the graph's first reroute step (see
     :func:`isocycle.extension.find_extension_fast`).
@@ -57,26 +63,11 @@ class PlaneGraph:
     edges: tuple = field(repr=False)
     faces: tuple = field(repr=False)
     face_id: dict = field(repr=False)
-    _pos: dict = field(default=None, repr=False)
     # a declared field, not functools.cached_property: a key added to the
     # instance __dict__ after construction makes every attribute load slower
     _adj_mask: list = field(default=None, repr=False)
     _triangles: dict = field(default=None, repr=False)
     _reroutes: dict = field(default=None, repr=False)
-
-    def _ring_pos(self):
-        """vertex -> {neighbour: its position in the vertex's ring}.
-
-        Face tracing needs it; :func:`build_plane_graph` drops it once the
-        faces are traced, and a graph rebuilds it only when
-        :meth:`delete_edges` derives an H from it.
-        """
-        if self._pos is None:
-            self._pos = {
-                v: {u: i for i, u in enumerate(ring)}
-                for v, ring in self.rotation.items()
-            }
-        return self._pos
 
     @property
     def n(self):
@@ -141,29 +132,6 @@ class PlaneGraph:
             return (u, v)
         return (v, u)
 
-    def trace_face(self, u, v):
-        """All vertices of the face containing the directed edge (u, v).
-
-        The walk from (a, b) goes on with (b, w), w the neighbour directly
-        after a in the clockwise rotation at b: every face of every graph,
-        and of the pruned graph of each reroute analysis, is traced here.
-        """
-        rotation, pos = self.rotation, self._ring_pos()
-        out = []
-        a, b = u, v
-        while True:
-            out.append(a)
-            ring = rotation[b]
-            a, b = b, ring[(pos[b][a] + 1) % len(ring)]
-            if a == u and b == v:
-                return tuple(out)
-
-    def faces_of_edge(self, u, v):
-        """The one or two faces incident to the undirected edge {u, v}."""
-        a = self.face_id[(u, v)]
-        b = self.face_id[(v, u)]
-        return (a, b)
-
     def sorted_vertices(self, vs):
         return sorted(vs, key=self.index.__getitem__)
 
@@ -172,13 +140,13 @@ class PlaneGraph:
 
         Pairs that are not edges are ignored.  The result is built without
         re-validating what a deletion keeps: it shares this graph's
-        ``vertices`` and ``index``, keeps the rings, neighbour sets and ring
-        positions of every vertex no deleted edge touches, filters the sorted
-        ``edges``, and traces its faces with the loop of
-        :func:`build_plane_graph`.  Deleting edges from a simple, symmetric,
-        planar rotation system leaves one, and every component of the result
-        is planar, so k components trace V - E + F = 2k faces.  The only
-        check left to fail is then Euler's formula, which raises
+        ``vertices`` and ``index``, keeps the rings and neighbour sets of
+        every vertex no deleted edge touches, filters the sorted ``edges``,
+        and traces its faces with :func:`_with_faces`, as
+        :func:`build_plane_graph` does.  Deleting edges from a simple,
+        symmetric, planar rotation system leaves one, and every component of
+        the result is planar, so k components trace V - E + F = 2k faces.
+        The only check left to fail is then Euler's formula, which raises
         NonPlanarEmbedding exactly when the deletion disconnects the graph.
         """
         gone = set()
@@ -188,24 +156,12 @@ class PlaneGraph:
                 gone.add((v, u))
         rotation = dict(self.rotation)
         adj = dict(self.adj)
-        pos = dict(self._ring_pos())
         for v in {v for v, _ in gone}:
             ring = tuple(w for w in rotation[v] if (v, w) not in gone)
             rotation[v] = ring
             adj[v] = frozenset(ring)
-            pos[v] = {u: i for i, u in enumerate(ring)}
-        h = PlaneGraph(
-            vertices=self.vertices,
-            rotation=rotation,
-            index=self.index,
-            adj=adj,
-            edges=tuple(e for e in self.edges if e not in gone),
-            faces=(),
-            face_id={},
-            _pos=pos,
-        )
-        _trace_faces(h)
-        return h
+        edges = tuple(e for e in self.edges if e not in gone)
+        return _with_faces(self.vertices, rotation, self.index, adj, edges)
 
 
 def build_plane_graph(vertices, rotation):
@@ -257,53 +213,63 @@ def build_plane_graph(vertices, rotation):
     if reachable(adj, vertices[:1], seen) != seen:
         raise NonPlanarEmbedding("graph is not connected")
 
-    g = PlaneGraph(
-        vertices=vertices,
-        rotation=rot,
-        index=index,
-        adj=adj,
-        edges=tuple(edges),
-        faces=(),
-        face_id={},
-    )
-    _trace_faces(g)
-    # one dict per vertex, kept only by graphs that go on to build an H
-    g._pos = None
-    return g
+    return _with_faces(vertices, rot, index, adj, tuple(edges))
 
 
-def _trace_faces(g):
-    """Trace and number the faces of g, then check Euler's formula.
+def _with_faces(vertices, rotation, index, adj, edges):
+    """Trace and number the faces of a rotation system, check Euler's
+    formula, and return the finished PlaneGraph.
+
+    The walk runs on a successor map of the directed edges, local to this
+    call: ``after[b][a]`` is the neighbour just after a in the clockwise
+    ring at b, so the walk from (a, b) goes on with (b, after[b][a]).  The
+    map is a permutation of the directed edges, so a walk returns to its
+    first edge, the first one it meets that already has a face id.  A vertex
+    with an empty ring has no directed edges and adds nothing.  The map is
+    keyed by vertex, not by (a, b) tuples: a tuple per directed edge, freed
+    after tracing, raised the peak memory of a build.
 
     Faces are numbered in the order their first directed edge appears,
-    vertex by vertex in ``g.vertices`` order and round each rotation; both
-    :func:`build_plane_graph` and :meth:`PlaneGraph.delete_edges` number
-    faces here.  Raises NonPlanarEmbedding when V - E + F != 2.  That decides
-    planarity only for a connected rotation system: a toroidal K4 beside a
-    disjoint triangle gives 7 - 9 + 4 = 2.  So ``build_plane_graph`` checks
-    connectivity with :func:`reachable` first, and ``delete_edges`` relies on
-    every component of a deletion from a planar graph being planar.
+    vertex by vertex in ``vertices`` order and round each rotation, and
+    each face starts at the tail of that edge.  Both
+    :func:`build_plane_graph` and :meth:`PlaneGraph.delete_edges` construct
+    their graph here.  Raises NonPlanarEmbedding when V - E + F != 2.  That
+    decides planarity only for a connected rotation system: a toroidal K4
+    beside a disjoint triangle gives 7 - 9 + 4 = 2.  So ``build_plane_graph``
+    checks connectivity with :func:`reachable` first, and ``delete_edges``
+    relies on every component of a deletion from a planar graph being planar.
     """
+    after = {b: dict(zip(ring, ring[1:] + ring[:1])) for b, ring in rotation.items()}
     faces = []
     face_id = {}
-    for v in g.vertices:
-        for w in g.rotation[v]:
-            if (v, w) in face_id:
+    for v in vertices:
+        for w in rotation[v]:
+            e = (v, w)
+            if e in face_id:
                 continue
-            cycle = g.trace_face(v, w)
             fid = len(faces)
-            faces.append(cycle)
-            k = len(cycle)
-            for i in range(k):
-                face_id[(cycle[i], cycle[(i + 1) % k])] = fid
-    g.faces = tuple(faces)
-    g.face_id = face_id
+            face = []
+            while e not in face_id:
+                face_id[e] = fid
+                a, b = e
+                face.append(a)
+                e = (b, after[b][a])
+            faces.append(tuple(face))
 
     # Euler: V - E + F = 2 on the sphere
-    if g.n - g.m + len(faces) != 2:
+    if len(vertices) - len(edges) + len(faces) != 2:
         raise NonPlanarEmbedding(
-            f"Euler check failed: V={g.n} E={g.m} F={len(faces)}"
+            f"Euler check failed: V={len(vertices)} E={len(edges)} F={len(faces)}"
         )
+    return PlaneGraph(
+        vertices=vertices,
+        rotation=rotation,
+        index=index,
+        adj=adj,
+        edges=edges,
+        faces=tuple(faces),
+        face_id=face_id,
+    )
 
 
 def graph_from_faces(face_list):
@@ -530,7 +496,7 @@ def load_graph(path):
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(d)
 

@@ -180,6 +180,23 @@ def test_analyze_rejects_non_utf8_cycle_sidecar(octa_file, tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_validate_rejects_deeply_nested_graph(tmp_path, capsys):
+    # json's decoder recurses once per bracket; that is a parse error too
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, rep = run_json(capsys, "validate", "--graph", str(deep))
+    assert code == 2
+    assert rep["valid"] is False and rep["error"] == "ParseError"
+    assert main(["circ", "--graph", str(deep)]) == 2
+
+
+def test_analyze_rejects_deeply_nested_cycle_sidecar(octa_file, tmp_path, capsys):
+    side = tmp_path / "deep.json"
+    side.write_text("[" * 100000)
+    assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_analyze_rejects_bad_cycle(octa_file, capsys):
     assert main(["analyze", "--graph", octa_file, "--cycle", "r0,r2,a"]) == 2
 

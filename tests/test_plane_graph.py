@@ -13,9 +13,17 @@ from isocycle.errors import (
     NotSimple,
     ParseError,
 )
-from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
+from isocycle.generators import (
+    base_hamiltonian_cycle,
+    cube,
+    double_wheel,
+    k4,
+    prism,
+    wheel,
+)
 from isocycle.plane_graph import (
     _separators,
+    _with_faces,
     graph_from_json_dict,
     is_essentially_four_connected,
     is_four_connected,
@@ -86,6 +94,53 @@ def _same_graph(h, ref):
     assert h.face_id == ref.face_id
 
 
+def _ring_position_faces(g):
+    """The faces and face ids of g by the earlier tracing rule, kept as the
+    oracle of the successor-map tracer: each vertex's ring positions are
+    indexed, and the walk from (a, b) goes on with the neighbour at the
+    position after a's in the ring at b, until it is back at its first
+    edge.  Faces are numbered by their first directed edge, in
+    ``g.vertices`` order and then ring order."""
+    pos = {v: {u: i for i, u in enumerate(ring)} for v, ring in g.rotation.items()}
+    faces, face_id = [], {}
+    for v in g.vertices:
+        for w in g.rotation[v]:
+            if (v, w) in face_id:
+                continue
+            face, a, b = [], v, w
+            while True:
+                face.append(a)
+                ring = g.rotation[b]
+                a, b = b, ring[(pos[b][a] + 1) % len(ring)]
+                if (a, b) == (v, w):
+                    break
+            for i in range(len(face)):
+                face_id[(face[i - 1], face[i])] = len(faces)
+            faces.append(tuple(face))
+    return tuple(faces), face_id
+
+
+def _same_faces_as_ring_positions(g):
+    faces, face_id = _ring_position_faces(g)
+    assert g.faces == faces
+    assert g.face_id == face_id
+
+
+def test_faces_match_the_ring_position_walk(sweep_sample):
+    graphs = [k4(), ic.octahedron(), cube(), prism(), wheel(7)]
+    graphs.append(ic.graph_from_faces(cube().faces))
+    graphs += [ic.gen_random_triangulation(30, seed=s) for s in range(4)]
+    graphs.append(ic.gen_insertion_family(ic.octahedron()))
+    graphs.append(ic.gen_insertion_family(double_wheel(66)))
+    assert graphs[-1].n == 200
+    for g in graphs + list(sweep_sample):
+        _same_faces_as_ring_positions(g)
+        # numbering follows g.vertices, not the order of the rotation's keys
+        rotation = dict(reversed(g.rotation.items()))
+        h = _with_faces(g.vertices, rotation, g.index, g.adj, g.edges)
+        _same_faces_as_ring_positions(h)
+
+
 def test_delete_edges_equals_a_validated_rebuild():
     # delete_edges skips the checks a deletion cannot fail; on the pruned
     # graph H of every reroute step of the golden tight14 slice it must
@@ -104,7 +159,9 @@ def test_delete_edges_equals_a_validated_rebuild():
                 v: [w for w in ring if (v, w) not in drop]
                 for v, ring in g.rotation.items()
             }
-            _same_graph(g.delete_edges(chords), ic.build_plane_graph(g.vertices, rotation))
+            h = g.delete_edges(chords)
+            _same_graph(h, ic.build_plane_graph(g.vertices, rotation))
+            _same_faces_as_ring_positions(h)
             steps += 1
     assert steps == 204
 
@@ -213,14 +270,11 @@ def test_triangle_table_shares_keys_and_values():
 
 def test_delete_edges_builds_its_own_triangle_table():
     # H never inherits G's table: it has none until its own first use, and
-    # that table is built from H's faces.  G keeps no ring positions once
-    # its faces are traced; deriving H rebuilds them
+    # that table is built from H's faces
     g = ic.octahedron()
-    assert g._pos is None
     u, v = g.edges[0]
     assert (u, v) in g.triangles
     h = g.delete_edges([(u, v)])
-    assert g._pos is not None
     assert h._triangles is None
     assert (u, v) not in h.triangles
     assert h.triangles == ic.build_plane_graph(h.vertices, h.rotation).triangles
