@@ -164,13 +164,14 @@ def cmd_grow(args):
     cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle, tier2_only=args.tier_2_only)
     report = trace.summary()
-    report["moves_detail"] = [
-        _move_report(old, m) for old, m in zip(trace.cycles, trace.moves)
-    ]
+    # each of trace.moves and trace.cycles replays the whole trace
+    moves = trace.moves
+    cycles = [trace.start_cycle] + [m.new_cycle for m in moves]
+    report["moves_detail"] = [_move_report(old, m) for old, m in zip(cycles, moves)]
     _emit(args, report)
     if args.dump_dot:
         os.makedirs(args.dump_dot, exist_ok=True)
-        for i, cyc in enumerate(trace.cycles):
+        for i, cyc in enumerate(cycles):
             path = os.path.join(args.dump_dot, f"step{i:03d}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(graph_to_dot(g, highlight_cycle=cyc))

@@ -54,17 +54,24 @@ vertices are off the cycle and distinct, a reroute path covers exactly its
 window and the chosen extras, and the move fits the budget.  ``make_move``
 keeps every check, for users.
 
-``grow_to_bound`` carries a checked cycle from step to step: the cycle, its
-vertex set, the budget (counted once per trace) and the position where the
-apex scan resumes.  The fast tier takes it in place of a plain cycle, which
-would get the full ``check_isolating`` at entry.  Isolation needs no recheck
-between steps, since adding vertices keeps a cycle isolating; the full check
-runs on the start cycle and on the final one.  An apex insert at position s
-leaves every cycle edge before s unchanged and only grows the vertex set, so
-the next scan starts at s; after a reroute or an exhaustive move it starts
-again at 0.  Over a run of apex inserts the scan only moves forward, so all
-its scans cost O(n) together, and each step does O(Δ) Python-level work
-besides copying the new cycle tuple.
+``grow_to_bound`` carries the live cycle from step to step as a successor
+map (``_Growing``): each vertex's successor, the head (position 0 of the
+tuple form), the length, the vertex set, the budget (counted once per
+graph) and the vertex and position where the apex scan resumes.  The fast
+tier takes this state in place of a plain cycle, which would get the full
+``check_isolating`` at entry, applies its move in place and returns the
+move as a ``Splice``.  Isolation needs no recheck between steps, since
+adding vertices keeps a cycle isolating; the full check runs on the start
+cycle and on the final one.  An apex insert at position s sets two
+successors, in O(1), leaves every cycle edge before s unchanged and only
+grows the vertex set, so the next scan starts at s; after a reroute or an
+exhaustive move it starts again at 0.  Over a run of apex inserts the scan
+only moves forward, so all its scans cost O(n) together, and growth does
+O(n) work and holds O(n) memory: no apex insert builds a tuple, a ``Move``
+or a set.  A reroute step builds the cycle tuple from the head, in O(c),
+which its memo key needs anyway, and relinks the path; the new cycle starts
+at the path's first vertex, as the tuple form always has.  The trace keeps
+the splices, and replays them into moves and cycles only when asked.
 
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
@@ -75,12 +82,19 @@ NotIsolating on a start cycle that is not isolating.
 """
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
 from .cycle_analysis import analyze_cycle
 from .discharging import apply_discharging
-from .errors import CycleTooShort, DegenerateSide, ExtensionNotFound, InvalidMove
+from .errors import (
+    ContractViolation,
+    CycleTooShort,
+    DegenerateSide,
+    ExtensionNotFound,
+    InvalidMove,
+)
 from .oracles import find_hamiltonian_path, hamiltonian_cycles
 from .plane_graph import check_cycle, check_isolating
 
@@ -99,8 +113,13 @@ def degree_five_count(g):
 
 
 def extension_budget(g):
-    """Largest number of vertices a single extension move may add."""
-    return 3 + degree_five_count(g)
+    """Largest number of vertices a single extension move may add.
+
+    Counted on the first call for a graph and kept in ``g._budget``.
+    """
+    if g._budget is None:
+        g._budget = 3 + degree_five_count(g)
+    return g._budget
 
 
 @dataclass(frozen=True)
@@ -123,10 +142,9 @@ def make_move(g, old_cycle, new_cycle, pattern):
     added = tuple(g.sorted_vertices(new_set - old_set))
     if not added:
         raise InvalidMove("the new cycle must be strictly longer")
-    if len(added) > extension_budget(g):
-        raise InvalidMove(
-            f"move adds {len(added)} vertices, budget is {extension_budget(g)}"
-        )
+    budget = extension_budget(g)
+    if len(added) > budget:
+        raise InvalidMove(f"move adds {len(added)} vertices, budget is {budget}")
     return Move(new_cycle=new, added=added, pattern=pattern)
 
 
@@ -238,45 +256,79 @@ def _reroute(g, cyc, on):
     return None
 
 
+Splice = namedtuple("Splice", "pattern added at length path")
+Splice.__doc__ = """One growth step, recorded as the change it made to the cycle.
+
+pattern and added are the move's.  An apex insert ("apex-insert") puts the
+single vertex of added after position ``at`` and keeps the head; its
+``length`` is 1 and its ``path`` None.  A reroute ("window-reroute")
+replaces the ``length`` cycle edges from position ``at`` by ``path``, and
+the new cycle starts at the path's first vertex.  An exhaustive move keeps
+its whole new cycle in ``path``, and ``at`` and ``length`` are None.
+"""
+
+
+def _replay(cyc, step):
+    """The cycle tuple that ``step`` makes of the cycle tuple cyc, in O(c)."""
+    if step.pattern == "apex-insert":
+        return cyc[: step.at + 1] + step.added + cyc[step.at + 1 :]
+    if step.pattern == "window-reroute":
+        rot = cyc[step.at :] + cyc[: step.at]
+        return step.path + rot[step.length + 1 :]
+    return step.path
+
+
 class _Growing:
     """A checked isolating cycle, carried by grow_to_bound from step to step.
 
-    It holds the cycle, its vertex set, the move budget (counted once) and
-    the position where the next apex scan starts.  ``find_extension_fast``
-    takes it in place of a cycle and then skips its entry check.
+    The cycle is a successor map ``succ`` with a ``head``, its tuple form
+    starting at the head.  The state also holds the cycle's length, its
+    vertex set ``on``, the move budget, and the vertex ``scan`` at position
+    ``pos`` where the next apex scan starts.  ``find_extension_fast`` takes
+    it in place of a cycle, skips its entry check and applies its move in
+    place.
     """
 
-    __slots__ = ("cycle", "on", "budget", "scan")
+    __slots__ = ("succ", "head", "length", "on", "budget", "scan", "pos")
 
     def __init__(self, cycle, budget):
-        self.cycle = cycle
+        self.succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+        self.head = self.scan = cycle[0]
+        self.length = len(cycle)
         self.on = set(cycle)
         self.budget = budget
-        self.scan = 0
+        self.pos = 0
 
-    def advance(self, move):
-        """The state of ``move.new_cycle``.
+    def cycle(self):
+        """The cycle as a tuple from the head, in O(c).
 
-        An apex insert found at position s keeps every cycle edge before s
-        and only grows the vertex set, so no earlier position can gain an
-        apex and the scan resumes at s.  Any other move starts afresh.
+        Raises ContractViolation unless the walk from the head returns to it
+        after exactly ``length`` vertices.
         """
-        if move.pattern != "apex-insert":
-            return _Growing(move.new_cycle, self.budget)
-        self.cycle = move.new_cycle
-        self.on.update(move.added)
-        return self
+        succ, head = self.succ, self.head
+        out = [head]
+        v = succ[head]
+        for _ in range(self.length):
+            if v == head:
+                break
+            out.append(v)
+            v = succ[v]
+        if v != head or len(out) != self.length:
+            raise ContractViolation(
+                f"the successor map does not close into a cycle of length {self.length}"
+            )
+        return tuple(out)
 
 
-def _spliced(g, state, window, path, new_cycle, pattern):
-    """The Move to new_cycle, the state's cycle with path in place of window.
+def _spliced(g, state, window, path):
+    """The vertices path adds in place of window, sorted by index.
 
     Only what the splice changes is checked, in O(len(path)): path joins the
     ends of window through every window vertex, its other vertices are off
     the cycle, no vertex repeats, each path edge is an edge of g, and it adds
-    between one and ``state.budget`` vertices.  The rest of new_cycle is the
-    old cycle, so new_cycle is a cycle of g through every old vertex, and it
-    is isolating because the old one is.
+    between one and ``state.budget`` vertices.  The rest of the new cycle is
+    the old cycle, so the new cycle is a cycle of g through every old
+    vertex, and it is isolating because the old one is.
     """
     if path[0] != window[0] or path[-1] != window[-1]:
         raise InvalidMove("the new path must join the ends of the window")
@@ -295,50 +347,42 @@ def _spliced(g, state, window, path, new_cycle, pattern):
         raise InvalidMove("the new cycle must be strictly longer")
     if len(added) > state.budget:
         raise InvalidMove(f"move adds {len(added)} vertices, budget is {state.budget}")
-    return Move(new_cycle=new_cycle, added=tuple(g.sorted_vertices(added)), pattern=pattern)
+    return tuple(g.sorted_vertices(added))
 
 
-def find_extension_fast(g, cycle):
-    """Pattern-directed extension search.  Returns a Move or None.
+def _extend(g, state):
+    """Find the fast tier's move on the growth state, apply it in place and
+    return its Splice, or None when no window works.
 
-    The loops run in the selection order of the module docstring, so the
-    first move found is the winner and the only one built, checked by
-    ``_spliced`` in O(size of the change).  An apex insert is read off the
-    per-graph triangle table ``g.triangles``, one lookup per cycle position:
-    the first apex off the cycle is the one on the triangle with the lowest
-    face id.  Only a reroute step builds the full cycle analysis.
-
-    The selection rule is unchanged by the lazy ledger: the discharging
-    ledger runs only when the walk reaches a window that only it can add.
-
-    A reroute step searches each cycle once per graph: ``_reroute``'s
-    result, None included, is kept in ``g._reroutes`` under the exact cycle
-    tuple.  A hit rebuilds the window and the rest of the cycle in O(c) and
-    goes through the same ``_spliced`` check as a fresh search.
-
-    Raises NotCycle or NotIsolating on a bad start cycle.  On a reroute
-    step every error of ``analyze_cycle`` and ``find_tunnels`` propagates,
-    and so does every ``apply_discharging`` error but CycleTooShort and
-    DegenerateSide (which flag no face), on a step whose walk reaches a
-    ledger-only window; such an error stores nothing in the memo.  None
-    means only that no window worked.
+    An apex insert puts the apex between the cycle vertices u and v at
+    position s in O(1).  Its checks are the ones ``_spliced`` makes on the
+    path (u, apex, v) with apex off the cycle: both its edges are edges of
+    g, and the budget allows one vertex.
     """
-    if isinstance(cycle, _Growing):
-        state = cycle
-    else:
-        state = _Growing(check_isolating(g, cycle), extension_budget(g))
-    cyc, on = state.cycle, state.on
-    c = len(cyc)
+    succ, on = state.succ, state.on
     triangles = g.triangles
-    for s in range(state.scan, c):
-        u, v = cyc[s], cyc[(s + 1) % c]
+    u = state.scan
+    for s in range(state.pos, state.length):
+        v = succ[u]
         # the apexes on (u, v) come in increasing face id
         for apex in triangles.get((u, v), ()):
             if apex not in on:
-                state.scan = s
-                new = cyc[: s + 1] + (apex,) + cyc[s + 1 :]
-                return _spliced(g, state, (u, v), (u, apex, v), new, "apex-insert")
+                adj = g.adj[apex]
+                if u not in adj:
+                    raise InvalidMove(f"missing edge {u!r}-{apex!r}")
+                if v not in adj:
+                    raise InvalidMove(f"missing edge {apex!r}-{v!r}")
+                if state.budget < 1:
+                    raise InvalidMove(f"move adds 1 vertices, budget is {state.budget}")
+                succ[u] = apex
+                succ[apex] = v
+                on.add(apex)
+                state.length += 1
+                state.scan, state.pos = u, s
+                return Splice("apex-insert", (apex,), s, 1, None)
+        u = v
 
+    cyc = state.cycle()
     memo = g._reroutes
     if memo is None:
         memo = g._reroutes = {}
@@ -349,9 +393,54 @@ def find_extension_fast(g, cycle):
     if found is None:
         return None
     start, length, path = found
-    # the cycle from the window's first vertex: the window, then the tail
-    rot = cyc[start:] + cyc[:start]
-    return _spliced(g, state, rot[: length + 1], path, path + rot[length + 1 :], "window-reroute")
+    # the window: the length cycle edges from position start
+    added = _spliced(g, state, (cyc[start:] + cyc[:start])[: length + 1], path)
+    for a, b in zip(path, path[1:]):
+        succ[a] = b
+    on.update(added)
+    state.length += len(added)
+    state.head = state.scan = path[0]
+    state.pos = 0
+    return Splice("window-reroute", added, start, length, path)
+
+
+def find_extension_fast(g, cycle):
+    """Pattern-directed extension search.
+
+    Given a plain cycle, returns a Move or None.  Given the growth state of
+    ``grow_to_bound``, applies the move to it in place and returns the
+    move's Splice, or None.
+
+    The loops run in the selection order of the module docstring, so the
+    first move found is the winner and the only one built, checked in
+    O(size of the change).  An apex insert is read off the per-graph
+    triangle table ``g.triangles``, one lookup per cycle position: the first
+    apex off the cycle is the one on the triangle with the lowest face id.
+    Only a reroute step builds the full cycle analysis.
+
+    The selection rule is unchanged by the lazy ledger: the discharging
+    ledger runs only when the walk reaches a window that only it can add.
+
+    A reroute step searches each cycle once per graph: ``_reroute``'s
+    result, None included, is kept in ``g._reroutes`` under the exact cycle
+    tuple.  A hit rebuilds the window in O(c) and goes through the same
+    ``_spliced`` check as a fresh search.
+
+    Raises NotCycle or NotIsolating on a bad start cycle, and InvalidMove on
+    a move that fails its check.  On a reroute step every error of
+    ``analyze_cycle`` and ``find_tunnels`` propagates, and so does every
+    ``apply_discharging`` error but CycleTooShort and DegenerateSide (which
+    flag no face), on a step whose walk reaches a ledger-only window; such
+    an error stores nothing in the memo.  None means only that no window
+    worked.
+    """
+    if isinstance(cycle, _Growing):
+        return _extend(g, cycle)
+    cyc = check_isolating(g, cycle)
+    step = _extend(g, _Growing(cyc, extension_budget(g)))
+    if step is None:
+        return None
+    return Move(new_cycle=_replay(cyc, step), added=step.added, pattern=step.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +476,36 @@ def find_extension_exhaustive(g, cycle):
 
 @dataclass(eq=False)
 class GrowthTrace:
-    """A growth chain: the start cycle and the moves that extended it.
+    """A growth chain: the start cycle, the splices that extended it, the
+    final cycle and the number of fallbacks to the exhaustive tier.
 
-    The cycles, the final cycle, the bound and whether it was reached are
-    derived from these, so the trace holds each of them once.
+    Each step is kept as the ``Splice`` growth applied to its live cycle:
+    O(1) memory for an apex insert, the path for a reroute and the whole
+    cycle only for an exhaustive move.  ``summary()``, ``pattern_counts()``,
+    ``final_cycle``, ``bound`` and ``completed`` read these directly.
+    ``moves`` and ``cycles`` replay the splices from the start cycle and
+    cost O(sum of the cycle lengths) on each access, so read one and derive
+    the other from it when both are needed.
     """
 
     graph: object
     start_cycle: tuple
-    moves: list
+    splices: list
+    final_cycle: tuple
     fallbacks: int
+
+    @property
+    def moves(self):
+        out = []
+        cyc = self.start_cycle
+        for step in self.splices:
+            cyc = _replay(cyc, step)
+            out.append(Move(new_cycle=cyc, added=step.added, pattern=step.pattern))
+        return out
 
     @property
     def cycles(self):
         return [self.start_cycle] + [m.new_cycle for m in self.moves]
-
-    @property
-    def final_cycle(self):
-        return self.moves[-1].new_cycle if self.moves else self.start_cycle
 
     @property
     def bound(self):
@@ -416,24 +517,27 @@ class GrowthTrace:
 
     def pattern_counts(self):
         out = {}
-        for m in self.moves:
-            out[m.pattern] = out.get(m.pattern, 0) + 1
+        for step in self.splices:
+            out[step.pattern] = out.get(step.pattern, 0) + 1
         return out
 
     def summary(self):
+        lengths = [len(self.start_cycle)]
+        for step in self.splices:
+            lengths.append(lengths[-1] + len(step.added))
         return {
             "n": self.graph.n,
             "bound": self.bound,
-            "lengths": [len(c) for c in self.cycles],
+            "lengths": lengths,
             "start": list(self.start_cycle),
             "final": list(self.final_cycle),
             "moves": [
                 {
-                    "pattern": m.pattern,
-                    "added": list(m.added),
-                    "length": len(m.new_cycle),
+                    "pattern": step.pattern,
+                    "added": list(step.added),
+                    "length": length,
                 }
-                for m in self.moves
+                for step, length in zip(self.splices, lengths[1:])
             ],
             "fallbacks": self.fallbacks,
             "completed": self.completed,
@@ -447,10 +551,12 @@ def grow_to_bound(g, cycle, tier2_only=False):
     isolating starts are grown the same way, outside the guarantee.
 
     The start cycle gets the full ``check_isolating`` once, and so does the
-    final cycle; in between, the fast tier is handed the growth state of the
-    module docstring (checked cycle, vertex set, budget, apex scan position)
-    and checks each move in O(Δ), while an exhaustive fallback gets the
-    plain cycle, checks it in full and checks the cycle it finds.
+    final cycle, after a check that its tuple has the length the steps
+    counted; in between, the fast tier is handed the growth state of the
+    module docstring (successor map, vertex set, budget, apex scan position),
+    checks each move in O(Δ) and applies it in place, while an exhaustive
+    fallback gets the plain cycle, checks it in full and checks the cycle it
+    finds.
 
     A fallback is counted only where the fast tier tried every window; an
     error the fast tier raises, such as a ContractViolation from the cycle
@@ -464,37 +570,42 @@ def grow_to_bound(g, cycle, tier2_only=False):
     bound = isolation_bound(g)
     start = check_isolating(g, cycle)
     state = _Growing(start, extension_budget(g))
-    moves = []
+    splices = []
     fallbacks = 0
-    while len(state.cycle) < bound:
-        cur = state.cycle
-        move = None
+    while state.length < bound:
+        step = None
         if not tier2_only:
-            move = find_extension_fast(g, state)
-        if move is None:
+            # through the module attribute, once per step, so a wrapper sees
+            # every step
+            step = find_extension_fast(g, state)
+        if step is None:
+            cur = state.cycle()
             if not tier2_only:
                 fallbacks += 1
                 logger.info(
                     "fast tier found nothing at length %d, falling back", len(cur)
                 )
             move = find_extension_exhaustive(g, cur)
-        if move is None:
-            raise ExtensionNotFound(
-                f"no extension for a cycle of length {len(cur)} (bound {bound})",
-                diagnostics={
-                    "cycle": list(cur),
-                    "length": len(cur),
-                    "bound": bound,
-                    "n": g.n,
-                    "budget": state.budget,
-                },
-            )
-        moves.append(move)
-        state = state.advance(move)
-    cur = check_isolating(g, state.cycle)
+            if move is None:
+                raise ExtensionNotFound(
+                    f"no extension for a cycle of length {len(cur)} (bound {bound})",
+                    diagnostics={
+                        "cycle": list(cur),
+                        "length": len(cur),
+                        "bound": bound,
+                        "n": g.n,
+                        "budget": state.budget,
+                    },
+                )
+            step = Splice(move.pattern, move.added, None, None, move.new_cycle)
+            state = _Growing(move.new_cycle, state.budget)
+        splices.append(step)
+    final = check_isolating(g, state.cycle())
     if fallbacks:
         logger.info(
             "growth finished at length %d with %d fallback(s) over %d move(s)",
-            len(cur), fallbacks, len(moves),
+            len(final), fallbacks, len(splices),
         )
-    return GrowthTrace(graph=g, start_cycle=start, moves=moves, fallbacks=fallbacks)
+    return GrowthTrace(
+        graph=g, start_cycle=start, splices=splices, final_cycle=final, fallbacks=fallbacks
+    )

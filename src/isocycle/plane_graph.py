@@ -51,9 +51,10 @@ class PlaneGraph:
     the directed edges and returns the finished graph.  No graph keeps that
     map or any other per-vertex ring index.
 
-    The fast extension tier keeps its reroute results in ``_reroutes``, a
-    dict it builds on the graph's first reroute step (see
-    :func:`isocycle.extension.find_extension_fast`).
+    The extension engine keeps the move budget in ``_budget``, counted on
+    first use (see :func:`isocycle.extension.extension_budget`), and its
+    reroute results in ``_reroutes``, a dict it builds on the graph's first
+    reroute step (see :func:`isocycle.extension.find_extension_fast`).
     """
 
     vertices: tuple
@@ -67,6 +68,7 @@ class PlaneGraph:
     # instance __dict__ after construction makes every attribute load slower
     _adj_mask: list = field(default=None, repr=False)
     _triangles: dict = field(default=None, repr=False)
+    _budget: int = field(default=None, repr=False)
     _reroutes: dict = field(default=None, repr=False)
 
     @property
@@ -351,8 +353,8 @@ def canonical_cycle(g, seq):
 def is_isolating(g, cycle):
     """True when every vertex off the cycle has all its neighbours on it."""
     on = set(cycle)
-    adj = g.adj
-    return all(adj[v] <= on for v in g.vertices if v not in on)
+    # only the off-cycle vertices, and no Python-level loop over them
+    return all(map(on.issuperset, map(g.adj.__getitem__, g.index.keys() - on)))
 
 
 def check_isolating(g, seq):

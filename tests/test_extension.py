@@ -1,5 +1,7 @@
 """Extension moves, the two-tier search, and growth to the length bound."""
 
+import gc
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -422,23 +424,138 @@ def test_apex_pick_matches_the_analysis_rule(sweep_sample):
 REROUTE_THEN_APEX = (20, ("a", "r0", "r6", "b", "r5", "r4", "r3", "r2", "r1"))
 
 
+def _chain_summary(trace, cycles, moves):
+    """summary() as it reads off the whole chain of cycles and moves."""
+    return {
+        "n": trace.graph.n,
+        "bound": trace.bound,
+        "lengths": [len(c) for c in cycles],
+        "start": list(cycles[0]),
+        "final": list(cycles[-1]),
+        "moves": [
+            {"pattern": m.pattern, "added": list(m.added), "length": len(m.new_cycle)}
+            for m in moves
+        ],
+        "fallbacks": trace.fallbacks,
+        "completed": len(cycles[-1]) >= trace.bound,
+    }
+
+
+def _assert_replays(g, start, trace, tiers):
+    """The trace replays into the chain that plain calls make from start,
+    one call of ``tiers[i]`` for step i, and summary() is that chain's."""
+    moves = trace.moves
+    cycles = trace.cycles
+    assert cycles == [start] + [m.new_cycle for m in moves]
+    assert cycles[-1] == trace.final_cycle
+    for tier, cyc, move in zip(tiers, cycles, moves):
+        assert tier(g, cyc) == move
+        assert make_move(g, cyc, move.new_cycle, move.pattern) == move
+    assert trace.summary() == _chain_summary(trace, cycles, moves)
+    return moves
+
+
 def test_growth_steps_equal_fresh_checked_calls(sweep_corpus, sweep_sample):
-    # growth carries its checked cycle, budget and apex scan position from
-    # step to step and checks each move only where it changes the cycle;
-    # every step must still be the move a fresh fast-tier call finds on the
-    # plain cycle, and the move that make_move's full checks build
+    # growth carries the live cycle as a successor map and keeps each step
+    # as the splice it applied; replaying the splices must give, step by
+    # step, the move a fresh fast-tier call finds on the plain cycle and the
+    # move make_move's full checks build.  The double wheel grows by 68 apex
+    # inserts, from its base cycle and from a rotation of it, which puts the
+    # head of the live cycle elsewhere
     k, start = REROUTE_THEN_APEX
-    jobs = golden_slices(sweep_sample) + [(sweep_corpus[k], [start])]
+    dwheel = ic.gen_insertion_family(double_wheel(66))
+    base = base_hamiltonian_cycle(66)
+    jobs = golden_slices(sweep_sample) + [
+        (dwheel, [base, base[17:] + base[:17]]),
+        (sweep_corpus[k], [start]),
+    ]
     steps = 0
     for g, starts in jobs:
         for start in starts:
             trace = ic.grow_to_bound(g, start)
-            for cyc, move in zip(trace.cycles, trace.moves):
-                assert ic.find_extension_fast(g, cyc) == move
-                assert make_move(g, cyc, move.new_cycle, move.pattern) == move
-                steps += 1
-    assert steps == 1607 + 456 + 5
+            tiers = [ic.find_extension_fast] * len(trace.splices)
+            steps += len(_assert_replays(g, start, trace, tiers))
+    assert steps == 1607 + 456 + 2 * 68 + 5
     assert [m.pattern for m in trace.moves][-2:] == ["window-reroute", "apex-insert"]
+
+
+def test_exhaustive_steps_replay_from_the_trace(monkeypatch):
+    # an exhaustive move is kept as its whole cycle, and growth restarts its
+    # live cycle from it: a tier2_only trace, and a growth whose first fast
+    # step finds nothing, replay to the moves plain calls of each tier make
+    g = ic.gen_insertion_family(ic.octahedron())
+    start = TIGHT14_REROUTE_START
+    trace = ic.grow_to_bound(g, start, tier2_only=True)
+    moves = _assert_replays(g, start, trace, [ic.find_extension_exhaustive] * len(trace.splices))
+    assert len(moves) > 1 and trace.fallbacks == 0
+
+    real = extension.find_extension_fast
+    calls = []
+
+    def first_finds_nothing(g, cycle):
+        calls.append(cycle)
+        return real(g, cycle) if len(calls) > 1 else None
+
+    monkeypatch.setattr(extension, "find_extension_fast", first_finds_nothing)
+    trace = ic.grow_to_bound(g, start)
+    monkeypatch.undo()
+    tiers = [ic.find_extension_exhaustive] + [ic.find_extension_fast] * (len(trace.splices) - 1)
+    moves = _assert_replays(g, start, trace, tiers)
+    assert trace.fallbacks == 1 and len(moves) > 1
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["misses-first-end", "misses-second-end"])
+def test_growth_rejects_an_apex_off_the_edge(end):
+    # an apex insert is checked in O(1), as the path (u, apex, v): a triangle
+    # table that lists, on the cycle's first edge (u, v), an off-cycle vertex
+    # adjacent to only one of u and v is refused by both entry points
+    g = ic.gen_insertion_family(double_wheel(20))
+    cycle = base_hamiltonian_cycle(20)
+    u, v = cycle[0], cycle[1]
+    keep, miss = (v, u) if end == 0 else (u, v)
+    apex = next(
+        x for x in g.vertices if x not in cycle and keep in g.adj[x] and miss not in g.adj[x]
+    )
+    edge = f"{u!r}-{apex!r}" if end == 0 else f"{apex!r}-{v!r}"
+    g.triangles[(u, v)] = (apex,)
+    with pytest.raises(InvalidMove, match=f"missing edge {edge}"):
+        ic.find_extension_fast(g, cycle)
+    with pytest.raises(InvalidMove, match=f"missing edge {edge}"):
+        ic.grow_to_bound(g, cycle)
+
+
+def test_a_successor_map_that_miscounts_is_refused():
+    # the tuple form of the live cycle is built by walking the successor map
+    # from the head, and must close after exactly the counted length
+    state = extension._Growing(EQUATOR, 3)
+    assert state.cycle() == EQUATOR
+    state.succ["r0"] = "r2"
+    with pytest.raises(ContractViolation, match="length 4"):
+        state.cycle()
+    state = extension._Growing(EQUATOR, 3)
+    state.length = 5
+    with pytest.raises(ContractViolation, match="length 5"):
+        state.cycle()
+
+
+def test_a_held_trace_grows_linearly():
+    # a trace keeps one splice per step, not one cycle per step: held, the
+    # trace of the n=998 double wheel's growth (334 apex inserts) takes well
+    # under 0.5 MB, where a cycle per step would take about 1.4 MB
+    g = ic.gen_insertion_family(double_wheel(332))
+    start = base_hamiltonian_cycle(332)
+    ic.grow_to_bound(g, start)  # fills the graph's triangle table and budget
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = ic.grow_to_bound(g, start)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.pattern_counts() == {"apex-insert": 334} and trace.completed
+    assert held < 0.5e6
 
 
 def _drop_window_vertex(g, path):
