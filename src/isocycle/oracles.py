@@ -2,7 +2,7 @@
 
 These are deliberately simple reference implementations: depth-first search
 with branch-and-bound for the circumference, one backtracking search with
-degree and connectivity pruning for Hamiltonian cycles and paths, and
+degree, connectivity and closing cuts for Hamiltonian cycles and paths, and
 enumeration of isolating cycles via their complements (a cycle is isolating
 exactly when the vertices it misses form an independent set).  The oracle
 entry points refuse graphs above a size limit; the raw engines have no guard
@@ -10,15 +10,22 @@ and are reused by the extension search on small induced subgraphs.
 
 The searches hold vertex sets as int bitmasks over vertex indices, read
 neighbours from ``PlaneGraph.adj_mask`` and try them lowest bit first, which
-is index order.  Both prunes of the Hamiltonian search cut only branches
-that have no Hamiltonian completion, so the depth-first order alone fixes
-which paths come out and in what order; a sound prune, however it is
-computed, never changes that sequence.  The connectivity prune keeps an
-invariant: the unvisited set U is connected, since the rest of a completion
-is a path through all of U.  One flood checks it at the root.  Below the
-root U was connected before the head left it, so U stays connected when
-the head's unvisited neighbours are connected among themselves; that local
-check floods a few bits, and all of U is flooded only when it fails.
+is index order.  The Hamiltonian search is one loop over an explicit stack
+of untried-children bitmasks, so its depth is not bounded by the recursion
+limit.  Its three rules cut only branches that
+yield nothing, so the depth-first order alone fixes which paths come out
+and in what order; a sound cut, however it is computed, never changes that
+sequence.  The degree rule (every unvisited vertex but t keeps two usable
+neighbours) is decided once per parent for all its children: stepping off
+the head changes only the counts of the head's unvisited neighbours, so
+two of them short of two neighbours leave no child and one leaves it as
+the only child.  The connectivity rule keeps the unvisited set U connected,
+since the rest of the path runs through all of U.  One flood checks it at
+the root.  Below the root U was connected before the head left it, so U
+stays connected when the head's unvisited neighbours are connected among
+themselves; that local check floods a few bits, and all of U is flooded
+only when it fails.  The closing rule, for cycles, cuts a child when no
+vertex left could close the cycle in its canonical orientation.
 
 The masks cost about n^2/8 bytes per graph and are built the first time a
 search runs on it.
@@ -55,14 +62,31 @@ def _hamiltonian_paths(g, vertices, s, t):
 
     With t == s the paths close into cycles through s, each yielded once,
     oriented so the second vertex has lower index than the last.  The search
-    tries neighbours in index order and cuts a branch when an unvisited
-    vertex other than t has fewer than two usable neighbours (unvisited
-    ones, the head or t), or when the unvisited set is not connected.
-    Stepping off a head only takes it out of its neighbours' usable sets, so
-    below the root the degree check looks at those alone.  Likewise the
-    unvisited set, connected at the parent with the head in it, can only
-    split at the head: it is checked whole at the root, and below it only
-    when the head's unvisited neighbours are not connected among themselves.
+    is depth first: one loop keeps the head's untried children in a bitmask
+    and those of every earlier path vertex on an explicit stack, and tries
+    children in index order.  t comes only as the last vertex, and a child
+    is never created when its branch would yield nothing by one of three
+    rules:
+
+    - degree: every unvisited vertex other than t keeps two usable
+      neighbours (unvisited ones, the head or t).  The root checks them
+      all.  Stepping from head h to a child takes h out of the usable sets
+      of h's unvisited neighbours and nothing else, so the parent counts
+      once, for each such neighbour y other than t, the usable neighbours
+      y keeps without h.  Two or more y short of two leave no child, one
+      such y is the only child (it must come next), and none leaves every
+      child.
+    - connectivity: the unvisited set U stays connected, since the rest of
+      the path runs through all of it.  One flood checks it at the root.
+      Below the root U was connected with the head in it, so it can only
+      split at the head: it is flooded whole only when the head's unvisited
+      neighbours are not connected among themselves.
+    - closing, for closed searches: the last vertex must be a neighbour of
+      s with index above the second vertex, so a child is cut when the U it
+      leaves holds no such vertex.
+
+    So every leaf the search reaches yields: an open path there ends at t,
+    and a closed one at a vertex that closes the cycle.
     """
     index = g.index
     masks = g.adj_mask
@@ -76,47 +100,73 @@ def _hamiltonian_paths(g, vertices, s, t):
         vmask |= 1 << index[v]
     if closed and (vmask.bit_count() < 3 or (masks[si] & vmask).bit_count() < 2):
         return
-    path = [si]
-
-    def rec(head, unvisited, suspects):
-        # suspects: the unvisited vertices other than t that may have lost a
-        # usable neighbour since the parent node passed the degree check
-        if not unvisited:
-            # an open path can only have taken t last
-            if not closed or (masks[head] & sbit and path[1] < head):
-                yield tuple(names[i] for i in path)
-            return
-        usable = unvisited | (1 << head) | tbit
-        while suspects:
-            low = suspects & -suspects
-            x = masks[low.bit_length() - 1] & usable
-            if x & (x - 1) == 0:
-                return
-            suspects ^= low
-        # unvisited | head was connected, so unvisited is too when head's
-        # unvisited neighbours are connected among themselves; all of
-        # unvisited is flooded only where head may be a cut vertex
-        step = masks[head] & unvisited
-        low = step & -step
-        if step != low:
-            part = _flood(masks, low, step)
-            if part != step and _flood(masks, part, unvisited) != unvisited:
-                return
-        # leaving head takes it out of the usable set of its neighbours
-        around = step & ~tbit
-        if unvisited != tbit:
-            step = around  # t comes only as the last vertex
-        while step:
-            low = step & -step
-            path.append(low.bit_length() - 1)
-            yield from rec(path[-1], unvisited ^ low, around & ~low)
-            path.pop()
-            step ^= low
-
     unvisited = vmask & ~sbit
     if _flood(masks, unvisited & -unvisited, unvisited) != unvisited:
         return
-    yield from rec(si, unvisited, unvisited & ~tbit)
+    usable = vmask | tbit
+    rest = unvisited & ~tbit
+    while rest:
+        low = rest & -rest
+        x = masks[low.bit_length() - 1] & usable
+        if x & (x - 1) == 0:
+            return
+        rest ^= low
+    closing = 0  # closed: the neighbours of s above path[1]
+    path = [si]
+    stack = []  # the untried children of each path vertex but the last
+    head = si
+    while True:
+        # head passed every check; keep the children the degree rule leaves
+        kids = masks[head] & unvisited
+        around = kids & ~tbit
+        if unvisited != tbit:
+            kids = around
+        usable = unvisited | tbit
+        short = 0
+        while around:
+            y = around & -around
+            x = masks[y.bit_length() - 1] & usable
+            if x & (x - 1) == 0:
+                if short:
+                    kids = 0
+                    break
+                short = kids = y
+            around ^= y
+        # the next child: the lowest untried one of the deepest node with one
+        while True:
+            if not kids:
+                if not stack:
+                    return
+                kids = stack.pop()
+                unvisited |= 1 << path.pop()
+                continue
+            low = kids & -kids
+            kids ^= low
+            head = low.bit_length() - 1
+            left = unvisited ^ low
+            if not left:
+                path.append(head)
+                yield tuple(map(names.__getitem__, path))
+                path.pop()
+                continue
+            if closed:
+                if not stack:
+                    closing = masks[si] & -(2 << head)
+                if not left & closing:
+                    continue
+            # left | head was connected, so left is too when head's unvisited
+            # neighbours are connected among themselves; all of left is
+            # flooded only where head may be a cut vertex
+            step = masks[head] & left
+            low = step & -step
+            if step != low:
+                part = _flood(masks, low, step)
+                if part != step and _flood(masks, part, left) != left:
+                    continue
+            break
+        stack.append(kids)
+        path.append(head)
+        unvisited = left
 
 
 def hamiltonian_cycles(g, vertices=None):
@@ -173,7 +223,14 @@ def oracle_circumference(g, limit=30):
 
 
 def independent_sets_of_size(g, k):
-    """Yield every independent set of exactly k vertices, in index order."""
+    """Yield every independent set of exactly k vertices, in index order.
+
+    Iteration with a negative k raises ValueError before any set is walked;
+    k above the number of vertices yields nothing, at the first popcount
+    cut.
+    """
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     order = g.vertices
     masks = g.adj_mask
 

@@ -1,6 +1,7 @@
 """Extension moves, the two-tier search, and growth to the length bound."""
 
 import gc
+import sys
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -116,6 +117,18 @@ def test_fast_tier_rejects_non_isolating_start():
 def test_exhaustive_tier_rejects_non_isolating_start():
     with pytest.raises(NotIsolating):
         ic.find_extension_exhaustive(ic.octahedron(), TRIANGLE)
+
+
+def test_exhaustive_tier_past_the_recursion_limit():
+    # the tier's cycle search runs through all 1003 vertices of the base
+    # cycle and one chosen vertex, deeper than the interpreter's recursion
+    # limit, and returns the first +1 move
+    g = ic.gen_insertion_family(double_wheel(1000))
+    start = base_hamiltonian_cycle(1000)
+    assert len(start) + 1 > sys.getrecursionlimit()
+    move = ic.find_extension_exhaustive(g, start)
+    assert move.pattern == "exhaustive" and len(move.added) == 1
+    assert set(move.new_cycle) == set(start).union(move.added)
 
 
 def test_exhaustive_tier_checks_without_make_move(monkeypatch, sweep_sample):

@@ -2,9 +2,12 @@
 
 import dataclasses
 import random
+import sys
 from itertools import combinations, islice, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocycle as ic
 from isocycle import oracles
@@ -48,6 +51,16 @@ def test_hamiltonian_cycle_lookup():
         {"h": ["a", "b", "c"], "a": ["h"], "b": ["h"], "c": ["h"]},
     )
     assert next(hamiltonian_cycles(star), None) is None
+
+
+def test_a_cycle_through_more_vertices_than_the_recursion_limit():
+    # the search keeps its path on an explicit stack, so its depth is not
+    # bounded by the interpreter's recursion limit
+    g = double_wheel(1200)
+    assert g.n > sys.getrecursionlimit()
+    cycle = next(hamiltonian_cycles(g))
+    assert len(cycle) == g.n == 1202
+    assert sorted(cycle) == sorted(g.vertices) and _is_walk(g, cycle + cycle[:1])
 
 
 def test_hamiltonian_path_between_endpoints():
@@ -225,8 +238,8 @@ def _set_kernel(g, vertices, s, t):
 def test_bitmask_kernel_matches_set_kernel(
     ladder, cyclic_instance, hex_instance, arch_instance, sweep_corpus
 ):
-    # both prunes are sound, so the search order alone fixes the sequence;
-    # any difference means a prune cut a branch with a completion
+    # every cut is sound, so the search order alone fixes the sequence; any
+    # difference means a cut took a branch that yields something
     graphs = [k4(), prism(), cube(), ic.octahedron(), wheel(5), double_wheel(6)]
     graphs += [inst[0] for inst in (ladder, cyclic_instance, hex_instance, arch_instance)]
     graphs.append(ic.gen_insertion_family(ic.octahedron(), fill_count=None))
@@ -245,6 +258,52 @@ def test_bitmask_kernel_matches_set_kernel(
                 compared += 1
                 found += bool(want)
     assert found > compared // 4
+
+
+def test_enumeration_searches_match_set_kernel(monkeypatch):
+    # the closed searches of the isolating-cycle enumeration are where the
+    # closing rule and the forced step cut hardest; compare whole sequences
+    # on every tenth vertex set G - I that it walks on the n=14 instance
+    g = ic.gen_insertion_family(ic.octahedron(), fill_count=None)
+    walked = []
+    real = oracles.hamiltonian_cycles
+
+    def recorded(g, vertices):
+        walked.append(vertices)
+        return real(g, vertices)
+
+    monkeypatch.setattr(oracles, "hamiltonian_cycles", recorded)
+    assert len(ic.oracle_isolating_cycles(g)) == 6580
+    assert len(walked) == 355
+    found = 0
+    for vs in walked[::10]:
+        s = min(vs, key=g.index.__getitem__)
+        want = list(_set_kernel(g, vs, s, s))
+        assert list(oracles._hamiltonian_paths(g, vs, s, s)) == want, vs
+        found += len(want)
+    assert found == 678
+
+
+_DRAWN_GRAPHS = [
+    k4(), prism(), cube(), ic.octahedron(), wheel(5), wheel(6), double_wheel(6),
+    ic.gen_insertion_family(ic.octahedron(), fill_count=None),
+]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_set_kernel_on_drawn_searches(data, hex_instance, arch_instance):
+    # a fixture graph less a drawn vertex set (few vertices, so most
+    # searches run deep), drawn endpoints, and both the open and the closed
+    # search compared whole against the reference
+    g = data.draw(st.sampled_from(_DRAWN_GRAPHS + [hex_instance[0], arch_instance[0]]))
+    dropped = data.draw(st.sets(st.sampled_from(g.vertices), max_size=g.n - 2))
+    vs = [v for v in g.vertices if v not in dropped]
+    s = data.draw(st.sampled_from(vs))
+    t = data.draw(st.sampled_from([v for v in vs if v != s]))
+    for a, b in ((s, s), (s, t)):
+        want = list(_set_kernel(g, vs, a, b))
+        assert list(oracles._hamiltonian_paths(g, vs, a, b)) == want
 
 
 def _parts(g, vs):
@@ -336,6 +395,31 @@ def test_disconnected_set_costs_one_flood(monkeypatch):
     assert len(calls) == 1
 
 
+def test_closing_rule_cuts_before_the_flood(monkeypatch):
+    # a closed search yields a cycle only when its last vertex is a
+    # neighbour of s above the second vertex.  On K4 from h: the root's one
+    # flood, then children r0 and r1 each flood their two unvisited
+    # neighbours.  r2 is h's highest neighbour, so no vertex could close a
+    # cycle that starts h, r2: that child is cut before its flood, as is
+    # r1's child r2, which would leave only r0 to close.  A search without
+    # the rule floods r2's two unvisited neighbours as well.
+    calls = []
+    real = oracles._flood
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_flood", counted)
+    g = k4()
+    assert list(oracles._hamiltonian_paths(g, g.vertices, "h", "h")) == [
+        ("h", "r0", "r1", "r2"),
+        ("h", "r0", "r2", "r1"),
+        ("h", "r1", "r0", "r2"),
+    ]
+    assert len(calls) == 3
+
+
 def test_kernel_leaves_the_instance_layout_alone():
     # the masks live in a declared field; a key added to the instance
     # __dict__ later would slow every attribute load on the graph
@@ -363,6 +447,17 @@ def test_independent_set_helpers():
     assert list(independent_sets_of_size(ic.octahedron(), 3)) == []
     assert len(list(independent_sets_of_size(cube(), 4))) == 2
     assert list(independent_sets_of_size(cube(), 5)) == []
+
+
+def test_negative_independent_set_size_is_an_error():
+    # a negative size is refused before any set is walked (walking every
+    # independent set of this n=62 graph takes over a minute); a size above
+    # n ends at once, at the popcount cut
+    g = ic.gen_insertion_family(double_wheel(20))
+    assert g.n == 62
+    with pytest.raises(ValueError, match="at least 0"):
+        next(independent_sets_of_size(g, -1))
+    assert list(independent_sets_of_size(g, g.n + 1)) == []
 
 
 def test_size_guard():

@@ -1,0 +1,83 @@
+"""CPU time of the Hamiltonian search's three big users.
+
+Usage (from the repository root):
+
+    python3 tools/enumeration_timing.py [--src src]
+
+The instances come from the benchmark's own workload definitions
+(``perfbench/workloads.py``, seed 0):
+
+- ``n14_enumeration``: ``oracle_isolating_cycles`` on the n=14 tight
+  instance (all 6580 isolating cycles);
+- ``corpus_enumeration``: the corpus set-up's capped enumeration (at most
+  50 isolating cycles below the bound on each of the 206 instances), with
+  the instances built beforehand;
+- ``corpus_pass``: one exhaustive and one fast step from each of the 10300
+  corpus starts.
+
+Each is run once as a warm-up, which also fills the graphs' lazy tables,
+then timed ``REPS`` times (CPU time, after a ``gc.collect()``); the script
+prints the median and the range.
+"""
+
+import argparse
+import gc
+import statistics
+import sys
+from pathlib import Path
+from time import process_time
+
+REPS = 5
+
+
+def _timed(fn):
+    fn()
+    times = []
+    for _ in range(REPS):
+        gc.collect()
+        t0 = process_time()
+        fn()
+        times.append(process_time() - t0)
+    return times
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default="src", help="directory holding the isocycle package")
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import isocycle
+    import workloads
+
+    oracles = isocycle.oracles
+    bound = workloads.bind(isocycle)
+    tight = bound["tight14"].setup(0)[0][0]
+    corpus = bound["corpus"]
+    starts = corpus.setup(0)
+    # the set-up's own enumeration, on instances built once
+    instances = corpus.instances(0)
+    corpus.instances = lambda seed: instances
+
+    def corpus_enumeration():
+        corpus.setup(0)
+
+    def corpus_pass():
+        for start in starts:
+            corpus.run(start)
+
+    print(f"{'load':<20} {'median_s':>9} {'min_s':>7} {'max_s':>7}")
+    for name, fn in (
+        ("n14_enumeration", lambda: oracles.oracle_isolating_cycles(tight)),
+        ("corpus_enumeration", corpus_enumeration),
+        ("corpus_pass", corpus_pass),
+    ):
+        times = _timed(fn)
+        print(
+            f"{name:<20} {statistics.median(times):>9.3f} {min(times):>7.3f} {max(times):>7.3f}",
+            flush=True,
+        )
+
+
+if __name__ == "__main__":
+    main()
