@@ -214,6 +214,8 @@ def cmd_gen(args):
 
 
 def cmd_circ(args):
+    if args.limit < 0:
+        raise UsageError(f"--limit must be 0 or more, got {args.limit}")
     g = load_graph(args.graph)
     value = oracle_circumference(g, limit=args.limit)
     _emit(args, {"circumference": value, "n": g.n})

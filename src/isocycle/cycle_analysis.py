@@ -88,6 +88,11 @@ class Arch:
     cycle_length: int
 
     @property
+    def apex(self):
+        """The off-cycle vertex of a thick minor face's proper arch, else None."""
+        return self.path[1] if len(self.path) == 3 else None
+
+    @property
     def positions(self):
         """Edge positions of the archway, in arc order."""
         return tuple((self.start + i) % self.cycle_length for i in range(self.length))
@@ -118,9 +123,7 @@ class CycleAnalysis:
     edge_faces: tuple = field(default=(), repr=False)
     face_side: dict = field(default_factory=dict, repr=False)
     face_c_positions: dict = field(default_factory=dict, repr=False)
-    face_arc: dict = field(default_factory=dict, repr=False)
     thin: dict = field(default_factory=dict, repr=False)
-    apex: dict = field(default_factory=dict, repr=False)
     arches_of: dict = field(default_factory=dict, repr=False)
     proper_arch: dict = field(default_factory=dict, repr=False)
     degenerate_faces: frozenset = frozenset()
@@ -147,7 +150,7 @@ class CycleAnalysis:
         return len(self.face_c_positions.get(fid, ()))
 
     def is_minor(self, fid):
-        return fid in self.face_arc
+        return fid in self.proper_arch
 
     def is_thin(self, fid):
         return self.thin[fid]
@@ -156,10 +159,10 @@ class CycleAnalysis:
         return not self.thin[fid]
 
     def minor_faces(self, side=None):
-        """Minor face ids by (arc start, id), the order face_arc is built in."""
+        """Minor face ids by (arc start, id), the order of proper_arch."""
         if side is None:
-            return list(self.face_arc)
-        return [f for f in self.face_arc if self.face_side[f] == side]
+            return list(self.proper_arch)
+        return [f for f in self.proper_arch if self.face_side[f] == side]
 
     def major_faces(self, side=None):
         fids = [f for f in range(len(self.h.faces)) if not self.is_minor(f)]
@@ -201,10 +204,11 @@ class CycleAnalysis:
                 "minor": self.is_minor(fid),
             }
             if self.is_minor(fid):
+                arch = self.proper_arch[fid]
                 entry["thin"] = self.is_thin(fid)
-                entry["arc"] = list(self.face_arc[fid])
-                if fid in self.apex:
-                    entry["apex"] = self.apex[fid]
+                entry["arc"] = [arch.start, arch.length]
+                if arch.apex is not None:
+                    entry["apex"] = arch.apex
             faces.append(entry)
         arches = [
             {
@@ -374,9 +378,9 @@ def analyze_cycle(g, cycle):
     }
 
     # minor: thin with exactly one non-C boundary edge, or thick with exactly
-    # one off-cycle boundary vertex
-    face_arc = {}
-    apex = {}
+    # one off-cycle boundary vertex; its proper arch runs from one end of its
+    # arc to the other, through the apex of a thick face
+    proper_arch = {}
     degenerate = set()
     for fid, ps in face_c_positions.items():
         if len(ps) == c:
@@ -391,10 +395,9 @@ def analyze_cycle(g, cycle):
             ]
             if len(non_c) != 1:
                 continue
-            arc = _cyclic_run(ps, c)
-            s, m = arc
-            ends = {cyc[s], cyc[(s + m) % c]}
-            if set(non_c[0]) != ends:
+            s, m = _cyclic_run(ps, c)
+            path = (cyc[s], cyc[(s + m) % c])
+            if set(non_c[0]) != set(path):
                 raise ContractViolation(
                     f"chord of thin minor face {fid} misses the arc ends"
                 )
@@ -402,14 +405,13 @@ def analyze_cycle(g, cycle):
             off = [v for v in boundary if v not in on_cycle]
             if len(off) != 1:
                 continue
-            arc = _cyclic_run(ps, c)
-            s, m = arc
+            s, m = _cyclic_run(ps, c)
             if len(boundary) != m + 2:
                 raise ContractViolation(
                     f"thick minor face {fid} is not an arc plus apex"
                 )
-            apex[fid] = off[0]
-        face_arc[fid] = arc
+            path = (cyc[s], off[0], cyc[(s + m) % c])
+        proper_arch[fid] = Arch(fid, "proper", path, s, m, c)
 
     # the face of H that holds each deleted chord (a, b): the one turning at
     # a from u, the last neighbour before b at a that H keeps
@@ -422,15 +424,9 @@ def analyze_cycle(g, cycle):
         chord_hosts.setdefault(h.face_id[(ring[i], a)], []).append((a, b))
 
     arches_of = {}
-    proper_arch = {}
-    for fid, (s, m) in face_arc.items():
-        x, y = cyc[s], cyc[(s + m) % c]
-        if thin[fid]:
-            path = (x, y)
-        else:
-            path = (x, apex[fid], y)
-        proper_arch[fid] = Arch(fid, "proper", path, s, m, c)
-        arches = [proper_arch[fid]]
+    for fid, proper in proper_arch.items():
+        s, m = proper.start, proper.length
+        arches = [proper]
         for a, b in chord_hosts.get(fid, ()):
             ra = (pos[a] - s) % c
             rb = (pos[b] - s) % c
@@ -473,11 +469,9 @@ def analyze_cycle(g, cycle):
         edge_faces=edge_faces,
         face_side=face_side,
         face_c_positions=face_c_positions,
-        face_arc=dict(sorted(face_arc.items(), key=lambda kv: (kv[1][0], kv[0]))),
         thin=thin,
-        apex=apex,
         arches_of=arches_of,
-        proper_arch=proper_arch,
+        proper_arch=dict(sorted(proper_arch.items(), key=lambda kv: (kv[1].start, kv[0]))),
         degenerate_faces=frozenset(degenerate),
     )
 
@@ -531,7 +525,7 @@ def extension_tree(analysis, side):
         nodes += [("vertex", v) for v in side_vertices]
         edges = set()
         for f in minor:
-            edges.add((("face", f), ("vertex", analysis.apex[f])))
+            edges.add((("face", f), ("vertex", analysis.proper_arch[f].apex)))
         for f in analysis.major_faces(side):
             met = [v for v in set(h.faces[f]) if analysis.vertex_side.get(v) == side]
             met = h.sorted_vertices(met)

@@ -29,8 +29,6 @@ from .cycle_analysis import MINUS, PLUS
 from .errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
 from .tunnels import tracks
 
-CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
-
 
 @dataclass(frozen=True)
 class Pull:
@@ -139,10 +137,10 @@ def _cond_c6(analysis, g, f, e, b, three_at):
     """b and three_at as for C3."""
     if b is not None or not (analysis.is_thick(g) and analysis.m(g) == 4):
         return False
-    if e in analysis.proper_arch[g].extremal_positions:
+    arch = analysis.proper_arch[g]
+    if e in arch.extremal_positions:
         return False
-    c = analysis.c
-    s, _ = analysis.face_arc[g]
+    c, s = analysis.c, arch.start
     far = (s + 3) % c if (e - s) % c == 1 else s
     return any(fid != f for fid in three_at.get(far, ()))
 
@@ -211,10 +209,8 @@ def apply_discharging(analysis):
 
     pulls = []
     conditions_at = {}
-    for g in analysis.minor_faces():
-        s, m = analysis.face_arc[g]
-        for i in range(m):
-            e = (s + i) % c
+    for g, arch in analysis.proper_arch.items():
+        for e in arch.positions:
             f = analysis.across(g, e)
             if analysis.is_minor(f):
                 b = three_at.get(e, {}).get(g)

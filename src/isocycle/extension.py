@@ -155,41 +155,38 @@ def make_move(g, old_cycle, new_cycle, pattern):
 def _candidate_windows(analysis):
     """Anchor windows (start, edge count) worth an exact reroute search.
 
-    Returns (known, faces_of).  known holds the windows proposed without the
-    discharging ledger: around tunnels and minor faces with m in {2, 3}.
-    faces_of maps every other window of a minor face to those faces; such a
-    window is a candidate only when the ledger flags one of its faces as
-    deficient (see ``_flagged_faces``).
+    Returns a sorted list of (window, faces) pairs.  faces is None for a
+    window proposed without the discharging ledger: around a tunnel or a
+    minor face with m in {2, 3}.  Otherwise it lists the minor faces with
+    another m that propose the window, in ``minor_faces()`` order; such a
+    window is a candidate only when the ledger flags one of them as
+    deficient (see ``_flagged_faces``).  A window proposed both ways needs
+    no ledger.
     """
     c = analysis.c
-    known = set()
-    faces_of = {}
+    windows = {}
 
-    def clip(start, length):
+    def propose(start, length, fid=None):
         length = min(length, MAX_WINDOW, c - 2)
-        return (start % c, length) if length >= 2 else None
+        if length >= 2:
+            window = (start % c, length)
+            if fid is None:
+                windows[window] = None
+            elif windows.setdefault(window, []) is not None:
+                windows[window].append(fid)
 
     for tunnel in analysis.tunnels:
         k = tunnel.k
         if tunnel.cyclic:
             # the seam between the last and first arch
-            known.add(clip(tunnel.arches[-1].start - 1, 7))
+            propose(tunnel.arches[-1].start - 1, 7)
         elif 2 * k + 1 <= MAX_WINDOW - 2:
-            known.add(clip(tunnel.arches[0].start - 1, 2 * k + 3))
+            propose(tunnel.arches[0].start - 1, 2 * k + 3)
 
-    for fid in analysis.minor_faces():
-        s, m = analysis.face_arc[fid]
-        window = clip(s - 2, m + 4)
-        if m in (2, 3):
-            known.add(window)
-        else:
-            faces_of.setdefault(window, []).append(fid)
-    known.discard(None)
-    return known, {
-        window: fids
-        for window, fids in faces_of.items()
-        if window is not None and window not in known
-    }
+    for fid, arch in analysis.proper_arch.items():
+        m = arch.length
+        propose(arch.start - 2, m + 4, None if m in (2, 3) else fid)
+    return sorted(windows.items())
 
 
 def _flagged_faces(analysis):
@@ -236,12 +233,10 @@ def _reroute(g, cyc, on):
     so the result depends only on g and cyc.
     """
     analysis = analyze_cycle(g, cyc)
-    known, faces_of = _candidate_windows(analysis)
-    candidates = sorted(known.union(faces_of))
+    candidates = _candidate_windows(analysis)
     flagged = None
     for size in (1, 2, 3):
-        for start, length in candidates:
-            faces = faces_of.get((start, length))
+        for (start, length), faces in candidates:
             if faces is not None:
                 # only the ledger can make this window a candidate
                 if flagged is None:

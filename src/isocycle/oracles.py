@@ -189,7 +189,13 @@ def find_hamiltonian_path(g, vertices, s, t):
 
 
 def oracle_circumference(g, limit=30):
-    """Length of a longest cycle, by anchored branch-and-bound search."""
+    """Length of a longest cycle, by anchored branch-and-bound search.
+
+    Raises TooLarge when g has more than ``limit`` vertices, and ValueError
+    on a negative limit.
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if g.n > limit:
         raise TooLarge(f"circumference oracle limited to {limit} vertices, got {g.n}")
     if g.n < 3:
@@ -262,10 +268,13 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
     ``independent_sets_of_size``.  Cycles come out in the canonical form
     ``hamiltonian_cycles`` yields.  max_count, when given, stops the
     enumeration after that many cycles; 0 searches nothing, and a negative
-    count raises ValueError.
+    count raises ValueError.  Raises TooLarge when g has more than ``limit``
+    vertices, and ValueError on a negative limit.
     """
     if max_count is not None and max_count < 0:
         raise ValueError(f"max_count must be None or at least 0, got {max_count}")
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if g.n > limit:
         raise TooLarge(f"isolating-cycle oracle limited to {limit} vertices, got {g.n}")
     n = g.n

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -238,6 +239,31 @@ def test_extend_equator(octa_file, capsys):
     assert rep["inserted_paths"] == [["r0", "a", "r1"]]
 
 
+def test_extend_tier_2_only_is_exhaustive(octa_file, capsys):
+    code, rep = run_json(
+        capsys, "extend", "--graph", octa_file, "--cycle", "r0,r1,r2,r3", "--tier-2-only"
+    )
+    assert code == 0
+    assert rep["pattern"] == "exhaustive" and rep["added"] == ["a"]
+
+
+def test_grow_tier_2_only_makes_only_exhaustive_moves(octa_file, capsys):
+    code, rep = run_json(
+        capsys, "grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3", "--tier-2-only"
+    )
+    assert code == 0
+    assert [m["pattern"] for m in rep["moves"]] == ["exhaustive"] * 2
+    assert rep["fallbacks"] == 0 and rep["lengths"] == [4, 5, 6]
+
+
+def test_verbose_flag_sets_debug_logging(monkeypatch, octa_file, capsys):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    code, rep = run_json(capsys, "-v", "grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3")
+    assert code == 0 and rep["completed"] is True
+    assert levels == [logging.DEBUG]
+
+
 def test_grow_writes_report_and_snapshots(octa_file, tmp_path, capsys):
     out = tmp_path / "trace.json"
     dots = tmp_path / "dots"
@@ -321,6 +347,13 @@ def test_gen_insertion_family(tmp_path, capsys):
     assert ic.load_graph(out).n == 14
 
 
+def test_gen_random_four_connected_is_a_double_wheel(capsys):
+    code, random_out = run(capsys, "gen", "--family", "random", "--n", "12", "--four-connected")
+    assert code == 0
+    code, named_out = run(capsys, "gen", "--family", "named", "--name", "double_wheel:10")
+    assert code == 0 and random_out == named_out
+
+
 def test_gen_random_respects_seed_env(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -340,6 +373,17 @@ def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
 def test_circ_octahedron(octa_file, capsys):
     code, rep = run_json(capsys, "circ", "--graph", octa_file)
     assert code == 0 and rep["circumference"] == 6
+
+
+def test_circ_limit(octa_file, capsys):
+    # the octahedron has 6 vertices: a limit of 5 refuses it, 6 admits it
+    assert main(["circ", "--graph", octa_file, "--limit", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "TooLarge"
+    code, rep = run_json(capsys, "circ", "--graph", octa_file, "--limit", "6")
+    assert code == 0 and rep["circumference"] == 6
+    # a negative limit is a usage error, like a negative --count or --cap
+    assert main(["circ", "--graph", octa_file, "--limit", "-1"]) == 1
+    assert "--limit" in capsys.readouterr().err
 
 
 def test_export_dot_highlight(octa_file, capsys):
@@ -367,6 +411,15 @@ def test_batch_runs_clean(capsys):
     assert len(rep["instances"]) == 2
     assert all(row["grown"] == row["cycles"] for row in rep["instances"])
     assert rep["alarms"] == 0
+
+
+def test_batch_fill_sets_the_instance_size(capsys):
+    # each base has n = 8, and every filled face adds one vertex
+    code, rep = run_json(
+        capsys, "batch", "--count", "2", "--base-n", "8", "--fill", "3", "--cap", "1"
+    )
+    assert code == 0
+    assert [row["n"] for row in rep["instances"]] == [11, 11]
 
 
 def test_batch_cap_zero_grows_nothing_and_below_zero_is_usage_error(capsys):

@@ -218,9 +218,9 @@ def test_pruning_keeps_outside_chords_of_arch_instance(arch_instance, arch_analy
 def test_equator_faces_all_thick_minor_one_faces():
     a = ic.analyze_cycle(octa(), EQUATOR)
     assert len(a.h.faces) == 8
-    assert a.minor_faces() == sorted(range(8), key=lambda f: (a.face_arc[f][0], f))
+    assert a.minor_faces() == sorted(range(8), key=lambda f: (a.proper_arch[f].start, f))
     assert all(a.is_thick(f) and a.m(f) == 1 for f in range(8))
-    assert sorted(a.apex.values()) == ["a"] * 4 + ["b"] * 4
+    assert sorted(A.apex for A in a.proper_arch.values()) == ["a"] * 4 + ["b"] * 4
 
 
 def test_hamiltonian_cycle_on_k4_has_no_minor_faces():
@@ -247,7 +247,7 @@ def test_ladder_face_classification(ladder_analysis):
     assert not any(a.thin.values())
     assert a.minor_faces(MINUS) == [0, 7, 11, 12, 5]
     assert a.minor_faces(PLUS) == [1, 2, 9, 13, 6]
-    assert a.apex[9] == "b2" and a.m(9) == 5
+    assert a.proper_arch[9].apex == "b2" and a.m(9) == 5
 
 
 def test_hex_thin_classification(hex_instance):
@@ -263,23 +263,23 @@ def test_hex_thin_classification(hex_instance):
     assert sorted(a.h.faces[tm]) == ["v0", "v2", "v3", "v4"]
     # a thin minor's single chord joins the ends of its arc
     for f in thin_minors:
-        s, m = a.face_arc[f]
-        assert m == 2
-        path = a.proper_arch[f].path
-        assert {path[0], path[-1]} <= set(a.h.faces[f])
+        arch = a.proper_arch[f]
+        assert arch.length == 2 and arch.apex is None
+        assert {arch.path[0], arch.path[-1]} <= set(a.h.faces[f])
     # six thick minor 1-faces around the hub
     plus_minors = a.minor_faces(PLUS)
     assert len(plus_minors) == 6
-    assert all(a.m(f) == 1 and a.apex[f] == "w" for f in plus_minors)
+    assert all(a.m(f) == 1 and a.proper_arch[f].apex == "w" for f in plus_minors)
 
 
 def test_thick_minor_faces_are_arc_plus_apex(ladder_analysis):
     a = ladder_analysis
     for f in a.minor_faces():
-        s, m = a.face_arc[f]
+        arch = a.proper_arch[f]
+        s, m = arch.start, arch.length
         assert len(a.h.faces[f]) == m + 2
         arc = {a.cycle[(s + i) % a.c] for i in range(m + 1)}
-        assert arc | {a.apex[f]} == set(a.h.faces[f])
+        assert arc | {arch.apex} == set(a.h.faces[f])
 
 
 def test_degenerate_face_on_wheel_rim():

@@ -4,13 +4,14 @@ import gc
 import sys
 import tracemalloc
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
 import isocycle as ic
 from conftest import TIGHT14_REROUTE_START, short_isolating_cycles, tight14_slice
 from isocycle import extension
-from isocycle.cycle_analysis import analyze_cycle
+from isocycle.cycle_analysis import Arch, analyze_cycle
 from isocycle.discharging import apply_discharging
 from isocycle.errors import (
     ContractViolation,
@@ -23,6 +24,7 @@ from isocycle.errors import (
 from isocycle.extension import degree_five_count, extension_budget, make_move
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.oracles import find_hamiltonian_path, hamiltonian_cycles
+from isocycle.tunnels import Tunnel
 
 
 EQUATOR = ("r0", "r1", "r2", "r3")
@@ -353,17 +355,17 @@ def _eager_reroute(g, cyc):
         elif 2 * tunnel.k + 1 <= extension.MAX_WINDOW - 2:
             add(tunnel.arches[0].start - 1, 2 * tunnel.k + 3)
     for fid in a.minor_faces():
-        s, m = a.face_arc[fid]
-        if m in (2, 3):
-            add(s - 2, m + 4)
+        arch = a.proper_arch[fid]
+        if arch.length in (2, 3):
+            add(arch.start - 2, arch.length + 4)
     try:
         violations = apply_discharging(a).violations
     except (CycleTooShort, DegenerateSide):
         violations = {}
     for key in ("deficient_thin_minors", "deficient_thick_minors"):
         for fid in violations.get(key, ()):
-            s, m = a.face_arc[fid]
-            add(s - 2, m + 4)
+            arch = a.proper_arch[fid]
+            add(arch.start - 2, arch.length + 4)
     on = set(cyc)
     for size in (1, 2, 3):
         for start, length in sorted(windows):
@@ -404,6 +406,38 @@ def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
         assert _eager_reroute(g, cyc) == move.new_cycle
 
 
+def windows_of(c, arcs, tunnels=()):
+    """``_candidate_windows`` of a stand-in analysis holding just what it
+    reads: c, the tunnels and a proper arch per (face, start, length)."""
+    proper_arch = {f: Arch(f, "proper", (), s, m, c) for f, s, m in arcs}
+    return extension._candidate_windows(
+        SimpleNamespace(c=c, tunnels=tunnels, proper_arch=proper_arch)
+    )
+
+
+@pytest.mark.parametrize(
+    "c, arcs, tunnels, window",
+    [
+        # an open 1-tunnel at 2 proposes (1, 5), as does the 4-face at 3
+        (7, [(0, 3, 4)], [Tunnel((Arch(9, "proper", (), 2, 3, 7),), cyclic=False)], (1, 5)),
+        # the 3-face and the 5-face at 4 both propose (2, 7), in either order
+        (9, [(0, 4, 3), (1, 4, 5)], [], (2, 7)),
+        (9, [(1, 4, 5), (0, 4, 3)], [], (2, 7)),
+    ],
+)
+def test_a_window_proposed_without_the_ledger_needs_none(c, arcs, tunnels, window):
+    # windows clip to c - 2 edges, so a ledger-free proposer and a face with
+    # m >= 4 can propose one window; it is then searched without the ledger
+    assert windows_of(c, arcs, tunnels) == [(window, None)]
+
+
+def test_ledger_only_faces_of_one_window_are_listed_together():
+    # on c = 9 the 4-face and the 5-face at 4 both clip to the window (2, 7),
+    # which the ledger confirms through either; the 2-face at 0 needs no ledger
+    arcs = [(0, 4, 4), (2, 0, 2), (1, 4, 5)]
+    assert windows_of(9, arcs) == [((2, 7), [0, 1]), ((7, 6), None)]
+
+
 def test_apex_pick_matches_the_analysis_rule(sweep_sample):
     # the fast tier reads apex inserts off the triangles of g; the analysis
     # rule is the first thick minor face with one C-edge in minor_faces() order
@@ -414,7 +448,7 @@ def test_apex_pick_matches_the_analysis_rule(sweep_sample):
             for cyc, move in zip(trace.cycles, trace.moves):
                 a = analyze_cycle(g, cyc)
                 picks = [
-                    (a.face_arc[f][0], a.apex[f])
+                    (a.proper_arch[f].start, a.proper_arch[f].apex)
                     for f in a.minor_faces()
                     if a.m(f) == 1 and not a.is_thin(f)
                 ]

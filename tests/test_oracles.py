@@ -160,6 +160,20 @@ def test_isolating_cycle_lengths():
     assert sorted({len(c) for c in ic.oracle_isolating_cycles(cube())}) == [6, 8]
 
 
+def test_oracle_limits():
+    g = ic.octahedron()
+    assert ic.oracle_circumference(g, limit=6) == 6
+    with pytest.raises(ic.TooLarge):
+        ic.oracle_circumference(g, limit=5)
+    with pytest.raises(ic.TooLarge):
+        ic.oracle_isolating_cycles(g, limit=5)
+    # a negative limit is an error, as a negative max_count is, not TooLarge
+    with pytest.raises(ValueError, match="limit"):
+        ic.oracle_circumference(g, limit=-1)
+    with pytest.raises(ValueError, match="limit"):
+        ic.oracle_isolating_cycles(g, limit=-1)
+
+
 def test_isolating_cycle_count_on_octahedron():
     # frozen from a full enumeration run
     assert len(ic.oracle_isolating_cycles(ic.octahedron())) == 43
