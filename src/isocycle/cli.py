@@ -4,7 +4,6 @@ Commands: validate, analyze, audit, extend, grow, gen, circ, export-dot,
 batch.  Reports are JSON on stdout (or --out).  Exit codes: 0 ok, 1 usage,
 else the error type's ``exit_code`` (see ``errors``), with the error as JSON
 on stderr; an unreadable file exits 2 like any other invalid input.
-The environment variable ISOCYCLE_SEED overrides any --seed value.
 """
 
 import argparse
@@ -178,16 +177,6 @@ def cmd_grow(args):
     return 0
 
 
-def _seed(args):
-    env = os.environ.get("ISOCYCLE_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"ISOCYCLE_SEED must be an integer, got {env!r}") from None
-
-
 def cmd_gen(args):
     if args.family == "named":
         if not args.name:
@@ -200,12 +189,12 @@ def cmd_gen(args):
             base = load_graph(args.base)
         else:
             base = named_graph(args.base)
-        g = gen_insertion_family(base, seed=_seed(args), fill_count=args.fill)
+        g = gen_insertion_family(base, seed=args.seed, fill_count=args.fill)
     elif args.family == "random":
         if args.n is None:
             raise UsageError("gen --family random needs --n")
         g = gen_random_triangulation(
-            args.n, seed=_seed(args), require_four_connected=args.four_connected
+            args.n, seed=args.seed, require_four_connected=args.four_connected
         )
     else:
         raise UsageError(f"unknown family {args.family!r}")
@@ -241,16 +230,15 @@ def cmd_batch(args):
         raise UsageError(f"--count must be 0 or more, got {args.count}")
     if args.cap < 0:
         raise UsageError(f"--cap must be 0 or more, got {args.cap}")
-    seed = _seed(args)
     results = []
     alarms = 0
     fallbacks = 0
-    for i in range(args.count):
+    for seed in range(args.seed, args.seed + args.count):
         base = gen_random_triangulation(
-            args.base_n, seed=seed + i, require_four_connected=True
+            args.base_n, seed=seed, require_four_connected=True
         )
         fill = args.fill if args.fill is not None else len(base.faces)
-        g = gen_insertion_family(base, seed=seed + i, fill_count=fill)
+        g = gen_insertion_family(base, seed=seed, fill_count=fill)
         bound = isolation_bound(g)
         cycles = oracle_isolating_cycles(
             g, min_length=6, max_length=bound - 1, max_count=args.cap
@@ -347,7 +335,13 @@ def build_parser():
 
     sp = sub.add_parser("batch", help="generate and grow a corpus")
     common(sp, graph=False)
-    sp.add_argument("--count", type=int, default=5)
+    sp.add_argument(
+        "--count",
+        type=int,
+        default=5,
+        help="instances to grow; without --fill every instance is the same "
+        "filled double wheel until ROADMAP item 10 lands",
+    )
     sp.add_argument("--base-n", type=int, default=8)
     sp.add_argument("--fill", type=int)
     sp.add_argument("--cap", type=int, default=5, help="isolating cycles per instance")

@@ -1,13 +1,15 @@
 """Structure of an isolating cycle in a plane graph.
 
 Fix a cycle C = v_0 ... v_{c-1} of a 3-connected plane graph G.  The two
-sides of C are read off its rotations: at v_i, the faces traced from
-(v_i, w) for w running clockwise from just after v_{i+1} up to v_{i-1} lie
-on side R, the other faces at v_i on side L.  When C is isolating every
-edge of G has an end on C, so every face meets C and gets a side this way.
-The smaller vertex side is called the minus side.  The pruned graph H is
-obtained from G by deleting chords of C: all of them when the minus side
-has vertices, otherwise only the chords on the plus side.  ``edge_faces[p]``
+sides of C are read off its rotations: at v_i, the neighbours w strictly
+after v_{i+1} and before v_{i-1} (clockwise) lie on side R, the others on
+side L, and the face traced from (v_i, w) is on side R exactly when w runs
+from just after v_{i+1} up to v_{i-1}.  When C is isolating every vertex off
+C and every chord of C appears in the rings of C's vertices, so one walk
+over those rings gives every vertex side and every chord with its side.  The
+smaller vertex side is called the minus side.  The pruned graph H is
+obtained from G by deleting chords of C: all of them when the minus side has
+vertices, otherwise only the chords on the plus side.  ``edge_faces[p]``
 holds the two faces of H on the C-edge at position p, traced from
 (v_p, v_{p+1}) and from (v_{p+1}, v_p); the C-edges of each face and the
 face across each C-edge are read from it.
@@ -42,32 +44,6 @@ from .tunnels import find_tunnels, tracks
 
 MINUS = "minus"
 PLUS = "plus"
-
-
-def face_sides(g, cycle):
-    """Label each face of g 'L' or 'R' by the side of the cycle it lies on.
-
-    At v_i, the faces traced from (v_i, w) for w clockwise from just after
-    v_{i+1} up to v_{i-1} get 'R' and the other faces at v_i get 'L', so
-    the face traced from (v_0, v_1) is 'L' and the one from (v_1, v_0) 'R'.
-    Every face is reached only when every face meets the cycle, which holds
-    for an isolating cycle; ``analyze_cycle`` checks isolation first.
-    """
-    c = len(cycle)
-    side = {}
-    for i, v in enumerate(cycle):
-        ring = g.rotation[v]
-        j = ring.index(cycle[(i + 1) % c]) + 1
-        prev = cycle[i - 1]
-        lr = "R"
-        for w in ring[j:] + ring[:j]:
-            if side.setdefault(g.face_id[(v, w)], lr) != lr:
-                raise ContractViolation("inconsistent side 2-colouring")
-            if w == prev:
-                lr = "L"
-    if len(side) != len(g.faces):
-        raise ContractViolation("side labelling did not reach every face")
-    return side
 
 
 @dataclass(frozen=True)
@@ -123,7 +99,7 @@ class CycleAnalysis:
     edge_faces: tuple = field(default=(), repr=False)
     face_side: dict = field(default_factory=dict, repr=False)
     face_c_positions: dict = field(default_factory=dict, repr=False)
-    thin: dict = field(default_factory=dict, repr=False)
+    has_thin_side: bool = False
     arches_of: dict = field(default_factory=dict, repr=False)
     proper_arch: dict = field(default_factory=dict, repr=False)
     degenerate_faces: frozenset = frozenset()
@@ -153,10 +129,10 @@ class CycleAnalysis:
         return fid in self.proper_arch
 
     def is_thin(self, fid):
-        return self.thin[fid]
+        return self.has_thin_side and self.face_side[fid] == MINUS
 
     def is_thick(self, fid):
-        return not self.thin[fid]
+        return not self.is_thin(fid)
 
     def minor_faces(self, side=None):
         """Minor face ids by (arc start, id), the order of proper_arch."""
@@ -294,33 +270,30 @@ def analyze_cycle(g, cycle):
     """
     cyc = check_isolating(g, cycle)
     c = len(cyc)
-    on_cycle = set(cyc)
 
     pos = {v: i for i, v in enumerate(cyc)}
     pos_of_edge = {g.edge(cyc[i], cyc[(i + 1) % c]): i for i in range(c)}
-    chords = tuple(
-        e
-        for e in g.edges
-        if e[0] in on_cycle and e[1] in on_cycle and e not in pos_of_edge
-    )
 
-    g_side = face_sides(g, cyc)
-
+    # one walk over each cycle vertex's ring: every off-cycle vertex and
+    # every chord is a neighbour of the cycle, and takes its side there;
+    # r_arc[v_i] is the R arc from just after v_{i+1} up to v_{i-1}
+    r_arc = {}
     vertex_lr = {}
-    for v in g.vertices:
-        if v in on_cycle:
-            continue
-        labels = {g_side[g.face_id[(v, w)]] for w in g.rotation[v]}
-        if len(labels) != 1:
-            raise ContractViolation(f"vertex {v!r} touches faces on both sides")
-        vertex_lr[v] = labels.pop()
     chord_lr = {}
-    for a, b in chords:
-        s1 = g_side[g.face_id[(a, b)]]
-        s2 = g_side[g.face_id[(b, a)]]
-        if s1 != s2:
-            raise ContractViolation(f"chord {a!r}-{b!r} touches both sides")
-        chord_lr[(a, b)] = s1
+    for i, v in enumerate(cyc):
+        ring = g.rotation[v]
+        j = ring.index(cyc[(i + 1) % c]) + 1
+        walk = ring[j:] + ring[:j - 1]
+        k = walk.index(cyc[i - 1])
+        r_arc[v] = set(walk[:k + 1])
+        for t, w in enumerate(walk):
+            lr = "R" if t < k else "L"
+            if w not in pos:
+                if vertex_lr.setdefault(w, lr) != lr:
+                    raise ContractViolation(f"vertex {w!r} touches both sides")
+            elif t != k and chord_lr.setdefault(g.edge(v, w), lr) != lr:
+                raise ContractViolation(f"chord {v!r}-{w!r} touches both sides")
+    chords = tuple(sorted(chord_lr, key=lambda e: (g.index[e[0]], g.index[e[1]])))
 
     v_L = sorted((v for v in vertex_lr if vertex_lr[v] == "L"), key=g.index.__getitem__)
     v_R = sorted((v for v in vertex_lr if vertex_lr[v] == "R"), key=g.index.__getitem__)
@@ -335,8 +308,8 @@ def analyze_cycle(g, cycle):
         return MINUS if lr == side_of_minus else PLUS
 
     vertex_side = {v: to_side(lr) for v, lr in vertex_lr.items()}
-    v_minus = tuple(v for v in (v_L if side_of_minus == "L" else v_R))
-    v_plus = tuple(v for v in (v_R if side_of_minus == "L" else v_L))
+    v_minus = tuple(v_L if side_of_minus == "L" else v_R)
+    v_plus = tuple(v_R if side_of_minus == "L" else v_L)
 
     if v_minus:
         deleted = chords
@@ -344,12 +317,15 @@ def analyze_cycle(g, cycle):
         deleted = tuple(e for e in chords if chord_lr[e] != side_of_minus)
     h = g.delete_edges(deleted)
 
-    # a face of H is faces of G merged across deleted chords, and each chord
-    # has both of its G-faces on one side, so H inherits G's colouring
-    face_side = {
-        fid: to_side(g_side[g.face_id[(face[0], face[1])]])
-        for fid, face in enumerate(h.faces)
-    }
+    # a face of H is faces of G merged across deleted chords, each chord
+    # with both of its G-faces on its side, so a face of H has the side of
+    # its first dart: R at v_i exactly when the dart ends in v_i's R arc
+    def lr_of(face):
+        if face[0] in r_arc:
+            return "R" if face[1] in r_arc[face[0]] else "L"
+        return vertex_lr[face[0]]
+
+    face_side = {fid: to_side(lr_of(face)) for fid, face in enumerate(h.faces)}
 
     edge_faces = tuple(
         (h.face_id[(u, v)], h.face_id[(v, u)]) for u, v in zip(cyc, cyc[1:] + cyc[:1])
@@ -372,10 +348,6 @@ def analyze_cycle(g, cycle):
     # thin faces exist only when the minus side is empty (and something is
     # left to isolate); every other face is thick
     has_thin_side = not v_minus and bool(v_plus)
-    thin = {
-        fid: has_thin_side and face_side[fid] == MINUS
-        for fid in range(len(h.faces))
-    }
 
     # minor: thin with exactly one non-C boundary edge, or thick with exactly
     # one off-cycle boundary vertex; its proper arch runs from one end of its
@@ -387,7 +359,7 @@ def analyze_cycle(g, cycle):
             degenerate.add(fid)
             continue
         boundary = h.faces[fid]
-        if thin[fid]:
+        if has_thin_side and face_side[fid] == MINUS:
             non_c = [
                 h.edge(boundary[i - 1], boundary[i])
                 for i in range(len(boundary))
@@ -402,7 +374,7 @@ def analyze_cycle(g, cycle):
                     f"chord of thin minor face {fid} misses the arc ends"
                 )
         else:
-            off = [v for v in boundary if v not in on_cycle]
+            off = [v for v in boundary if v not in pos]
             if len(off) != 1:
                 continue
             s, m = _cyclic_run(ps, c)
@@ -469,7 +441,7 @@ def analyze_cycle(g, cycle):
         edge_faces=edge_faces,
         face_side=face_side,
         face_c_positions=face_c_positions,
-        thin=thin,
+        has_thin_side=has_thin_side,
         arches_of=arches_of,
         proper_arch=dict(sorted(proper_arch.items(), key=lambda kv: (kv[1].start, kv[0]))),
         degenerate_faces=frozenset(degenerate),

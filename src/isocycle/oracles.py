@@ -10,22 +10,22 @@ and are reused by the extension search on small induced subgraphs.
 
 The searches hold vertex sets as int bitmasks over vertex indices, read
 neighbours from ``PlaneGraph.adj_mask`` and try them lowest bit first, which
-is index order.  The Hamiltonian search is one loop over an explicit stack
-of untried-children bitmasks, so its depth is not bounded by the recursion
-limit.  Its three rules cut only branches that
-yield nothing, so the depth-first order alone fixes which paths come out
-and in what order; a sound cut, however it is computed, never changes that
-sequence.  The degree rule (every unvisited vertex but t keeps two usable
-neighbours) is decided once per parent for all its children: stepping off
-the head changes only the counts of the head's unvisited neighbours, so
-two of them short of two neighbours leave no child and one leaves it as
-the only child.  The connectivity rule keeps the unvisited set U connected,
-since the rest of the path runs through all of U.  One flood checks it at
-the root.  Below the root U was connected before the head left it, so U
-stays connected when the head's unvisited neighbours are connected among
-themselves; that local check floods a few bits, and all of U is flooded
-only when it fails.  The closing rule, for cycles, cuts a child when no
-vertex left could close the cycle in its canonical orientation.
+is index order.  The circumference search and the Hamiltonian search are
+each one loop over an explicit stack of untried-children bitmasks, so their
+depth is not bounded by the recursion limit.  The Hamiltonian search's three
+rules cut only branches that yield nothing, so the depth-first order alone
+fixes which paths come out and in what order; a sound cut, however it is
+computed, never changes that sequence.  The degree rule (every unvisited
+vertex but t keeps two usable neighbours) is decided once per parent for all
+its children: stepping off the head changes only the counts of the head's
+unvisited neighbours, so two of them short of two neighbours leave no child
+and one leaves it as the only child.  The connectivity rule keeps the
+unvisited set U connected, since the rest of the path runs through all of U.
+One flood checks it at the root.  Below the root U was connected before the
+head left it, so U stays connected when the head's unvisited neighbours are
+connected among themselves; that local check floods a few bits, and all of U
+is flooded only when it fails.  The closing rule, for cycles, cuts a child
+when no vertex left could close the cycle in its canonical orientation.
 
 The masks cost about n^2/8 bytes per graph and are built the first time a
 search runs on it.
@@ -202,29 +202,31 @@ def oracle_circumference(g, limit=30):
         return 0
     best = 0
     masks = g.adj_mask
-
-    def rec(head, unvisited, length):
-        # extend a path of ``length`` vertices from the anchor, ending at head
-        nonlocal best
-        if length >= 3 and closing >> head & 1:
-            best = max(best, length)
-        step = masks[head] & unvisited
-        grow = _flood(masks, step, unvisited)
-        if length + grow.bit_count() <= best:
-            return
-        if not (grow | 1 << head) & closing:
-            return
-        while step:
-            low = step & -step
-            rec(low.bit_length() - 1, unvisited ^ low, length + 1)
-            step ^= low
-
     for anchor in range(g.n):
-        # cycles whose lowest-index vertex is the anchor
+        # cycles whose lowest-index vertex is the anchor, by depth-first
+        # search over paths from it; the stack holds the untried children
+        # and unvisited set of each path vertex but the head
         if g.n - anchor <= best:
             break
         closing = masks[anchor]
-        rec(anchor, (1 << g.n) - (2 << anchor), 1)
+        stack = []
+        head, unvisited = anchor, (1 << g.n) - (2 << anchor)
+        while True:
+            length = len(stack) + 1
+            if length >= 3 and closing >> head & 1:
+                best = max(best, length)
+            kids = masks[head] & unvisited
+            grow = _flood(masks, kids, unvisited)
+            if length + grow.bit_count() <= best or not (grow | 1 << head) & closing:
+                kids = 0
+            while not kids and stack:
+                kids, unvisited = stack.pop()
+            if not kids:
+                break
+            low = kids & -kids
+            stack.append((kids ^ low, unvisited))
+            head = low.bit_length() - 1
+            unvisited ^= low
     return best
 
 

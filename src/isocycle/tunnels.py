@@ -2,13 +2,14 @@
 
 A 3-arch (an arch whose archway has three C-edges) is eligible when its
 middle C-edge is not a C-edge of a thin minor 2-face.  Two eligible 3-arches
-are consecutive when their archways share exactly one C-edge, so their
-starts lie two positions apart; the faces of consecutive arches always lie
-on opposite sides of the cycle.  Each arch has at most one such mate two
-starts below it and one two starts above it, and tunnels are the chains
-T_1 ... T_k of mates, walked by archway start: either open (acyclic) or
-wrapping around the whole cycle (cyclic, which forces c = 2k).  Within a
-tunnel each start occurs once.
+are consecutive when their archways share exactly one C-edge, which on a
+cycle of five or more edges means that their starts lie two positions apart
+(on shorter cycles no two 3-arches are consecutive); the faces of
+consecutive arches always lie on opposite sides of the cycle.  Each arch has
+at most one such mate two starts below it and one two starts above it, and
+tunnels are the chains T_1 ... T_k of mates, walked by archway start: either
+open (acyclic) or wrapping around the whole cycle (cyclic, which forces
+c = 2k).  Within a tunnel each start occurs once.
 
 An acyclic tunnel is walked in two directions.  Listing the arches with
 ascending archway starts gives the counterclockwise track; the reversed order
@@ -52,11 +53,6 @@ def eligible_three_arches(analysis):
     return out
 
 
-def consecutive(a, b):
-    """True when the archways of two arches share exactly one C-edge."""
-    return len(set(a.positions) & set(b.positions)) == 1
-
-
 @dataclass(eq=False)
 class Tunnel:
     """A maximal chain of consecutive eligible 3-arches."""
@@ -93,12 +89,12 @@ def find_tunnels(analysis):
     for i, a in enumerate(arches):
         at_start.setdefault(a.start, []).append(i)
     # (i, -2) and (i, 2) -> the mate of arch i two starts down and up, or
-    # None; ``consecutive`` rules out c = 4, where both steps land on one start
+    # None; archways two starts apart share exactly one C-edge when c >= 5,
+    # and more than one when c <= 4, where no arch has a mate
     mates = {}
     for i, a in enumerate(arches):
         for step in (-2, 2):
-            near = at_start.get((a.start + step) % c, ())
-            found = [j for j in near if consecutive(a, arches[j])]
+            found = at_start.get((a.start + step) % c, ()) if c >= 5 else ()
             if len(found) > 1:
                 raise ContractViolation("an eligible 3-arch has two mates on one side")
             mates[i, step] = found[0] if found else None

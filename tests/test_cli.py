@@ -354,22 +354,6 @@ def test_gen_random_four_connected_is_a_double_wheel(capsys):
     assert code == 0 and random_out == named_out
 
 
-def test_gen_random_respects_seed_env(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    main(["gen", "--family", "random", "--n", "12", "--seed", "1", "--out", str(a)])
-    monkeypatch.setenv("ISOCYCLE_SEED", "1")
-    # the env var wins over a conflicting --seed
-    main(["gen", "--family", "random", "--n", "12", "--seed", "9", "--out", str(b)])
-    assert json.loads(a.read_text()) == json.loads(b.read_text())
-
-
-def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ISOCYCLE_SEED", "abc")
-    assert main(["gen", "--family", "random", "--n", "8"]) == 1
-    assert "ISOCYCLE_SEED" in capsys.readouterr().err
-
-
 def test_circ_octahedron(octa_file, capsys):
     code, rep = run_json(capsys, "circ", "--graph", octa_file)
     assert code == 0 and rep["circumference"] == 6

@@ -4,7 +4,7 @@ import pytest
 
 import isocycle as ic
 from conftest import short_isolating_cycles
-from isocycle.cycle_analysis import MINUS, PLUS, extension_tree, face_sides
+from isocycle.cycle_analysis import MINUS, PLUS, extension_tree
 from isocycle.errors import ContractViolation, DegenerateSide, NotCycle, NotIsolating
 from isocycle.generators import cube, k4, prism, wheel
 from isocycle.oracles import hamiltonian_cycles
@@ -122,8 +122,8 @@ def test_wheel_rim_puts_hub_on_plus_side():
 
 
 def _sides_by_search(g, cycle):
-    """The face 2-colouring search that face_sides replaced, kept as the
-    reference: crossing a cycle edge switches sides, crossing any other edge
+    """A face 2-colouring of G by search over all its faces, kept as the
+    reference for the sides the analysis reads off the rings: crossing a cycle edge switches sides, crossing any other edge
     does not, starting from 'L' on the face traced from (v_0, v_1)."""
     c = len(cycle)
     cycle_edges = {g.edge(cycle[i - 1], cycle[i]) for i in range(c)}
@@ -154,9 +154,12 @@ def _sides_by_search(g, cycle):
 def test_face_sides_match_the_colouring_search(
     ladder, cyclic_instance, hex_instance, arch_instance, sweep_sample
 ):
-    # the rotation rule against a search over all faces, on the fixtures,
-    # every isolating cycle of the n=14 tight instance, the cube and the
-    # prism, and short isolating cycles of a corpus slice
+    # the sides read off the rings against a search over all faces of G, on
+    # the fixtures, every isolating cycle of the n=14 tight instance, the
+    # cube and the prism, and short isolating cycles of a corpus slice: each
+    # face of H has the side of its first dart's face of G, and each vertex
+    # off the cycle the side of its faces of G, with 'L' and 'R' mapped one
+    # to one onto minus and plus
     cases = [ladder, cyclic_instance, hex_instance, arch_instance]
     for g in (ic.gen_insertion_family(ic.octahedron()), cube(), prism()):
         cases += [(g, cycle) for cycle in ic.oracle_isolating_cycles(g)]
@@ -164,7 +167,19 @@ def test_face_sides_match_the_colouring_search(
         cases += [(g, cycle) for cycle in short_isolating_cycles(g, cap=4)]
     assert len(cases) == 6695
     for g, cycle in cases:
-        assert face_sides(g, cycle) == _sides_by_search(g, cycle), cycle
+        lr = _sides_by_search(g, cycle)
+        a = ic.analyze_cycle(g, cycle)
+        pairs = {
+            (lr[g.face_id[(face[0], face[1])]], a.face_side[fid])
+            for fid, face in enumerate(a.h.faces)
+        }
+        off = [v for v in g.vertices if v not in cycle]
+        assert sorted(a.vertex_side) == sorted(off), cycle
+        for v in off:
+            (v_lr,) = {lr[g.face_id[(v, w)]] for w in g.rotation[v]}
+            pairs.add((v_lr, a.vertex_side[v]))
+        # one side per label, and one label per side
+        assert len(pairs) == len(dict(pairs)) == len({side for _, side in pairs}), cycle
 
 
 def test_across_reads_the_two_faces_of_a_c_edge(ladder_analysis):
@@ -227,7 +242,7 @@ def test_hamiltonian_cycle_on_k4_has_no_minor_faces():
     g = k4()
     a = ic.analyze_cycle(g, next(hamiltonian_cycles(g), None))
     assert a.minor_faces() == []
-    assert not any(a.thin.values())
+    assert not a.has_thin_side
 
 
 def test_ladder_face_classification(ladder_analysis):
@@ -244,7 +259,7 @@ def test_ladder_face_classification(ladder_analysis):
         ("-", True, 4), ("+", True, 2),
     ]
     # both sides occupied, so nothing is thin
-    assert not any(a.thin.values())
+    assert not a.has_thin_side
     assert a.minor_faces(MINUS) == [0, 7, 11, 12, 5]
     assert a.minor_faces(PLUS) == [1, 2, 9, 13, 6]
     assert a.proper_arch[9].apex == "b2" and a.m(9) == 5

@@ -63,6 +63,19 @@ def test_a_cycle_through_more_vertices_than_the_recursion_limit():
     assert sorted(cycle) == sorted(g.vertices) and _is_walk(g, cycle + cycle[:1])
 
 
+def test_circumference_through_more_vertices_than_the_recursion_limit():
+    # the circumference search keeps its path on an explicit stack too; a
+    # wheel's longest cycle runs through all of its 301 vertices
+    g = wheel(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        value = ic.oracle_circumference(g, limit=g.n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == g.n == 301
+
+
 def test_hamiltonian_path_between_endpoints():
     g = cube()
     path = find_hamiltonian_path(g, list(g.vertices), "v0", "v6")

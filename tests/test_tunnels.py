@@ -6,16 +6,17 @@ from types import SimpleNamespace
 import pytest
 
 import isocycle as ic
+from conftest import tight14_slice
 from isocycle.cycle_analysis import Arch
 from isocycle.errors import ContractViolation
 from isocycle.extension import _candidate_windows
-from isocycle.tunnels import (
-    consecutive,
-    eligible_three_arches,
-    find_tunnels,
-    on_track,
-    tracks,
-)
+from isocycle.tunnels import eligible_three_arches, find_tunnels, on_track, tracks
+
+
+def consecutive(a, b):
+    """True when the archways of two arches share exactly one C-edge: the
+    reference for the start arithmetic ``find_tunnels`` uses."""
+    return len(set(a.positions) & set(b.positions)) == 1
 
 
 def get_tracks(analysis):
@@ -52,6 +53,36 @@ def test_consecutive_means_sharing_exactly_one_position(ladder_analysis):
     assert consecutive(el[1], el[2])
     assert not consecutive(el[0], el[2])
     assert not consecutive(el[0], el[0])
+
+
+def _chained_pairs(analysis):
+    """The unordered pairs of arches that follow each other in a tunnel."""
+    pairs = set()
+    for t in find_tunnels(analysis):
+        following = t.arches[1:] + t.arches[:1] if t.cyclic else t.arches[1:]
+        pairs.update(frozenset((id(a), id(b))) for a, b in zip(t.arches, following))
+    return pairs
+
+
+def test_tunnel_mates_are_the_consecutive_pairs(ladder, cyclic_instance):
+    # find_tunnels pairs arches by their starts; its mates are exactly the
+    # pairs of eligible 3-arches whose archways share one C-edge, on the
+    # fixtures and every tenth isolating cycle of the n=14 tight instance
+    g14, starts = tight14_slice()
+    cases = [ladder, cyclic_instance] + [(g14, cycle) for cycle in starts]
+    chained = 0
+    for g, cycle in cases:
+        a = ic.analyze_cycle(g, cycle)
+        el = eligible_three_arches(a)
+        want = {
+            frozenset((id(x), id(y)))
+            for i, x in enumerate(el)
+            for y in el[i + 1:]
+            if consecutive(x, y)
+        }
+        assert _chained_pairs(a) == want, cycle
+        chained += len(want)
+    assert chained == 4 + 4 + 256
 
 
 # -- tunnels -------------------------------------------------------------------
@@ -123,6 +154,8 @@ def stand_in(c, placed):
         (8, [(4, "L"), (2, "R"), (6, "R"), (0, "L")], [(True, [3, 1, 0, 2])]),
         # arches at one start are not consecutive; the tie keeps arch order
         (12, [(3, "L"), (3, "R")], [(False, [0]), (False, [1])]),
+        # on a 4-cycle archways two starts apart share two C-edges
+        (4, [(0, "L"), (2, "R")], [(False, [0]), (False, [1])]),
     ],
 )
 def test_hand_built_tunnels(c, placed, faces):
