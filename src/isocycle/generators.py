@@ -1,9 +1,12 @@
 """Instance generators: named graphs, insertion families, random triangulations.
 
 All generators emit plane graphs with string vertex ids so every instance
-serializes directly to the JSON graph format.
+serializes directly to the JSON graph format.  Edits (face splits and
+diagonal flips) run in O(1) each on a private rotation editor, which builds
+its graph once, through the validating ``build_plane_graph``, in O(n + m).
 """
 
+import bisect
 import random
 
 from .errors import BaseNotFourConnected, SizeTooSmall, UnknownName
@@ -93,6 +96,92 @@ def named_graph(name):
     raise UnknownName(f"unknown graph name {name!r}")
 
 
+class _RotationEditor:
+    """A rotation system edited in place, then frozen once into a PlaneGraph.
+
+    Each ring is a successor map, ``succ[v][w]`` being the neighbour just
+    after w clockwise round v, together with the ring's first neighbour.  A
+    face split and a diagonal flip each cost O(1): every neighbour an edit
+    removes is the apex of a triangle beside it, so its predecessor is known
+    and no predecessor map is kept.  A rebuilt ring keeps its start under
+    ``list.insert`` after a neighbour and moves it to the next neighbour
+    under ``list.remove`` of the first; the editor moves ring starts the
+    same way, so a frozen graph equals, field for field, what building the
+    graph anew after every edit gives.
+    """
+
+    def __init__(self, g):
+        self.vertices = list(g.vertices)
+        self.first = {}
+        self.succ = {}
+        for v, ring in g.rotation.items():
+            self.first[v] = ring[0] if ring else None
+            self.succ[v] = dict(zip(ring, ring[1:] + ring[:1]))
+
+    def split(self, a, b, c, x):
+        """Put the new vertex x inside the face a, b, c (in tracing order)."""
+        succ = self.succ
+        ring = succ[a]  # x goes after c at a, after a at b, after b at c
+        ring[x] = ring[c]
+        ring[c] = x
+        ring = succ[b]
+        ring[x] = ring[a]
+        ring[a] = x
+        ring = succ[c]
+        ring[x] = ring[b]
+        ring[b] = x
+        succ[x] = {a: c, c: b, b: a}
+        self.first[x] = a
+        self.vertices.append(x)
+
+    def flip(self, u, v):
+        """Replace edge uv by the other diagonal xy of its two triangles.
+
+        Returns (x, y), or None with nothing changed when the flip is
+        illegal: a side of uv is not a triangle, x and y are adjacent, or u
+        or v has degree 3.
+        """
+        succ = self.succ
+        su, sv = succ[u], succ[v]
+        x, y = sv[u], su[v]
+        sx, sy = succ[x], succ[y]
+        if sx[v] != u or su[x] != v or sy[u] != v or sv[y] != u:
+            return None
+        if y in sx or len(su) <= 3 or len(sv) <= 3:
+            return None
+        # x precedes v at u and y precedes u at v
+        del su[v]
+        su[x] = y
+        del sv[u]
+        sv[y] = x
+        first = self.first
+        if first[u] == v:
+            first[u] = y
+        if first[v] == u:
+            first[v] = x
+        sx[y] = sx[v]
+        sx[v] = y
+        sy[x] = sy[u]
+        sy[u] = x
+        return x, y
+
+    def ring(self, v):
+        """The ring at v as a list, from its first neighbour."""
+        succ = self.succ[v]
+        if not succ:
+            return []
+        w = self.first[v]
+        out = [w]
+        for _ in range(len(succ) - 1):
+            w = succ[w]
+            out.append(w)
+        return out
+
+    def freeze(self):
+        """The edited graph, validated by :func:`build_plane_graph`."""
+        return build_plane_graph(self.vertices, {v: self.ring(v) for v in self.vertices})
+
+
 def insert_vertex(g, face_triple, new_id):
     """Split a triangular face (a, b, c) into three by a new inner vertex.
 
@@ -114,36 +203,25 @@ def _insert_vertices(g, insertions):
     face until it is split, so the result equals a chain of insert_vertex
     calls in the same order.
     """
-    rotation = {v: list(g.rotation[v]) for v in g.vertices}
+    editor = _RotationEditor(g)
     for (a, b, c), new_id in insertions:
-        rotation[a].insert(rotation[a].index(c) + 1, new_id)
-        rotation[b].insert(rotation[b].index(a) + 1, new_id)
-        rotation[c].insert(rotation[c].index(b) + 1, new_id)
-        rotation[new_id] = [a, c, b]
-    new_ids = [new_id for _, new_id in insertions]
-    return build_plane_graph(list(g.vertices) + new_ids, rotation)
+        editor.split(a, b, c, new_id)
+    return editor.freeze()
 
 
 def diagonal_flip(g, u, v):
     """Replace edge uv by the other diagonal xy of its two triangles.
 
     Returns None when the flip is illegal (non-triangular sides, existing
-    diagonal, or an endpoint of degree 3).
+    diagonal, or an endpoint of degree 3).  Raises ValueError when uv is
+    not an edge of g.
     """
-    fa = g.faces[g.face_id[(u, v)]]
-    fb = g.faces[g.face_id[(v, u)]]
-    if len(fa) != 3 or len(fb) != 3:
+    if v not in g.adj.get(u, ()):
+        raise ValueError(f"({u}, {v}) is not an edge of the graph")
+    editor = _RotationEditor(g)
+    if editor.flip(u, v) is None:
         return None
-    x = next(w for w in fa if w not in (u, v))
-    y = next(w for w in fb if w not in (u, v))
-    if y in g.adj[x] or g.degree(u) <= 3 or g.degree(v) <= 3:
-        return None
-    rotation = {w: list(g.rotation[w]) for w in g.vertices}
-    rotation[u].remove(v)
-    rotation[v].remove(u)
-    rotation[x].insert(rotation[x].index(v) + 1, y)
-    rotation[y].insert(rotation[y].index(u) + 1, x)
-    return build_plane_graph(list(g.vertices), rotation)
+    return editor.freeze()
 
 
 def gen_insertion_family(base, seed=0, fill_count=None):
@@ -178,11 +256,109 @@ def base_hamiltonian_cycle(k):
     return tuple(["a"] + rim[: k - 1] + ["b", rim[k - 1]])
 
 
+_GAP = 1 << 8  # the label step of a freshly labelled ring
+
+
+class _StackedFaces:
+    """The faces of a triangulation under face splits, in trace order.
+
+    A split takes the r-th face of the graph as :func:`build_plane_graph`
+    would number it and puts a new vertex, the latest in vertex order,
+    inside it, on an editor.  Faces are numbered by their lowest vertex in
+    vertex order, then by the ring position at that vertex of the edge
+    leaving it along the face; each face is a tuple that starts there.  So
+    each vertex keeps, as ``own[v]``, the heads w of the edges vw that start
+    its faces, sorted by ring position, and a Fenwick tree over vertex
+    indices counts them, ``count`` in all: the r-th face is found in
+    O(log n).  Ring positions are integer labels, increasing from a ring's
+    first neighbour; a new neighbour takes the midpoint of its two sides,
+    and a ring with no room left is labelled afresh.
+
+    Splitting face a, b, c with lowest vertex a by x leaves a, b, x in the
+    face's place and adds c, a, x to ``own[a]``, as the edge from a to x.
+    It adds b, c, x to whichever of b and c is lower: to b as the edge from
+    b to c, or to c as the edge from c to x.
+    """
+
+    def __init__(self, g, n):
+        """Start from the triangulation g, which will grow to n vertices."""
+        self.editor = _RotationEditor(g)
+        self.index = dict(g.index)
+        self.label = {
+            v: {w: i * _GAP for i, w in enumerate(ring)} for v, ring in g.rotation.items()
+        }
+        self.own = {v: [] for v in g.vertices}
+        for face in g.faces:
+            self.own[face[0]].append(face[1])
+        self.count = 0
+        self.tree = [0] * (n + 1)
+        for v, heads in self.own.items():
+            self._count(v, len(heads))
+
+    def _count(self, v, k):
+        tree, size = self.tree, len(self.tree)
+        i = self.index[v] + 1
+        while i < size:
+            tree[i] += k
+            i += i & -i
+        self.count += k
+
+    def face(self, r):
+        """The r-th face, as the triple build_plane_graph would trace."""
+        tree, size = self.tree, len(self.tree)
+        i, step = 0, 1 << size.bit_length()
+        while step:
+            if i + step < size and tree[i + step] <= r:
+                i += step
+                r -= tree[i]
+            step >>= 1
+        v = self.editor.vertices[i]
+        w = self.own[v][r]
+        return v, w, self.editor.succ[w][v]
+
+    def split(self, r, x):
+        """Put the new vertex x inside the r-th face."""
+        a, b, c = self.face(r)
+        self.editor.split(a, b, c, x)
+        index = self.index
+        index[x] = len(index)
+        self.label[x] = {a: 0, c: _GAP, b: 2 * _GAP}
+        self.own[x] = []
+        self._place(a, c, x)
+        self._place(b, a, x)
+        self._place(c, b, x)
+        self._own(a, x)
+        if index[b] < index[c]:
+            self._own(b, c)
+        else:
+            self._own(c, x)
+
+    def _place(self, v, w, x):
+        """Label x, just put after w into the ring at v."""
+        editor, label = self.editor, self.label[v]
+        lo = label[w]
+        nxt = editor.succ[v][x]
+        if nxt == editor.first[v]:
+            label[x] = lo + _GAP
+        elif label[nxt] - lo > 1:
+            label[x] = (lo + label[nxt]) // 2
+        else:
+            for i, u in enumerate(editor.ring(v)):
+                label[u] = i * _GAP
+
+    def _own(self, v, w):
+        bisect.insort(self.own[v], w, key=self.label[v].__getitem__)
+        self._count(v, 1)
+
+
 def gen_random_triangulation(n, seed=0, require_four_connected=False):
     """Random maximal planar graph on n vertices.
 
     The plain variant stacks random vertex insertions from K4 (every such
-    graph keeps a degree-3 vertex, so it is never 4-connected).  The
+    graph keeps a degree-3 vertex, so it is never 4-connected): vertex
+    ``t{i}`` goes into face ``rng.randrange(len(faces))`` of the graph so
+    far.  The splits run on the rotation editor, with the faces kept in
+    trace order by :class:`_StackedFaces`, and the graph is built once.  The
     4-connected variant is not random: it returns double_wheel(n - 2) for
     every seed, since every diagonal flip of a double wheel leaves a vertex
     of degree 3.  A flip walk that repairs 4-connectivity is ROADMAP item 10.
@@ -194,8 +370,7 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
     if n < 4:
         raise SizeTooSmall("a triangulation needs at least 4 vertices")
     rng = random.Random(seed)
-    g = k4()
+    faces = _StackedFaces(k4(), n)
     for i in range(n - 4):
-        triples = [f for f in g.faces]
-        g = insert_vertex(g, triples[rng.randrange(len(triples))], f"t{i}")
-    return g
+        faces.split(rng.randrange(faces.count), f"t{i}")
+    return faces.editor.freeze()

@@ -45,11 +45,13 @@ class PlaneGraph:
             triangular faces on {u, v}, in increasing face id, built on
             first use (see :attr:`triangles`).
 
-    A graph is constructed once, with its faces: :func:`build_plane_graph`
-    and :meth:`delete_edges` both hand their rotation system to
-    :func:`_with_faces`, which walks every face through a successor map on
-    the directed edges and returns the finished graph.  No graph keeps that
-    map or any other per-vertex ring index.
+    A graph is constructed once, with its faces, in O(n + m):
+    :func:`build_plane_graph` and :meth:`delete_edges` both hand their
+    rotation system to :func:`_with_faces`, which walks every face through a
+    successor map on the directed edges and returns the finished graph.  No
+    graph keeps that map or any other per-vertex ring index, and no graph
+    is edited: the generators edit rotations on a private editor
+    (``generators._RotationEditor``) and build one graph at the end.
 
     The extension engine keeps the move budget in ``_budget``, counted on
     first use (see :func:`isocycle.extension.extension_budget`), and its
@@ -172,7 +174,7 @@ def build_plane_graph(vertices, rotation):
     Raises NotSimple for loops or repeated edges, InconsistentRotation when
     the two ends of an edge disagree, and NonPlanarEmbedding when the graph
     is not connected (found with :func:`reachable`) or the traced faces
-    violate Euler's formula.
+    violate Euler's formula.  Every check and the build take O(n + m).
     """
     vertices = tuple(vertices)
     seen = set()
@@ -188,29 +190,32 @@ def build_plane_graph(vertices, rotation):
         )
 
     rot = {}
+    adj = {}
     for v in vertices:
         ring = tuple(rotation[v])
         if v in ring:
             raise NotSimple(f"loop at vertex {v!r}")
-        if len(set(ring)) != len(ring):
+        nbrs = frozenset(ring)
+        if len(nbrs) != len(ring):
             raise NotSimple(f"repeated neighbour in rotation at {v!r}")
-        for w in ring:
-            if w not in seen:
-                raise InconsistentRotation(f"unknown neighbour {w!r} at {v!r}")
+        if not nbrs <= seen:
+            w = next(w for w in ring if w not in seen)
+            raise InconsistentRotation(f"unknown neighbour {w!r} at {v!r}")
         rot[v] = ring
-    for v in vertices:
-        for w in rot[v]:
-            if v not in rot[w]:
-                raise InconsistentRotation(f"edge {v!r}-{w!r} missing at {w!r}")
+        adj[v] = nbrs
 
+    # edge (w, v) joins w's bucket on v's turn in the vertex order, so the
+    # buckets, read in vertex order, give the edges sorted by vertex index
     index = {v: i for i, v in enumerate(vertices)}
-    adj = {v: frozenset(rot[v]) for v in vertices}
-    edges = []
+    later = {v: [] for v in vertices}
     for v in vertices:
+        i = index[v]
         for w in rot[v]:
-            if index[v] < index[w]:
-                edges.append((v, w))
-    edges.sort(key=lambda e: (index[e[0]], index[e[1]]))
+            if v not in adj[w]:
+                raise InconsistentRotation(f"edge {v!r}-{w!r} missing at {w!r}")
+            if index[w] < i:
+                later[w].append((w, v))
+    edges = tuple(e for v in vertices for e in later[v])
 
     if reachable(adj, vertices[:1], seen) != seen:
         raise NonPlanarEmbedding("graph is not connected")
@@ -225,11 +230,13 @@ def _with_faces(vertices, rotation, index, adj, edges):
     The walk runs on a successor map of the directed edges, local to this
     call: ``after[b][a]`` is the neighbour just after a in the clockwise
     ring at b, so the walk from (a, b) goes on with (b, after[b][a]).  The
-    map is a permutation of the directed edges, so a walk returns to its
-    first edge, the first one it meets that already has a face id.  A vertex
-    with an empty ring has no directed edges and adds nothing.  The map is
-    keyed by vertex, not by (a, b) tuples: a tuple per directed edge, freed
-    after tracing, raised the peak memory of a build.
+    map is a permutation of the directed edges, so a walk ends when it is
+    back at its first edge.  The walk pops ``after[b][a]`` as it leaves
+    (a, b), so (v, w) is still to be traced exactly when v is a key of
+    ``after[w]``.  A vertex with an empty ring has no directed edges and
+    adds nothing.  The map is keyed by vertex, not by (a, b) tuples: a
+    tuple per directed edge, freed after tracing, raised the peak memory
+    of a build.
 
     Faces are numbered in the order their first directed edge appears,
     vertex by vertex in ``vertices`` order and round each rotation, and
@@ -246,16 +253,17 @@ def _with_faces(vertices, rotation, index, adj, edges):
     face_id = {}
     for v in vertices:
         for w in rotation[v]:
-            e = (v, w)
-            if e in face_id:
+            if v not in after[w]:
                 continue
             fid = len(faces)
             face = []
-            while e not in face_id:
-                face_id[e] = fid
-                a, b = e
+            a, b = v, w
+            while True:
+                face_id[a, b] = fid
                 face.append(a)
-                e = (b, after[b][a])
+                a, b = b, after[b].pop(a)
+                if b == w and a == v:
+                    break
             faces.append(tuple(face))
 
     # Euler: V - E + F = 2 on the sphere
@@ -413,19 +421,27 @@ def is_three_connected(g):
 
 
 def separating_triangles(g):
-    """All triangles of a maximal planar graph that are not faces.
+    """Every triangle of g that does not bound a face, as an index-sorted
+    triple (u, v, w), ordered by its edge (u, v) in ``g.edges``, then by w.
 
-    In a maximal planar graph on >= 5 vertices these are exactly the
-    3-separators.
+    This holds on any plane graph.  On a maximal planar graph with at least
+    5 vertices these triangles are exactly the 3-separators.  A triangle on
+    edge uv is facial when it bounds one of the two faces on uv, so the
+    apexes of those faces, when they are triangles, are the only common
+    neighbours of u and v to pass over.
     """
-    face_triples = {frozenset(f) for f in g.faces if len(f) == 3}
+    index, adj, faces, face_id = g.index, g.adj, g.faces, g.face_id
     out = []
     for u, v in g.edges:
-        for w in g.sorted_vertices(g.adj[u] & g.adj[v]):
-            if g.index[w] <= g.index[v]:
-                continue
-            t = frozenset((u, v, w))
-            if t not in face_triples:
+        common = adj[u] & adj[v]
+        f, h = faces[face_id[u, v]], faces[face_id[v, u]]
+        if len(common) <= (len(f) == 3) + (len(h) == 3):
+            continue
+        # each triangular face on uv holds u, v and its apex
+        facial = (f if len(f) == 3 else ()) + (h if len(h) == 3 else ())
+        i = index[v]
+        for w in sorted(common, key=index.__getitem__):
+            if index[w] > i and w not in facial:
                 out.append((u, v, w))
     return out
 

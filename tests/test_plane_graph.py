@@ -1,7 +1,9 @@
 """Embedding construction, validation, connectivity and serialization."""
 
 import json
+import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -339,6 +341,29 @@ NOT_A_RING = "rotation at 'a' must be a list of strings"
             NonPlanarEmbedding,
             "graph is not connected",
         ),
+        # the first failing check in this order wins: per ring in vertex
+        # order a loop, a repeat, then the first unknown neighbour in ring
+        # order; then, over every ring, the first one-sided edge
+        (
+            {"vertices": ["a", "b"], "rotation": {"a": ["b", "y", "z", "y"], "b": ["a"]}},
+            NotSimple,
+            "repeated neighbour in rotation at 'a'",
+        ),
+        (
+            {"vertices": ["a", "b"], "rotation": {"a": ["b", "z", "y"], "b": ["a"]}},
+            InconsistentRotation,
+            "unknown neighbour 'z' at 'a'",
+        ),
+        (
+            {"vertices": ["a", "b", "c"], "rotation": {"a": ["b", "c"], "b": ["a"], "c": ["c"]}},
+            NotSimple,
+            "loop at vertex 'c'",
+        ),
+        (
+            {"vertices": ["a", "b", "c"], "rotation": {"a": ["c", "b"], "b": ["c"], "c": ["b"]}},
+            InconsistentRotation,
+            "edge 'a'-'c' missing at 'c'",
+        ),
     ],
 )
 def test_graph_document_validation(doc, error, message):
@@ -434,6 +459,91 @@ def test_separating_triangles_of_insertion_instance():
     g = ic.gen_insertion_family(base, fill_count=None)
     # one inserted vertex per base face, each wrapped by its own triangle
     assert len(separating_triangles(g)) == len(base.faces)
+
+
+def antiprism(k):
+    """The k-gonal antiprism: two k-gon faces joined by a band of 2k triangles."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    faces = [tuple(a), tuple(reversed(b))]
+    for i in range(k):
+        j = (i + 1) % k
+        faces += [(a[j], a[i], b[i]), (b[i], b[j], a[j])]
+    return ic.graph_from_faces(faces)
+
+
+def icosahedron_faces():
+    """The 20 faces of the icosahedron, from T over two 5-rings u, l to B."""
+    u = [f"u{i}" for i in range(5)]
+    l = [f"l{i}" for i in range(5)]
+    faces = []
+    for i in range(5):
+        j = (i + 1) % 5
+        faces += [("T", u[i], u[j]), (u[i], l[i], u[j]), (u[j], l[i], l[j]), ("B", l[j], l[i])]
+    return faces
+
+
+def octahedron_in_an_icosahedron():
+    """An octahedron glued into the face T, u0, u1 of an icosahedron, less the
+    edge B-l0 far from it: minimum degree 4, not a triangulation, and the
+    triangle T, u0, u1 is a 3-cut."""
+    inside = [
+        ("T", "u0", "p"), ("u0", "q", "p"), ("u0", "u1", "q"), ("u1", "r", "q"),
+        ("u1", "T", "r"), ("T", "p", "r"), ("p", "q", "r"),
+    ]
+    faces = [f for f in icosahedron_faces() if f != ("T", "u0", "u1")] + inside
+    return ic.graph_from_faces(faces).delete_edges([("B", "l0")])
+
+
+def _node_connectivity(g):
+    import networkx as nx
+
+    return nx.node_connectivity(nx.Graph(list(g.edges)))
+
+
+def test_four_connectivity_off_triangulations():
+    square = antiprism(4)
+    glued = octahedron_in_an_icosahedron()
+    for g in (square, glued):
+        assert not is_maximal_planar(g)
+        assert min(g.degree(v) for v in g.vertices) == 4
+    assert is_four_connected(square)
+    assert _node_connectivity(square) == 4
+    assert not is_four_connected(glued)
+    assert _node_connectivity(glued) == 3
+    assert [set(cut) for cut, _ in _separators(glued, 3)] == [{"T", "u0", "u1"}]
+
+
+def _triangles_less_faces(g):
+    """Reference: every mutually adjacent index-sorted triple, less those
+    that bound a triangular face, in index order."""
+    facial = {frozenset(f) for f in g.faces if len(f) == 3}
+    return [
+        t
+        for t in combinations(g.vertices, 3)
+        if g.has_edge(t[0], t[1]) and g.has_edge(t[1], t[2]) and g.has_edge(t[0], t[2])
+        and frozenset(t) not in facial
+    ]
+
+
+def test_separating_triangles_match_the_brute_force_off_triangulations():
+    graphs = [cube(), prism(), antiprism(4), antiprism(5), octahedron_in_an_icosahedron()]
+    graphs += [glued_octahedra(), wheel(6), double_wheel(5), ic.gen_random_triangulation(12, seed=1)]
+    rng = random.Random(0)
+    for seed in range(8):
+        g = ic.gen_random_triangulation(10 + seed, seed=seed)
+        for u, v in rng.sample(g.edges, 6):
+            try:
+                g = g.delete_edges([(u, v)])
+            except NonPlanarEmbedding:
+                continue
+        graphs.append(g)
+    found = 0
+    for g in graphs:
+        cuts = separating_triangles(g)
+        assert cuts == _triangles_less_faces(g)
+        found += len(cuts)
+    assert found and any(not is_maximal_planar(g) and separating_triangles(g) for g in graphs)
 
 
 def test_maximal_planar_predicate():
