@@ -213,8 +213,9 @@ def cmd_circ(args):
 
 def cmd_export_dot(args):
     g = load_graph(args.graph)
-    cycle = _parse_cycle(args.cycle) if args.cycle else None
-    if cycle:
+    cycle = None
+    if args.cycle is not None:
+        cycle = _parse_cycle(args.cycle)
         check_cycle(g, cycle)
     text = graph_to_dot(g, highlight_cycle=cycle)
     if args.out:
@@ -305,7 +306,11 @@ def build_parser():
     sp = sub.add_parser("grow", help="extend a cycle to the length bound")
     common(sp, cycle=True)
     sp.add_argument("--tier-2-only", action="store_true")
-    sp.add_argument("--dump-dot", metavar="DIR", help="write DOT snapshots per step")
+    sp.add_argument(
+        "--dump-dot",
+        metavar="DIR",
+        help="write one DOT file per step, O(n (n + m)) bytes in all",
+    )
     sp.set_defaults(func=cmd_grow)
 
     sp = sub.add_parser("gen", help="generate an instance")

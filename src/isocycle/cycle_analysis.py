@@ -122,7 +122,10 @@ class CycleAnalysis:
     # -- faces --------------------------------------------------------------
 
     def m(self, fid):
-        """Number of C-edges of a face of H (0 for major faces)."""
+        """Number of C-edges on a face of H, major or minor.
+
+        ``apply_discharging`` starts every face at this weight.
+        """
         return len(self.face_c_positions.get(fid, ()))
 
     def is_minor(self, fid):

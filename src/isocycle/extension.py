@@ -51,8 +51,8 @@ ledger on 189 of them.  A graph that never reroutes builds no memo.
 The fast tier checks the move it builds in O(Δ), Δ the number of cycle
 positions the move changes: every new edge is an edge of G, the added
 vertices are off the cycle and distinct, a reroute path covers exactly its
-window and the chosen extras, and the move fits the budget.  ``make_move``
-keeps every check, for users.
+window and the chosen extras, and the move fits the budget.  The oracle for
+moves, ``make_move`` in ``tests/test_extension.py``, checks both whole cycles.
 
 ``grow_to_bound`` carries the live cycle from step to step as a successor
 map (``_Growing``): each vertex's successor, the head (position 0 of the
@@ -76,9 +76,9 @@ the splices, and replays them into moves and cycles only when asked.
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
 and growth traces count how often it was needed.  It checks its start cycle
-at entry and the cycle it finds on its vertex set, and never re-checks the
-start through ``make_move``.  Both tiers, and the growth loop, raise
-NotIsolating on a start cycle that is not isolating.
+at entry and the cycle it finds on its vertex set, and does not check the
+start again.  Both tiers, and the growth loop, raise NotIsolating on a start
+cycle that is not isolating.
 """
 
 import logging
@@ -129,23 +129,6 @@ class Move:
     new_cycle: tuple
     added: tuple
     pattern: str
-
-
-def make_move(g, old_cycle, new_cycle, pattern):
-    """Validate a proposed new cycle and build the move record."""
-    old = check_cycle(g, old_cycle)
-    new = check_cycle(g, new_cycle)
-    old_set = set(old)
-    new_set = set(new)
-    if not old_set <= new_set:
-        raise InvalidMove("the new cycle must keep every old cycle vertex")
-    added = tuple(g.sorted_vertices(new_set - old_set))
-    if not added:
-        raise InvalidMove("the new cycle must be strictly longer")
-    budget = extension_budget(g)
-    if len(added) > budget:
-        raise InvalidMove(f"move adds {len(added)} vertices, budget is {budget}")
-    return Move(new_cycle=new, added=added, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ diagonal flips) run in O(1) each on a private rotation editor, which builds
 its graph once, through the validating ``build_plane_graph``, in O(n + m).
 """
 
-import bisect
 import random
 
 from .errors import BaseNotFourConnected, SizeTooSmall, UnknownName
@@ -256,52 +255,48 @@ def base_hamiltonian_cycle(k):
     return tuple(["a"] + rim[: k - 1] + ["b", rim[k - 1]])
 
 
-_GAP = 1 << 8  # the label step of a freshly labelled ring
-
-
 class _StackedFaces:
     """The faces of a triangulation under face splits, in trace order.
 
     A split takes the r-th face of the graph as :func:`build_plane_graph`
     would number it and puts a new vertex, the latest in vertex order,
-    inside it, on an editor.  Faces are numbered by their lowest vertex in
-    vertex order, then by the ring position at that vertex of the edge
-    leaving it along the face; each face is a tuple that starts there.  So
-    each vertex keeps, as ``own[v]``, the heads w of the edges vw that start
-    its faces, sorted by ring position, and a Fenwick tree over vertex
-    indices counts them, ``count`` in all: the r-th face is found in
-    O(log n).  Ring positions are integer labels, increasing from a ring's
-    first neighbour; a new neighbour takes the midpoint of its two sides,
-    and a ring with no room left is labelled afresh.
+    inside it, on an editor.  That numbering starts each face at its lowest
+    corner in vertex order, its owner, and orders the faces by owner, then
+    by the ring position at the owner of the edge leaving it along the face.
+    A Fenwick tree over vertex indices counts the faces each vertex owns,
+    ``count`` in all, so the owner v of the r-th face is found in O(log n).
+    The face is then read off v's ring: the walk from ``editor.first[v]``
+    meets each neighbour w in ring order, and the face v, w, ``succ[w][v]``
+    is v's exactly when w and ``succ[w][v]`` both come after v.  The walk
+    costs O(deg v) and is bounded by the ring's length, so a miscount
+    raises.  Splitting face a, b, c by x leaves a, b, x and c, a, x to a
+    and gives b, c, x to the lower of b and c.
 
-    Splitting face a, b, c with lowest vertex a by x leaves a, b, x in the
-    face's place and adds c, a, x to ``own[a]``, as the edge from a to x.
-    It adds b, c, x to whichever of b and c is lower: to b as the edge from
-    b to c, or to c as the edge from c to x.
+    The walk replaced ring labels and a sorted list of owned faces per
+    vertex (``tools/build_scaling.py``, 2-core host, three interleaved runs
+    each): the median at n = 800 went 0.013-0.023 -> 0.011-0.013 s, at
+    n = 10^4 0.28-0.37 -> 0.26-0.37 s, and the traced peak 2.5 -> 2.1 MB
+    and 31.4 -> 26.8 MB.  The structures a split loop holds went 8.7 -> 4.1
+    MB at n = 10^4 and 96 -> 46 MB at n = 10^5.  The split loop alone at
+    n = 10^5, where the top degree is 1172, went 2.2-2.8 -> 3.2-3.7 s.
     """
 
     def __init__(self, g, n):
         """Start from the triangulation g, which will grow to n vertices."""
         self.editor = _RotationEditor(g)
         self.index = dict(g.index)
-        self.label = {
-            v: {w: i * _GAP for i, w in enumerate(ring)} for v, ring in g.rotation.items()
-        }
-        self.own = {v: [] for v in g.vertices}
-        for face in g.faces:
-            self.own[face[0]].append(face[1])
         self.count = 0
         self.tree = [0] * (n + 1)
-        for v, heads in self.own.items():
-            self._count(v, len(heads))
+        for face in g.faces:
+            self._count(face[0])
 
-    def _count(self, v, k):
+    def _count(self, v):
         tree, size = self.tree, len(self.tree)
         i = self.index[v] + 1
         while i < size:
-            tree[i] += k
+            tree[i] += 1
             i += i & -i
-        self.count += k
+        self.count += 1
 
     def face(self, r):
         """The r-th face, as the triple build_plane_graph would trace."""
@@ -312,9 +307,18 @@ class _StackedFaces:
                 i += step
                 r -= tree[i]
             step >>= 1
-        v = self.editor.vertices[i]
-        w = self.own[v][r]
-        return v, w, self.editor.succ[w][v]
+        editor, index, succ = self.editor, self.index, self.editor.succ
+        v = editor.vertices[i]
+        ring = succ[v]
+        w = editor.first[v]
+        for _ in range(len(ring)):
+            u = succ[w][v]
+            if index[w] > i and index[u] > i:
+                if not r:
+                    return v, w, u
+                r -= 1
+            w = ring[w]
+        raise IndexError(f"{v!r} owns fewer faces than its count")
 
     def split(self, r, x):
         """Put the new vertex x inside the r-th face."""
@@ -322,33 +326,8 @@ class _StackedFaces:
         self.editor.split(a, b, c, x)
         index = self.index
         index[x] = len(index)
-        self.label[x] = {a: 0, c: _GAP, b: 2 * _GAP}
-        self.own[x] = []
-        self._place(a, c, x)
-        self._place(b, a, x)
-        self._place(c, b, x)
-        self._own(a, x)
-        if index[b] < index[c]:
-            self._own(b, c)
-        else:
-            self._own(c, x)
-
-    def _place(self, v, w, x):
-        """Label x, just put after w into the ring at v."""
-        editor, label = self.editor, self.label[v]
-        lo = label[w]
-        nxt = editor.succ[v][x]
-        if nxt == editor.first[v]:
-            label[x] = lo + _GAP
-        elif label[nxt] - lo > 1:
-            label[x] = (lo + label[nxt]) // 2
-        else:
-            for i, u in enumerate(editor.ring(v)):
-                label[u] = i * _GAP
-
-    def _own(self, v, w):
-        bisect.insort(self.own[v], w, key=self.label[v].__getitem__)
-        self._count(v, 1)
+        self._count(a)
+        self._count(b if index[b] < index[c] else c)
 
 
 def gen_random_triangulation(n, seed=0, require_four_connected=False):
@@ -357,11 +336,13 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
     The plain variant stacks random vertex insertions from K4 (every such
     graph keeps a degree-3 vertex, so it is never 4-connected): vertex
     ``t{i}`` goes into face ``rng.randrange(len(faces))`` of the graph so
-    far.  The splits run on the rotation editor, with the faces kept in
-    trace order by :class:`_StackedFaces`, and the graph is built once.  The
-    4-connected variant is not random: it returns double_wheel(n - 2) for
-    every seed, since every diagonal flip of a double wheel leaves a vertex
-    of degree 3.  A flip walk that repairs 4-connectivity is ROADMAP item 10.
+    far.  The splits run on the rotation editor, each face read off its
+    owner's ring in trace order by :class:`_StackedFaces`, and the graph is
+    built once: 0.011-0.013 s at n = 800 and about 0.3 s at n = 10^4
+    (``tools/build_scaling.py``).  The 4-connected variant is not random: it
+    returns double_wheel(n - 2) for every seed, since every diagonal flip of
+    a double wheel leaves a vertex of degree 3.  A flip walk that repairs
+    4-connectivity is ROADMAP item 10.
     """
     if require_four_connected:
         if n < 6:

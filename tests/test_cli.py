@@ -376,6 +376,15 @@ def test_export_dot_highlight(octa_file, capsys):
     assert out.startswith("graph")
 
 
+@pytest.mark.parametrize("command", ["export-dot", "analyze", "grow"])
+@pytest.mark.parametrize("cycle", ["", ","])
+def test_empty_cycle_is_a_parse_error(octa_file, capsys, command, cycle):
+    # export-dot's --cycle is optional, but an empty one is an error, not
+    # a request to highlight nothing
+    assert main([command, "--graph", octa_file, "--cycle", cycle]) == 2
+    assert "empty cycle argument" in capsys.readouterr().err
+
+
 def test_export_dot_out_is_utf8(tmp_path, capsys):
     d = ic.graph_to_json_dict(named_graph("k4"))
     d = json.loads(json.dumps(d).replace('"r1"', '"r1\u00e9"'))

@@ -21,9 +21,10 @@ from isocycle.errors import (
     InvalidMove,
     NotIsolating,
 )
-from isocycle.extension import degree_five_count, extension_budget, make_move
+from isocycle.extension import Move, degree_five_count, extension_budget
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.oracles import find_hamiltonian_path, hamiltonian_cycles
+from isocycle.plane_graph import check_cycle
 from isocycle.tunnels import Tunnel
 
 
@@ -33,6 +34,23 @@ EQUATOR = ("r0", "r1", "r2", "r3")
 TRIANGLE = ("a", "r0", "r1")
 # an isolating 6-cycle of the cube: the cube is bipartite, so it grows by two
 CUBE_SIX = ("v4", "v5", "v1", "v2", "v3", "v7")
+
+
+def make_move(g, old_cycle, new_cycle, pattern):
+    """The oracle for moves: check both whole cycles and build the move."""
+    old = check_cycle(g, old_cycle)
+    new = check_cycle(g, new_cycle)
+    old_set = set(old)
+    new_set = set(new)
+    if not old_set <= new_set:
+        raise InvalidMove("the new cycle must keep every old cycle vertex")
+    added = tuple(g.sorted_vertices(new_set - old_set))
+    if not added:
+        raise InvalidMove("the new cycle must be strictly longer")
+    budget = extension_budget(g)
+    if len(added) > budget:
+        raise InvalidMove(f"move adds {len(added)} vertices, budget is {budget}")
+    return Move(new_cycle=new, added=added, pattern=pattern)
 
 
 def test_isolation_bound_values():
@@ -133,22 +151,17 @@ def test_exhaustive_tier_past_the_recursion_limit():
     assert set(move.new_cycle) == set(start).union(move.added)
 
 
-def test_exhaustive_tier_checks_without_make_move(monkeypatch, sweep_sample):
+def test_exhaustive_tier_checks_without_make_move(sweep_sample):
     # the exhaustive tier checks its start at entry and the cycle it finds
-    # on the chosen vertex set, and no longer re-checks the start through
-    # make_move; its moves still equal the ones make_move's checks build
-    def refuse(*args):
-        raise AssertionError("find_extension_exhaustive called make_move")
-
+    # on the chosen vertex set; its moves equal the ones the oracle's full
+    # checks build
     jobs = [(cube(), [CUBE_SIX])]
     jobs += [(g, short_isolating_cycles(g, cap=4)) for g in sweep_sample]
-    with monkeypatch.context() as m:
-        m.setattr(extension, "make_move", refuse)
-        found = [
-            (g, start, ic.find_extension_exhaustive(g, start))
-            for g, starts in jobs
-            for start in starts
-        ]
+    found = [
+        (g, start, ic.find_extension_exhaustive(g, start))
+        for g, starts in jobs
+        for start in starts
+    ]
     assert len(found[0][2].added) == 2
     for g, start, move in found:
         assert move == make_move(g, start, move.new_cycle, "exhaustive")
@@ -281,20 +294,16 @@ def test_growth_invariants_on_sample(sweep_sample):
     ids=["dwheel20", "tight14-reroute"],
 )
 def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analyses, ledgers):
-    # the fast tier checks its moves itself, so make_move never runs; the
-    # whole check_isolating runs on the start and the final cycle only, and a
-    # cycle analysis (and at most one discharging ledger) only for reroute
-    # steps; growth calls the fast tier through the module attribute, once
+    # the fast tier checks its moves itself; the whole check_isolating runs
+    # on the start and the final cycle only, and a cycle analysis (and at
+    # most one discharging ledger) only for reroute steps; growth calls the fast tier through the module attribute, once
     # per step, so a patched attribute (as the benchmark's pacing hook uses)
     # sees every step
     base, start = instance
     g = ic.gen_insertion_family(base)
-    built = []
     checked = []
     analysed = []
     searched = []
-    real = extension.make_move
-    monkeypatch.setattr(extension, "make_move", lambda *a: built.append(a) or real(*a))
     real_check = extension.check_isolating
     monkeypatch.setattr(
         extension, "check_isolating", lambda *a: checked.append(a) or real_check(*a)
@@ -310,7 +319,6 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
     audited = _count_ledgers(monkeypatch)
     trace = ic.grow_to_bound(g, start)
     assert trace.pattern_counts() == patterns and trace.fallbacks == 0
-    assert len(built) == 0
     assert [a[1] for a in checked] == [start, trace.final_cycle]
     assert len(searched) == len(trace.moves)
     assert len(analysed) == analyses

@@ -70,8 +70,9 @@ def assert_same_graph(h, ref):
 
 
 def test_stacked_triangulation_equals_the_rebuild_chain():
-    # sizes 4 to 200; a ring's labels of the face order run out of room,
-    # and are laid out afresh, on several of these seeds
+    # sizes 4 to 200; rings reach degree 59 (n = 180, seed 5), so the
+    # walk that reads a face off its owner's ring passes many neighbours
+    # whose faces other vertices own
     for seed in SEEDS:
         n = 200 - 4 * seed if seed % 5 == 0 else 4 + seed
         assert_same_graph(ic.gen_random_triangulation(n, seed=seed), rebuilt_stack(n, seed))
@@ -79,8 +80,8 @@ def test_stacked_triangulation_equals_the_rebuild_chain():
 
 def test_face_order_survives_splits_into_one_corner():
     # splitting the face h, x, c of the newest vertex x, again and again,
-    # puts each new vertex between c and the last one at h and at c, so
-    # the label gaps there halve until the ring is labelled afresh
+    # puts each new vertex between c and the last one at h and at c, so h
+    # owns ever more faces, each found by counting along its ring
     ref = k4()
     faces = _StackedFaces(ref, 4 + 40)
     newest = None
@@ -91,6 +92,27 @@ def test_face_order_survives_splits_into_one_corner():
         ref = rebuilt_insert(ref, ref.faces[r], f"t{i}")
         newest = f"t{i}"
     assert_same_graph(faces.editor.freeze(), ref)
+
+
+def test_face_order_matches_the_frozen_graph_after_every_split():
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = 20 + 8 * seed
+        faces = _StackedFaces(k4(), n)
+        for i in range(n - 4):
+            faces.split(rng.randrange(faces.count), f"t{i}")
+            g = faces.editor.freeze()
+            assert faces.count == len(g.faces)
+            assert [faces.face(r) for r in range(faces.count)] == list(g.faces)
+
+
+def test_a_miscounted_owner_raises():
+    # the hub h owns three faces of K4; counted as four, the walk round its
+    # ring of three ends without a fourth
+    faces = _StackedFaces(k4(), 4)
+    faces._count("h")
+    with pytest.raises(IndexError, match="owns fewer faces"):
+        faces.face(3)
 
 
 def _bases(seed):

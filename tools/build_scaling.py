@@ -19,9 +19,11 @@ The loads:
   retried; the editor is frozen, which validates it, after the clock stops.
 
 Each load is timed ``REPS`` times (CPU time, after a ``gc.collect()``); the
-script prints the median and the range.  A checkout without the rotation
-editor prints ``n/a`` for ``editor_flips``, and one that rebuilds the graph
-after every edit takes minutes on the n = 10^4 stacked load.
+script prints the median and the range.  The two stacked loads run once
+more, untimed, under ``tracemalloc``, and print the peak of traced memory in
+MB (10^6 bytes).  A checkout without the rotation editor prints ``n/a`` for
+``editor_flips``, and one that rebuilds the graph after every edit takes
+minutes on the n = 10^4 stacked load.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import gc
 import random
 import statistics
 import sys
+import tracemalloc
 from time import process_time
 
 REPS = 3
@@ -47,6 +50,15 @@ def _timed(fn):
         fn()
         times.append(process_time() - t0)
     return times
+
+
+def _peak_mb(fn):
+    gc.collect()
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1e6
 
 
 def _flips(generators, g):
@@ -86,11 +98,13 @@ def main():
         for n in STACKED
     ]
 
-    print(f"{'load':<24} {'median_s':>9} {'min_s':>7} {'max_s':>7}")
+    print(f"{'load':<24} {'median_s':>9} {'min_s':>7} {'max_s':>7} {'peak_mb':>8}")
     for name, fn in loads:
         times = _timed(fn)
+        peak = f"{_peak_mb(fn):>8.1f}" if name.startswith("stacked") else ""
         print(
-            f"{name:<24} {statistics.median(times):>9.3f} {min(times):>7.3f} {max(times):>7.3f}",
+            f"{name:<24} {statistics.median(times):>9.3f} {min(times):>7.3f} "
+            f"{max(times):>7.3f} {peak}".rstrip(),
             flush=True,
         )
     name = f"editor_flips {FLIP_N}"
