@@ -10,9 +10,11 @@ and are reused by the extension search on small induced subgraphs.
 
 The searches hold vertex sets as int bitmasks over vertex indices, read
 neighbours from ``PlaneGraph.adj_mask`` and try them lowest bit first, which
-is index order.  The circumference search and the Hamiltonian search are
-each one loop over an explicit stack of untried-children bitmasks, so their
-depth is not bounded by the recursion limit.  The Hamiltonian search's three
+is index order.  The circumference search, the Hamiltonian search and the
+independent-set walk are each one loop over an explicit stack of bitmasks,
+so their depth is not bounded by the recursion limit.  The isolating-cycle
+enumeration passes masks from the walk to the Hamiltonian search, and vertex
+names appear only in the cycles it yields.  The Hamiltonian search's three
 rules cut only branches that yield nothing, so the depth-first order alone
 fixes which paths come out and in what order; a sound cut, however it is
 computed, never changes that sequence.  The degree rule (every unvisited
@@ -20,12 +22,13 @@ vertex but t keeps two usable neighbours) is decided once per parent for all
 its children: stepping off the head changes only the counts of the head's
 unvisited neighbours, so two of them short of two neighbours leave no child
 and one leaves it as the only child.  The connectivity rule keeps the
-unvisited set U connected, since the rest of the path runs through all of U.
-One flood checks it at the root.  Below the root U was connected before the
-head left it, so U stays connected when the head's unvisited neighbours are
-connected among themselves; that local check floods a few bits, and all of U
-is flooded only when it fails.  The closing rule, for cycles, cuts a child
-when no vertex left could close the cycle in its canonical orientation.
+unvisited set U connected, since the rest of the path runs through all of
+U.  One flood checks it at the root.  Below the root U was connected before
+the head left it, so U stays connected when the head's unvisited neighbours
+are connected among themselves; that local check floods a few bits, and all
+of U is flooded only when it fails.  The closing rule, for cycles, cuts a
+child when no vertex left could close the cycle in its canonical
+orientation.
 
 The masks cost about n^2/8 bytes per graph and are built the first time a
 search runs on it.
@@ -57,16 +60,17 @@ def _flood(masks, seeds, allowed):
     return seen
 
 
-def _hamiltonian_paths(g, vertices, s, t):
-    """Yield every Hamiltonian s-t path of g[vertices], in search order.
+def _hamiltonian_paths(g, vmask, si, ti):
+    """Yield every Hamiltonian s-t path of g[vmask], in search order.
 
-    With t == s the paths close into cycles through s, each yielded once,
-    oriented so the second vertex has lower index than the last.  The search
-    is depth first: one loop keeps the head's untried children in a bitmask
-    and those of every earlier path vertex on an explicit stack, and tries
-    children in index order.  t comes only as the last vertex, and a child
-    is never created when its branch would yield nothing by one of three
-    rules:
+    ``vmask`` is the bitmask of the vertex set and si, ti are the indices of
+    s and t, both in it.  With ti == si the paths close into cycles through
+    s, each yielded once, oriented so the second vertex has lower index than
+    the last.  The search is depth first: one loop keeps the head's untried
+    children in a bitmask and those of every earlier path vertex on an
+    explicit stack, and tries children in index order.  t comes only as the
+    last vertex, and a child is never created when its branch would yield
+    nothing by one of three rules:
 
     - degree: every unvisited vertex other than t keeps two usable
       neighbours (unvisited ones, the head or t).  The root checks them
@@ -88,16 +92,11 @@ def _hamiltonian_paths(g, vertices, s, t):
     So every leaf the search reaches yields: an open path there ends at t,
     and a closed one at a vertex that closes the cycle.
     """
-    index = g.index
     masks = g.adj_mask
     names = g.vertices
-    si = index[s]
     sbit = 1 << si
-    tbit = 1 << index[t]
-    closed = s == t
-    vmask = 0
-    for v in vertices:
-        vmask |= 1 << index[v]
+    tbit = 1 << ti
+    closed = si == ti
     if closed and (vmask.bit_count() < 3 or (masks[si] & vmask).bit_count() < 2):
         return
     unvisited = vmask & ~sbit
@@ -173,19 +172,40 @@ def hamiltonian_cycles(g, vertices=None):
     """Yield every Hamiltonian cycle of g[vertices], each exactly once.
 
     Cycles start at the lowest-index vertex and are oriented so the second
-    vertex has lower index than the last.
+    vertex has lower index than the last.  A vertex not in g raises
+    ValueError.
     """
-    vs = g.vertices if vertices is None else vertices
-    if vs:
-        start = min(vs, key=g.index.__getitem__)
-        yield from _hamiltonian_paths(g, vs, start, start)
+    if vertices is None:
+        vmask = (1 << g.n) - 1
+    else:
+        index = g.index
+        vmask = 0
+        try:
+            for v in vertices:
+                vmask |= 1 << index[v]
+        except KeyError as e:
+            raise ValueError(f"unknown vertex {e.args[0]!r}") from None
+    if vmask:
+        si = (vmask & -vmask).bit_length() - 1
+        yield from _hamiltonian_paths(g, vmask, si, si)
 
 
 def find_hamiltonian_path(g, vertices, s, t):
-    """A path from s to t visiting all of ``vertices``, or None."""
+    """A path from s to t visiting all of ``vertices``, or None.
+
+    Raises ValueError unless s and t are distinct members of ``vertices``
+    and every vertex is in g.
+    """
     if s == t or s not in vertices or t not in vertices:
         raise ValueError("endpoints must be distinct members of the vertex set")
-    return next(_hamiltonian_paths(g, vertices, s, t), None)
+    index = g.index
+    vmask = 0
+    try:
+        for v in vertices:
+            vmask |= 1 << index[v]
+    except KeyError as e:
+        raise ValueError(f"unknown vertex {e.args[0]!r}") from None
+    return next(_hamiltonian_paths(g, vmask, index[s], index[t]), None)
 
 
 def oracle_circumference(g, limit=30):
@@ -230,6 +250,36 @@ def oracle_circumference(g, limit=30):
     return best
 
 
+def _independent_masks(masks, n, k):
+    """Yield the bitmask of every independent set of k of the n vertices,
+    in lexicographic index order.
+
+    masks[i] is the neighbour bitmask of vertex index i.  One loop walks
+    the sets depth first: ``free`` holds the vertices after the last chosen
+    one with no chosen neighbour, and the stack keeps the (chosen, free)
+    pair each earlier choice may still try.  A node is cut when ``free``
+    holds fewer vertices than it still needs, so k above n ends at the
+    root.
+    """
+    stack = []
+    chosen, free, need = 0, (1 << n) - 1, k
+    while True:
+        if not need:
+            yield chosen
+        elif free.bit_count() >= need:
+            low = free & -free
+            free ^= low
+            stack.append((chosen, free))
+            chosen |= low
+            free &= ~masks[low.bit_length() - 1]
+            need -= 1
+            continue
+        if not stack:
+            return
+        chosen, free = stack.pop()
+        need = k - chosen.bit_count()
+
+
 def independent_sets_of_size(g, k):
     """Yield every independent set of exactly k vertices, in index order.
 
@@ -239,39 +289,29 @@ def independent_sets_of_size(g, k):
     """
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    order = g.vertices
-    masks = g.adj_mask
-
-    def rec(free, chosen):
-        # free: the vertices after the last chosen one with no chosen neighbour
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        if free.bit_count() < k - len(chosen):
-            return
-        while free:
-            low = free & -free
-            free ^= low
-            j = low.bit_length() - 1
-            chosen.append(order[j])
-            yield from rec(free & ~masks[j], chosen)
-            chosen.pop()
-
-    yield from rec((1 << len(order)) - 1, [])
+    names = g.vertices
+    for chosen in _independent_masks(g.adj_mask, g.n, k):
+        found = []
+        while chosen:
+            low = chosen & -chosen
+            found.append(names[low.bit_length() - 1])
+            chosen ^= low
+        yield tuple(found)
 
 
 def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, limit=30):
     """Enumerate isolating cycles of g by ascending length.
 
     A cycle is isolating exactly when the vertices it misses form an
-    independent set, so the enumeration walks independent sets I of size
-    n - c and lists the Hamiltonian cycles of g - I.  A length too short
-    for any independent set of size n - c costs only the popcount cut of
-    ``independent_sets_of_size``.  Cycles come out in the canonical form
-    ``hamiltonian_cycles`` yields.  max_count, when given, stops the
-    enumeration after that many cycles; 0 searches nothing, and a negative
-    count raises ValueError.  Raises TooLarge when g has more than ``limit``
-    vertices, and ValueError on a negative limit.
+    independent set, so the enumeration walks the independent sets I of
+    size n - c as bitmasks and hands the Hamiltonian search the complement
+    of each, from its lowest vertex.  A length too short for any
+    independent set of size n - c costs a walk that yields nothing, cut at
+    every node with fewer free vertices than it still needs.  Cycles come
+    out in the canonical form ``hamiltonian_cycles`` yields.  max_count,
+    when given, stops the enumeration after that many cycles; 0 searches
+    nothing, and a negative count raises ValueError.  Raises TooLarge when
+    g has more than ``limit`` vertices, and ValueError on a negative limit.
     """
     if max_count is not None and max_count < 0:
         raise ValueError(f"max_count must be None or at least 0, got {max_count}")
@@ -281,11 +321,15 @@ def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, li
         raise TooLarge(f"isolating-cycle oracle limited to {limit} vertices, got {g.n}")
     n = g.n
     top = n if max_length is None else min(max_length, n)
+    masks = g.adj_mask
+    full = (1 << n) - 1
 
     def cycles():
-        for c in range(min_length, top + 1):
-            for ind in independent_sets_of_size(g, n - c):
-                missed = set(ind)
-                yield from hamiltonian_cycles(g, [v for v in g.vertices if v not in missed])
+        # a cycle has at least three vertices, so the complement is never empty
+        for c in range(max(min_length, 3), top + 1):
+            for missed in _independent_masks(masks, n, n - c):
+                rest = full ^ missed
+                si = (rest & -rest).bit_length() - 1
+                yield from _hamiltonian_paths(g, rest, si, si)
 
     return list(islice(cycles(), max_count))

@@ -163,6 +163,14 @@ def test_hamiltonian_path_rejects_bad_endpoints():
         find_hamiltonian_path(g, ["v0", "v1", "v2"], "v0", "v6")
 
 
+def test_unknown_vertices_are_named():
+    g = ic.octahedron()
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        next(hamiltonian_cycles(g, ["a", "b", "zz"]))
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        find_hamiltonian_path(g, ["a", "b", "zz", "r0"], "a", "b")
+
+
 def test_isolating_cycle_lengths():
     # a triangle of K4 leaves one vertex; the Hamiltonian cycle leaves none
     assert sorted({len(c) for c in ic.oracle_isolating_cycles(k4())}) == [3, 4]
@@ -211,9 +219,42 @@ def test_isolating_enumeration_respects_filters(monkeypatch):
     def no_search(*args):
         raise AssertionError("searched with a cap of 0")
 
-    monkeypatch.setattr(oracles, "independent_sets_of_size", no_search)
-    monkeypatch.setattr(oracles, "hamiltonian_cycles", no_search)
+    monkeypatch.setattr(oracles, "_independent_masks", no_search)
+    monkeypatch.setattr(oracles, "_hamiltonian_paths", no_search)
     assert ic.oracle_isolating_cycles(g, max_count=0) == []
+
+
+def _composed_enumeration(g, min_length=3, max_length=None, max_count=None):
+    """The enumeration composed from the public independent-set walk and
+    Hamiltonian search, kept as the reference for the bitmask one."""
+    n = g.n
+    top = n if max_length is None else min(max_length, n)
+
+    def cycles():
+        for c in range(min_length, top + 1):
+            for ind in independent_sets_of_size(g, n - c):
+                missed = set(ind)
+                yield from hamiltonian_cycles(g, [v for v in g.vertices if v not in missed])
+
+    return list(islice(cycles(), max_count))
+
+
+def test_enumeration_matches_composed_reference(sweep_corpus):
+    # whole lists with the corpus set-up's arguments, and uncapped up to
+    # n = 16 (an uncapped n = 22 instance has 270004 isolating cycles)
+    graphs = [ic.gen_insertion_family(ic.octahedron(), fill_count=None)]
+    graphs += sweep_corpus[::10]
+    total = 0
+    for g in graphs:
+        bound = ic.isolation_bound(g)
+        runs = [dict(min_length=6, max_length=bound - 1, max_count=50)]
+        if g.n <= 16:
+            runs.append({})
+        for kwargs in runs:
+            want = _composed_enumeration(g, **kwargs)
+            assert ic.oracle_isolating_cycles(g, **kwargs) == want, (g.n, kwargs)
+            total += len(want)
+    assert total > 6580
 
 
 def test_enumeration_returns_canonical_cycles():
@@ -221,6 +262,12 @@ def test_enumeration_returns_canonical_cycles():
     cycles = ic.oracle_isolating_cycles(g)
     assert len(set(cycles)) == len(cycles)
     assert all(canonical_cycle(g, c) == c for c in cycles)
+
+
+def _kernel(g, vertices, s, t):
+    """The bitmask kernel, called with vertex names."""
+    vmask = sum(1 << g.index[v] for v in set(vertices))
+    return oracles._hamiltonian_paths(g, vmask, g.index[s], g.index[t])
 
 
 def _set_kernel(g, vertices, s, t):
@@ -280,7 +327,7 @@ def test_bitmask_kernel_matches_set_kernel(
             s, t = rng.sample(vs, 2)
             for a, b in ((s, s), (s, t)):
                 want = list(islice(_set_kernel(g, vs, a, b), 50))
-                got = list(islice(oracles._hamiltonian_paths(g, vs, a, b), 50))
+                got = list(islice(_kernel(g, vs, a, b), 50))
                 assert got == want, (g.n, vs, a, b)
                 compared += 1
                 found += bool(want)
@@ -293,20 +340,23 @@ def test_enumeration_searches_match_set_kernel(monkeypatch):
     # on every tenth vertex set G - I that it walks on the n=14 instance
     g = ic.gen_insertion_family(ic.octahedron(), fill_count=None)
     walked = []
-    real = oracles.hamiltonian_cycles
+    real = oracles._hamiltonian_paths
 
-    def recorded(g, vertices):
-        walked.append(vertices)
-        return real(g, vertices)
+    def recorded(g, vmask, si, ti):
+        walked.append((vmask, si, ti))
+        return real(g, vmask, si, ti)
 
-    monkeypatch.setattr(oracles, "hamiltonian_cycles", recorded)
+    monkeypatch.setattr(oracles, "_hamiltonian_paths", recorded)
     assert len(ic.oracle_isolating_cycles(g)) == 6580
     assert len(walked) == 355
     found = 0
-    for vs in walked[::10]:
+    for vmask, si, ti in walked[::10]:
+        vs = [v for v in g.vertices if vmask >> g.index[v] & 1]
         s = min(vs, key=g.index.__getitem__)
+        # each search starts at the lowest vertex of its set and closes
+        assert si == ti == g.index[s]
         want = list(_set_kernel(g, vs, s, s))
-        assert list(oracles._hamiltonian_paths(g, vs, s, s)) == want, vs
+        assert list(real(g, vmask, si, ti)) == want, vs
         found += len(want)
     assert found == 678
 
@@ -330,7 +380,7 @@ def test_kernel_matches_set_kernel_on_drawn_searches(data, hex_instance, arch_in
     t = data.draw(st.sampled_from([v for v in vs if v != s]))
     for a, b in ((s, s), (s, t)):
         want = list(_set_kernel(g, vs, a, b))
-        assert list(oracles._hamiltonian_paths(g, vs, a, b)) == want
+        assert list(_kernel(g, vs, a, b)) == want
 
 
 def _parts(g, vs):
@@ -397,7 +447,7 @@ def test_connectivity_prune_keeps_the_full_sequence(sweep_corpus):
             s, t = rng.sample(vs, 2)
             for a, b in ((s, s), (s, t), (t, t)):
                 want = list(_set_kernel(g, vs, a, b))
-                assert list(oracles._hamiltonian_paths(g, vs, a, b)) == want, (g.n, vs, a, b)
+                assert list(_kernel(g, vs, a, b)) == want, (g.n, vs, a, b)
                 found += len(want)
     assert shapes["disconnected"] >= 20 and shapes["cut vertex"] >= 20
     assert shapes["two-cut"] >= 20
@@ -418,7 +468,7 @@ def test_disconnected_set_costs_one_flood(monkeypatch):
 
     monkeypatch.setattr(oracles, "_flood", counted)
     vs = ["h", "r0", "r1", "r3", "r4"]
-    assert list(oracles._hamiltonian_paths(wheel(6), vs, "h", "h")) == []
+    assert list(_kernel(wheel(6), vs, "h", "h")) == []
     assert len(calls) == 1
 
 
@@ -439,7 +489,7 @@ def test_closing_rule_cuts_before_the_flood(monkeypatch):
 
     monkeypatch.setattr(oracles, "_flood", counted)
     g = k4()
-    assert list(oracles._hamiltonian_paths(g, g.vertices, "h", "h")) == [
+    assert list(_kernel(g, g.vertices, "h", "h")) == [
         ("h", "r0", "r1", "r2"),
         ("h", "r0", "r2", "r1"),
         ("h", "r1", "r0", "r2"),
@@ -459,13 +509,22 @@ def test_kernel_leaves_the_instance_layout_alone():
 
 
 def test_independent_sets_match_brute_force():
-    for g in (cube(), ic.octahedron(), wheel(5), double_wheel(6)):
-        for k in range(5):
+    # every size from 0 through n + 1: the empty set, the largest sets,
+    # sizes above the independence number and sizes above n
+    graphs = [cube(), ic.octahedron(), wheel(5), double_wheel(6)]
+    graphs.append(ic.gen_insertion_family(ic.octahedron(), fill_count=None))
+    for g in graphs:
+        sizes = []
+        for k in range(g.n + 2):
             want = [
                 c for c in combinations(g.vertices, k)
                 if not any(g.has_edge(u, v) for u, v in combinations(c, 2))
             ]
-            assert list(independent_sets_of_size(g, k)) == want
+            assert list(independent_sets_of_size(g, k)) == want, (g.n, k)
+            sizes.append(len(want))
+        assert sizes[0] == 1 and sizes[-1] == 0
+        # sizes above the independence number are walked too
+        assert sizes.index(0) < g.n
 
 
 def test_independent_set_helpers():
