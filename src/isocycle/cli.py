@@ -51,6 +51,12 @@ def _parse_cycle(text):
                 raise ParseError(f"invalid JSON in cycle sidecar: {exc}") from exc
         if not isinstance(data, list):
             raise ParseError("cycle sidecar must be a JSON list of vertex ids")
+        for v in data:
+            # bool is an int subclass, but true is no vertex id
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ParseError(
+                    f"cycle sidecar item {json.dumps(v)} is not a string or an integer"
+                )
         return tuple(str(v) for v in data)
     items = [s for s in text.split(",") if s]
     if not items:

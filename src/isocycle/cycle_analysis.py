@@ -35,6 +35,7 @@ are derived once per analysis, on first use.  ``CycleAnalysis.summary()``
 is the analysis report that ``isocycle analyze`` prints.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,14 +47,15 @@ MINUS = "minus"
 PLUS = "plus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Arch:
     """An arch of a minor face.
 
     kind is 'proper' (the face boundary minus its C-arc) or 'chord' (a
     deleted chord drawn inside the face).  path runs from one C-endpoint to
     the other; start/length describe the archway, the sub-arc of C spanned by
-    the arch, as edge positions along the cycle.
+    the arch, as edge positions along the cycle.  The archway's positions
+    are computed on first use and kept.
     """
 
     face: int
@@ -63,17 +65,27 @@ class Arch:
     length: int
     cycle_length: int
 
+    def __init__(self, face, kind, path, start, length, cycle_length):
+        # the generated __init__ of a frozen dataclass sets each field
+        # through object.__setattr__; one write of the instance dict costs
+        # half as much, and an analysis builds an arch per minor face and
+        # per hosted chord
+        object.__setattr__(self, "__dict__", {
+            "face": face, "kind": kind, "path": path, "start": start,
+            "length": length, "cycle_length": cycle_length,
+        })
+
     @property
     def apex(self):
         """The off-cycle vertex of a thick minor face's proper arch, else None."""
         return self.path[1] if len(self.path) == 3 else None
 
-    @property
+    @cached_property
     def positions(self):
         """Edge positions of the archway, in arc order."""
         return tuple((self.start + i) % self.cycle_length for i in range(self.length))
 
-    @property
+    @cached_property
     def extremal_positions(self):
         first = self.start
         last = (self.start + self.length - 1) % self.cycle_length
@@ -135,7 +147,7 @@ class CycleAnalysis:
         return self.has_thin_side and self.face_side[fid] == MINUS
 
     def is_thick(self, fid):
-        return not self.is_thin(fid)
+        return not (self.has_thin_side and self.face_side[fid] == MINUS)
 
     def minor_faces(self, side=None):
         """Minor face ids by (arc start, id), the order of proper_arch."""
@@ -252,17 +264,19 @@ class CycleAnalysis:
         return entry
 
 
-def _cyclic_run(positions, c):
-    """Start and length of a contiguous cyclic run short of the full circle."""
-    ps = set(positions)
+def _cyclic_run(ps, c):
+    """Start and length of the contiguous cyclic run of the ascending,
+    distinct positions ps, short of the full circle."""
     m = len(ps)
-    starts = [p for p in ps if (p - 1) % c not in ps]
-    if len(starts) != 1:
+    if ps[-1] - ps[0] == m - 1:
+        return (ps[0], m)
+    # a run through position 0: 0 .. i-1, then the rest up to c - 1
+    i = 1
+    while ps[i] == i:
+        i += 1
+    if ps[0] != 0 or ps[-1] != c - 1 or ps[-1] - ps[i] != m - 1 - i:
         raise ContractViolation("C-edges of a minor face are not contiguous")
-    s = starts[0]
-    if any((s + i) % c not in ps for i in range(m)):
-        raise ContractViolation("C-edges of a minor face are not contiguous")
-    return (s, m)
+    return (ps[i], m)
 
 
 def analyze_cycle(g, cycle):
@@ -273,44 +287,64 @@ def analyze_cycle(g, cycle):
     """
     cyc = check_isolating(g, cycle)
     c = len(cyc)
+    index = g.index
+    succ = cyc[1:] + cyc[:1]
 
     pos = {v: i for i, v in enumerate(cyc)}
-    pos_of_edge = {g.edge(cyc[i], cyc[(i + 1) % c]): i for i in range(c)}
+    pos_of_edge = {
+        ((u, v) if index[u] <= index[v] else (v, u)): i
+        for i, (u, v) in enumerate(zip(cyc, succ))
+    }
 
     # one walk over each cycle vertex's ring: every off-cycle vertex and
-    # every chord is a neighbour of the cycle, and takes its side there;
-    # r_arc[v_i] is the R arc from just after v_{i+1} up to v_{i-1}
-    r_arc = {}
+    # every chord is a neighbour of the cycle, and takes its side there; at
+    # v_i the R arc runs from just after v_{i+1} to just before v_{i-1}, and
+    # the L arc from just after v_{i-1} to just before v_{i+1}.  An arc's
+    # chords all lie on its side, so the neighbours H keeps in it are its
+    # off-cycle vertices; before_chord[(a, b)] is the last of them before b
+    # in the arc at a, or the cycle neighbour the arc starts after
     vertex_lr = {}
     chord_lr = {}
-    for i, v in enumerate(cyc):
+    before_chord = {}
+    prev = cyc[-1]
+    for v, nxt in zip(cyc, succ):
         ring = g.rotation[v]
-        j = ring.index(cyc[(i + 1) % c]) + 1
-        walk = ring[j:] + ring[:j - 1]
-        k = walk.index(cyc[i - 1])
-        r_arc[v] = set(walk[:k + 1])
-        for t, w in enumerate(walk):
-            lr = "R" if t < k else "L"
-            if w not in pos:
-                if vertex_lr.setdefault(w, lr) != lr:
-                    raise ContractViolation(f"vertex {w!r} touches both sides")
-            elif t != k and chord_lr.setdefault(g.edge(v, w), lr) != lr:
-                raise ContractViolation(f"chord {v!r}-{w!r} touches both sides")
-    chords = tuple(sorted(chord_lr, key=lambda e: (g.index[e[0]], g.index[e[1]])))
+        j = ring.index(nxt)
+        k = ring.index(prev)
+        if j < k:
+            arcs = (("R", nxt, ring[j + 1:k]), ("L", prev, ring[k + 1:] + ring[:j]))
+        else:
+            arcs = (("R", nxt, ring[j + 1:] + ring[:k]), ("L", prev, ring[k + 1:j]))
+        for lr, kept, arc in arcs:
+            for w in arc:
+                if w not in pos:
+                    if vertex_lr.setdefault(w, lr) != lr:
+                        raise ContractViolation(f"vertex {w!r} touches both sides")
+                    kept = w
+                    continue
+                if index[v] <= index[w]:
+                    e = (v, w)
+                    before_chord[e] = kept
+                else:
+                    e = (w, v)
+                if chord_lr.setdefault(e, lr) != lr:
+                    raise ContractViolation(f"chord {v!r}-{w!r} touches both sides")
+        prev = v
+    # g.edges lists every edge once, index-sorted, as the chords are keyed
+    chords = tuple(filter(chord_lr.__contains__, g.edges))
 
-    v_L = sorted((v for v in vertex_lr if vertex_lr[v] == "L"), key=g.index.__getitem__)
-    v_R = sorted((v for v in vertex_lr if vertex_lr[v] == "R"), key=g.index.__getitem__)
+    v_L = sorted((v for v in vertex_lr if vertex_lr[v] == "L"), key=index.__getitem__)
+    v_R = sorted((v for v in vertex_lr if vertex_lr[v] == "R"), key=index.__getitem__)
     if len(v_L) != len(v_R):
         side_of_minus = "L" if len(v_L) < len(v_R) else "R"
     elif v_L:
-        side_of_minus = "L" if g.index[v_L[0]] < g.index[v_R[0]] else "R"
+        side_of_minus = "L" if index[v_L[0]] < index[v_R[0]] else "R"
     else:
         side_of_minus = "L"
 
-    def to_side(lr):
-        return MINUS if lr == side_of_minus else PLUS
-
-    vertex_side = {v: to_side(lr) for v, lr in vertex_lr.items()}
+    vertex_side = {
+        v: MINUS if lr == side_of_minus else PLUS for v, lr in vertex_lr.items()
+    }
     v_minus = tuple(v_L if side_of_minus == "L" else v_R)
     v_plus = tuple(v_R if side_of_minus == "L" else v_L)
 
@@ -319,34 +353,41 @@ def analyze_cycle(g, cycle):
     else:
         deleted = tuple(e for e in chords if chord_lr[e] != side_of_minus)
     h = g.delete_edges(deleted)
+    face_id = h.face_id
 
     # a face of H is faces of G merged across deleted chords, each chord
     # with both of its G-faces on its side, so a face of H has the side of
-    # its first dart: R at v_i exactly when the dart ends in v_i's R arc
-    def lr_of(face):
-        if face[0] in r_arc:
-            return "R" if face[1] in r_arc[face[0]] else "L"
-        return vertex_lr[face[0]]
+    # its first dart (a, b): the side of a or b when one is off the cycle,
+    # else L along the cycle's direction, R against it, and a kept chord's
+    # own side
+    face_side = {}
+    for fid, face in enumerate(h.faces):
+        a, b = face[0], face[1]
+        if a not in pos:
+            lr = vertex_lr[a]
+        elif b not in pos:
+            lr = vertex_lr[b]
+        elif b == succ[pos[a]]:
+            lr = "L"
+        elif a == succ[pos[b]]:
+            lr = "R"
+        else:
+            lr = chord_lr[(a, b) if index[a] <= index[b] else (b, a)]
+        face_side[fid] = MINUS if lr == side_of_minus else PLUS
 
-    face_side = {fid: to_side(lr_of(face)) for fid, face in enumerate(h.faces)}
-
-    edge_faces = tuple(
-        (h.face_id[(u, v)], h.face_id[(v, u)]) for u, v in zip(cyc, cyc[1:] + cyc[:1])
-    )
+    edge_faces = tuple([(face_id[u, v], face_id[v, u]) for u, v in zip(cyc, succ)])
     face_c_positions = {}
-    for p, pair in enumerate(edge_faces):
-        for fid in pair:
-            face_c_positions.setdefault(fid, []).append(p)
+    for p, (left, right) in enumerate(edge_faces):
+        face_c_positions.setdefault(left, []).append(p)
+        face_c_positions.setdefault(right, []).append(p)
 
-    # every side sees each C-edge in exactly one of its faces
-    for side in (MINUS, PLUS):
-        total = sum(
-            len(ps)
-            for fid, ps in face_c_positions.items()
-            if face_side[fid] == side
-        )
-        if total != c:
-            raise ContractViolation(f"C-edge count on side {side} is {total}, not {c}")
+    # every side sees each C-edge in exactly one of its faces: the 2c
+    # C-edge slots split c on the minus side, so c on the plus side
+    total = sum(
+        len(ps) for fid, ps in face_c_positions.items() if face_side[fid] == MINUS
+    )
+    if total != c:
+        raise ContractViolation(f"C-edge count on side {MINUS} is {total}, not {c}")
 
     # thin faces exist only when the minus side is empty (and something is
     # left to isolate); every other face is thick
@@ -354,25 +395,29 @@ def analyze_cycle(g, cycle):
 
     # minor: thin with exactly one non-C boundary edge, or thick with exactly
     # one off-cycle boundary vertex; its proper arch runs from one end of its
-    # arc to the other, through the apex of a thick face
+    # arc to the other, through the apex of a thick face.  A face's boundary
+    # runs along each of its C-edges once, so the rest of it is
+    # len(boundary) - m edges
     proper_arch = {}
     degenerate = set()
     for fid, ps in face_c_positions.items():
-        if len(ps) == c:
+        m = len(ps)
+        if m == c:
             degenerate.add(fid)
             continue
         boundary = h.faces[fid]
         if has_thin_side and face_side[fid] == MINUS:
-            non_c = [
-                h.edge(boundary[i - 1], boundary[i])
-                for i in range(len(boundary))
-                if h.edge(boundary[i - 1], boundary[i]) not in pos_of_edge
-            ]
-            if len(non_c) != 1:
+            if len(boundary) != m + 1:
                 continue
             s, m = _cyclic_run(ps, c)
             path = (cyc[s], cyc[(s + m) % c])
-            if set(non_c[0]) != set(path):
+            # the one boundary edge that is no C-edge
+            x = boundary[-1]
+            for y in boundary:
+                if ((x, y) if index[x] <= index[y] else (y, x)) not in pos_of_edge:
+                    break
+                x = y
+            if {x, y} != set(path):
                 raise ContractViolation(
                     f"chord of thin minor face {fid} misses the arc ends"
                 )
@@ -389,47 +434,44 @@ def analyze_cycle(g, cycle):
         proper_arch[fid] = Arch(fid, "proper", path, s, m, c)
 
     # the face of H that holds each deleted chord (a, b): the one turning at
-    # a from u, the last neighbour before b at a that H keeps
+    # a from the last neighbour before b that H keeps
     chord_hosts = {}
-    for a, b in deleted:
-        ring = g.rotation[a]
-        i = ring.index(b) - 1
-        while ring[i] not in h.adj[a]:
-            i -= 1
-        chord_hosts.setdefault(h.face_id[(ring[i], a)], []).append((a, b))
+    for e in deleted:
+        chord_hosts.setdefault(face_id[before_chord[e], e[0]], []).append(e)
 
+    # each face's arches in archway order: by offset from the arc start s,
+    # then length.  The proper arch spans the whole arc, so it holds every
+    # chord arch and follows those at offset 0; no two chord arches share
+    # both, since G is simple
     arches_of = {}
     for fid, proper in proper_arch.items():
         s, m = proper.start, proper.length
-        arches = [proper]
+        spans = []
         for a, b in chord_hosts.get(fid, ()):
-            ra = (pos[a] - s) % c
-            rb = (pos[b] - s) % c
-            if ra > m or rb > m:
+            lo = (pos[a] - s) % c
+            hi = (pos[b] - s) % c
+            if lo > m or hi > m:
                 raise ContractViolation(
                     f"chord {a!r}-{b!r} hosted by face {fid} leaves its arc"
                 )
-            lo, hi = sorted((ra, rb))
+            if lo > hi:
+                lo, hi = hi, lo
             if lo == 0 and hi == m:
                 # a chord joining the two ends of the arc is not an arch
                 continue
-            arches.append(
-                Arch(fid, "chord", (cyc[(s + lo) % c], cyc[(s + hi) % c]),
-                     (s + lo) % c, hi - lo, c)
-            )
-        arches.sort(key=lambda A: ((A.start - s) % c, A.length, A.kind))
-        for i, A in enumerate(arches):
-            a1 = (A.start - s) % c
-            b1 = a1 + A.length - 1
-            for B in arches[i + 1:]:
-                a2 = (B.start - s) % c
-                b2 = a2 + B.length - 1
-                nested = (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2)
-                disjoint = b1 < a2 or b2 < a1
-                if not (nested or disjoint):
-                    raise ContractViolation(
-                        f"archways of face {fid} are not laminar"
-                    )
+            spans.append((lo, hi - lo, (cyc[(s + lo) % c], cyc[(s + hi) % c])))
+        if not spans:
+            arches_of[fid] = (proper,)
+            continue
+        spans.sort()
+        for i, (a1, k1, _) in enumerate(spans):
+            for a2, k2, _ in spans[i + 1:]:
+                # a1 <= a2: nested, disjoint or crossing
+                if a2 < a1 + k1 < a2 + k2 and a1 != a2:
+                    raise ContractViolation(f"archways of face {fid} are not laminar")
+        arches = [Arch(fid, "chord", path, (s + lo) % c, k, c) for lo, k, path in spans]
+        # after the chord arches at offset 0, which sort below (1,)
+        arches.insert(bisect_left(spans, (1,)), proper)
         arches_of[fid] = tuple(arches)
 
     return CycleAnalysis(

@@ -11,12 +11,21 @@ its far end, and C3, C5 and C6 read the other 3-arches they ask about from
 one map built per ledger, keyed by middle C-edge: a face has a 3-arch with
 extremal C-edge e exactly when the map lists it at e - 1 or e + 1.  C7 runs
 afterwards and lets every transfer pair of a track pull when the track's
-exit pair itself satisfies one of C1 to C6.  The audit records every pull,
-the final weights, and a set of verdicts: exclusivity of pulls per edge,
-conservation, the per-face weight bounds (majors stay nonnegative, thin
-minor faces keep at least 2, thick minor faces at least 4), the side
-inequality they imply, and the resulting lower bound on c.  On a cycle that
-still extends, some verdict must fail; the audit reports which.
+exit pair itself satisfies one of C1 to C6.  The conditions read each
+face's C-edge count from one table, the initial weights, and each arch's
+archway positions are computed once, on first use.
+
+The weights pass (``_weights``: the pulls, the conditions at every
+(minor face, C-edge) and the final weights) and the audit (``_audit``)
+are separate steps; ``apply_discharging`` runs both.  The audit records
+every pull, the final weights, and a set of verdicts: exclusivity of pulls
+per edge, conservation, the per-face weight bounds (majors stay
+nonnegative, minor faces keep their floor, ``_floor``: 2 when thin, 4 when
+thick), the side inequality they imply, and the resulting lower bound on
+c.  On a cycle that still extends, some verdict must fail; the audit
+reports which.  The extension engine needs only the minor faces below
+their floor, so it calls ``_deficient_minors``, the weights pass and the
+same floor rule, and never builds the verdicts.
 
 Preconditions: c >= 6 and no minor face with a single C-edge (such faces are
 extension fodder, not audit input).
@@ -24,6 +33,7 @@ extension fodder, not audit input).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .cycle_analysis import MINUS, PLUS
 from .errors import CycleTooShort, DegenerateSide, MinorOneFacePresent
@@ -42,6 +52,10 @@ class Pull:
     mono: bool = False
 
 
+# the conditions asked about a minor face f across the C-edge, in order
+_MINOR_CONDITIONS = ("C2", "C3", "C4", "C5", "C6")
+
+
 def _three_arch_ends_at(three_at, fid, e, c):
     """Whether fid has a 3-arch ending at C-edge e (middle e - 1 or e + 1)."""
     return any(fid in three_at.get((e + d) % c, ()) for d in (-1, 1))
@@ -54,24 +68,20 @@ def _four_arch_with_inner(analysis, fid, e):
     return None
 
 
-def _cond_c2(analysis, g, f):
-    if analysis.is_thick(g) and analysis.m(g) == 2:
+def _cond_c2(analysis, m, g, f):
+    if analysis.is_thick(g) and m[g] == 2:
         return True
-    if analysis.m(g) == 3:
+    if m[g] == 3:
         h = analysis.across(g, analysis.proper_arch[g].middle_position)
-        return (
-            h != f
-            and analysis.is_minor(h)
-            and analysis.is_thin(h)
-            and analysis.m(h) == 2
-        )
+        return h != f and analysis.is_minor(h) and analysis.is_thin(h) and m[h] == 2
     return False
 
 
-def _cond_c3(analysis, g, f, e, b, three_at):
-    """b is the 3-arch of g with middle e, or None; three_at maps a middle
-    C-edge to the minor faces with a 3-arch there."""
-    if b is None or analysis.m(f) < 3 or _three_arch_ends_at(three_at, f, e, analysis.c):
+def _cond_c3(analysis, m, g, f, e, b, three_at):
+    """m maps each face of H to its C-edge count; b is the 3-arch of g with
+    middle e, or None; three_at maps a middle C-edge to the minor faces with
+    a 3-arch there."""
+    if b is None or m[f] < 3 or _three_arch_ends_at(three_at, f, e, analysis.c):
         return False
     if any(analysis.is_minor(analysis.across(g, p)) is False for p in b.positions):
         return False
@@ -79,7 +89,7 @@ def _cond_c3(analysis, g, f, e, b, three_at):
     hits = [p for p in b.extremal_positions if p in g_ext]
     if not hits:
         return False
-    if analysis.m(g) == 3:
+    if m[g] == 3:
         return True
     ext = b.extremal_positions
     other = ext[0] if ext[1] == hits[0] else ext[1]
@@ -109,11 +119,11 @@ def _c45_common(analysis, g, f, e):
     return b, far, analysis.across(g, far)
 
 
-def _cond_c4(analysis, setup):
+def _cond_c4(analysis, m, setup):
     if setup is None:
         return False
     _, _, h = setup
-    return analysis.is_thick(h) and analysis.m(h) == 2
+    return analysis.is_thick(h) and m[h] == 2
 
 
 def _cond_c5(analysis, registry, g, f, e, setup, three_at):
@@ -133,9 +143,9 @@ def _cond_c5(analysis, registry, g, f, e, setup, three_at):
     return not any(_three_arch_ends_at(three_at, fid, e, c) for fid in (f, g))
 
 
-def _cond_c6(analysis, g, f, e, b, three_at):
-    """b and three_at as for C3."""
-    if b is not None or not (analysis.is_thick(g) and analysis.m(g) == 4):
+def _cond_c6(analysis, m, g, f, e, b, three_at):
+    """m, b and three_at as for C3."""
+    if b is not None or not (analysis.is_thick(g) and m[g] == 4):
         return False
     arch = analysis.proper_arch[g]
     if e in arch.extremal_positions:
@@ -178,15 +188,22 @@ class WeightLedger:
         }
 
 
-def apply_discharging(analysis):
-    """Run both discharging phases and audit the resulting weights."""
+def _weights(analysis):
+    """Both discharging phases: the pulls as (condition, taker, giver,
+    C-edge) tuples, each (minor face, C-edge)'s conditions, and the initial
+    and final weights.
+
+    The initial weights are each face's C-edge count, so the conditions
+    read that one table.  Raises as ``apply_discharging`` does.
+    """
     c = analysis.c
     if c < 6:
         raise CycleTooShort(f"discharging needs c >= 6, got {c}")
     if analysis.degenerate_faces:
         raise DegenerateSide("a minor face spans the whole cycle")
+    m = {fid: analysis.m(fid) for fid in range(len(analysis.h.faces))}
     for fid in analysis.minor_faces():
-        if analysis.m(fid) == 1:
+        if m[fid] == 1:
             raise MinorOneFacePresent(
                 f"minor face {fid} has a single C-edge; extend across it first"
             )
@@ -201,41 +218,38 @@ def apply_discharging(analysis):
     ]
     registry = {pair for track in all_tracks for pair in track.pairs}
 
-    # middle C-edge -> {minor face: its 3-arch there}, shared by C3, C5 and C6
+    # middle C-edge -> {minor face: its 3-arch there}, shared by C3, C5 and
+    # C6; C4 and C5 need a 4-arch of the taker
     three_at = {}
+    with_four = set()
     for a in analysis.all_arches():
         if a.length == 3:
             three_at.setdefault(a.middle_position, {}).setdefault(a.face, a)
+        elif a.length == 4:
+            with_four.add(a.face)
 
+    # (condition, taker, giver, C-edge) per pull, in order
     pulls = []
     conditions_at = {}
+    none_there = {}
     for g, arch in analysis.proper_arch.items():
         for e in arch.positions:
             f = analysis.across(g, e)
             if analysis.is_minor(f):
-                b = three_at.get(e, {}).get(g)
-                setup = _c45_common(analysis, g, f, e)
-                holds = (
-                    ("C2", _cond_c2(analysis, g, f)),
-                    ("C3", _cond_c3(analysis, g, f, e, b, three_at)),
-                    ("C4", _cond_c4(analysis, setup)),
-                    ("C5", _cond_c5(analysis, registry, g, f, e, setup, three_at)),
-                    ("C6", _cond_c6(analysis, g, f, e, b, three_at)),
-                )
-                conds = tuple(name for name, ok in holds if ok)
+                b = three_at.get(e, none_there).get(g)
+                setup = _c45_common(analysis, g, f, e) if g in with_four else None
+                conds = tuple(compress(_MINOR_CONDITIONS, (
+                    _cond_c2(analysis, m, g, f),
+                    _cond_c3(analysis, m, g, f, e, b, three_at),
+                    _cond_c4(analysis, m, setup),
+                    _cond_c5(analysis, registry, g, f, e, setup, three_at),
+                    _cond_c6(analysis, m, g, f, e, b, three_at),
+                )))
             else:
                 conds = ("C1",)
             conditions_at[(g, e)] = conds
             if conds:
-                pulls.append(
-                    Pull(
-                        condition=conds[0],
-                        taker=g,
-                        giver=f,
-                        position=e,
-                        mono=conds[0] == "C3" and _is_mono(analysis, f, e),
-                    )
-                )
+                pulls.append((conds[0], g, f, e))
 
     for track in all_tracks:
         if not analysis.is_minor(track.exit_face):
@@ -243,25 +257,45 @@ def apply_discharging(analysis):
         if not conditions_at.get((track.exit_face, track.exit_position)):
             continue
         for face, e in track.pairs:
-            pulls.append(
-                Pull(
-                    condition="C7",
-                    taker=face,
-                    giver=analysis.across(face, e),
-                    position=e,
-                )
-            )
+            pulls.append(("C7", face, analysis.across(face, e), e))
 
-    initial = {fid: analysis.m(fid) for fid in range(len(analysis.h.faces))}
-    final = dict(initial)
-    for p in pulls:
-        final[p.giver] -= 1
-        final[p.taker] += 1
+    final = dict(m)
+    for _, taker, giver, _ in pulls:
+        final[giver] -= 1
+        final[taker] += 1
+    return pulls, conditions_at, m, final
 
+
+def _floor(analysis, fid):
+    """The least final weight a minor face may have: 2 thin, 4 thick."""
+    return 2 if analysis.is_thin(fid) else 4
+
+
+def _deficient_minors(analysis):
+    """The minor faces whose final weight is below their floor, as a
+    frozenset: the weights pass without the audit, for the extension
+    engine.  Raises as ``apply_discharging`` does."""
+    final = _weights(analysis)[3]
+    return frozenset(f for f in analysis.proper_arch if final[f] < _floor(analysis, f))
+
+
+def apply_discharging(analysis):
+    """Run both discharging phases and audit the resulting weights."""
+    moves, conditions_at, initial, final = _weights(analysis)
+    pulls = tuple(
+        Pull(
+            condition=cond,
+            taker=taker,
+            giver=giver,
+            position=e,
+            mono=cond == "C3" and _is_mono(analysis, giver, e),
+        )
+        for cond, taker, giver, e in moves
+    )
     checks, violations, implied = _audit(analysis, pulls, conditions_at, final)
     return WeightLedger(
         analysis=analysis,
-        pulls=tuple(pulls),
+        pulls=pulls,
         initial=initial,
         final=final,
         conditions_at=conditions_at,
@@ -289,12 +323,9 @@ def _audit(analysis, pulls, conditions_at, final):
     weak_majors = sorted(
         f for f, w in final.items() if f not in minor_set and w < 0
     )
-    weak_thin = sorted(
-        f for f in minors if analysis.is_thin(f) and final[f] < 2
-    )
-    weak_thick = sorted(
-        f for f in minors if analysis.is_thick(f) and final[f] < 4
-    )
+    deficient = sorted(f for f in minors if final[f] < _floor(analysis, f))
+    weak_thin = [f for f in deficient if analysis.is_thin(f)]
+    weak_thick = [f for f in deficient if analysis.is_thick(f)]
 
     m_minus = len(analysis.minor_faces(MINUS))
     m_plus = len(analysis.minor_faces(PLUS))

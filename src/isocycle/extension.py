@@ -31,10 +31,18 @@ shortest).  Only that winner is built as a Move, and no window is built
 before the search reaches it or searched at a size beyond the winner's.
 The discharging ledger runs lazily, and the rule above is unchanged by it:
 windows of tunnels and of minor faces with m in {2, 3} are known without
-it, and the walk runs ``apply_discharging`` once, the first time it reaches
-a window that only the ledger can add (a minor face with another m), then
-skips each such window whose faces the ledger does not flag.  Every list
-the walk reads is the list an eager ledger would give.
+it.  A window that only the ledger can add (a minor face with another m)
+is searched before the ledger runs.  The first time such a window holds a
+path at the current size, the walk asks the ledger which minor faces it
+leaves deficient (its weights pass, ``discharging._deficient_minors``;
+never the audit's verdicts), and takes the window only if one of its faces
+is flagged; from then on each unflagged such window is skipped without a
+search.  The winner is the first window that is a candidate and holds a
+path, so the order of the two tests cannot change it.  On this path no
+minor face has m = 1, so the ledger's MinorOneFacePresent cannot fire: a
+thick one is a triangle of G on a C-edge with its apex off the cycle, which
+the apex scan would have taken, and a thin one would be a second edge
+beside a C-edge, impossible in a simple graph.
 
 The reroute search depends only on the graph and the exact cycle tuple, so
 the graph remembers its result, in ``PlaneGraph._reroutes``, for as long as
@@ -46,7 +54,8 @@ move and checked exactly as a new one is.  The memory is one entry per
 distinct cycle a reroute step meets, each a path of at most MAX_WINDOW + 4
 vertices: a cold full pass over the n=14 tight instance makes 1763 reroute
 steps on 364 distinct cycles, so it analyses 364 cycles and runs the
-ledger on 189 of them.  A graph that never reroutes builds no memo.
+ledger on 122 of them (``tools/work_counts.py``).  A graph that never
+reroutes builds no memo.
 
 The fast tier checks the move it builds in O(Δ), Δ the number of cycle
 positions the move changes: every new edge is an edge of G, the added
@@ -87,7 +96,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cycle_analysis import analyze_cycle
-from .discharging import apply_discharging
+from .discharging import _deficient_minors
 from .errors import (
     ContractViolation,
     CycleTooShort,
@@ -179,12 +188,9 @@ def _flagged_faces(analysis):
     face) flags none.
     """
     try:
-        ledger = apply_discharging(analysis)
+        return _deficient_minors(analysis)
     except (CycleTooShort, DegenerateSide):
         return frozenset()
-    return frozenset(ledger.violations["deficient_thin_minors"]).union(
-        ledger.violations["deficient_thick_minors"]
-    )
 
 
 def _window(g, cyc, on, start, length):
@@ -196,15 +202,28 @@ def _window(g, cyc, on, start, length):
     then by index.  They are counted from the window's neighbourhoods, in
     O(length * max degree).
     """
-    c = len(cyc)
-    window = tuple(cyc[(start + i) % c] for i in range(length + 1))
+    # length <= c - 2, so the window is a prefix of the rotated cycle
+    window = (cyc[start:] + cyc[:start])[: length + 1]
+    adj, index = g.adj, g.index
     hits = {}
     for w in window:
-        for v in g.adj[w]:
+        for v in adj[w]:
             if v not in on:
                 hits[v] = hits.get(v, 0) + 1
-    scored = sorted((-k, g.index[v], v) for v, k in hits.items() if k >= 2)
+    scored = sorted([(-k, index[v], v) for v, k in hits.items() if k >= 2])
     return window, [v for *_, v in scored[:10]]
+
+
+def _window_path(g, cyc, on, start, length, size):
+    """The first Hamiltonian path through the window of ``length`` cycle
+    edges from position ``start`` and ``size`` of its extras, trying the
+    extras by ``combinations``; None when there is none."""
+    window, extras = _window(g, cyc, on, start, length)
+    for chosen in combinations(extras, size):
+        path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
+        if path is not None:
+            return tuple(path)
+    return None
 
 
 def _reroute(g, cyc, on):
@@ -213,24 +232,26 @@ def _reroute(g, cyc, on):
     Returns (start, length, path), path the tuple that replaces the window
     of ``length`` cycle edges from position ``start``, or None when no
     window works.  The walk is the selection rule of the module docstring,
-    so the result depends only on g and cyc.
+    so the result depends only on g and cyc.  A window only the ledger can
+    make a candidate is searched before the ledger runs, and asks it only
+    when it holds a path; once the ledger has run, an unflagged one is
+    skipped unsearched.
     """
     analysis = analyze_cycle(g, cyc)
     candidates = _candidate_windows(analysis)
     flagged = None
     for size in (1, 2, 3):
         for (start, length), faces in candidates:
-            if faces is not None:
-                # only the ledger can make this window a candidate
-                if flagged is None:
-                    flagged = _flagged_faces(analysis)
+            if faces is not None and flagged is not None and flagged.isdisjoint(faces):
+                continue
+            path = _window_path(g, cyc, on, start, length, size)
+            if path is None:
+                continue
+            if faces is not None and flagged is None:
+                flagged = _flagged_faces(analysis)
                 if flagged.isdisjoint(faces):
                     continue
-            window, extras = _window(g, cyc, on, start, length)
-            for chosen in combinations(extras, size):
-                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
-                if path is not None:
-                    return start, length, tuple(path)
+            return start, length, path
     return None
 
 
@@ -397,7 +418,8 @@ def find_extension_fast(g, cycle):
     Only a reroute step builds the full cycle analysis.
 
     The selection rule is unchanged by the lazy ledger: the discharging
-    ledger runs only when the walk reaches a window that only it can add.
+    ledger's weights pass runs only when the walk reaches a window that only
+    it can add and that window holds a path.
 
     A reroute step searches each cycle once per graph: ``_reroute``'s
     result, None included, is kept in ``g._reroutes`` under the exact cycle
@@ -407,10 +429,10 @@ def find_extension_fast(g, cycle):
     Raises NotCycle or NotIsolating on a bad start cycle, and InvalidMove on
     a move that fails its check.  On a reroute step every error of
     ``analyze_cycle`` and ``find_tunnels`` propagates, and so does every
-    ``apply_discharging`` error but CycleTooShort and DegenerateSide (which
-    flag no face), on a step whose walk reaches a ledger-only window; such
-    an error stores nothing in the memo.  None means only that no window
-    worked.
+    error of the ledger but CycleTooShort and DegenerateSide (which flag no
+    face), on a step whose walk reaches a ledger-only window holding a
+    path; such an error stores nothing in the memo.  None means only that
+    no window worked.
     """
     if isinstance(cycle, _Growing):
         return _extend(g, cycle)

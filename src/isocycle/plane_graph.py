@@ -14,7 +14,7 @@ The module also owns the cycle contract, which reads only the graph:
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 from .errors import (
     InconsistentRotation,
@@ -153,18 +153,20 @@ class PlaneGraph:
         The only check left to fail is then Euler's formula, which raises
         NonPlanarEmbedding exactly when the deletion disconnects the graph.
         """
+        adj = dict(self.adj)
         gone = set()
+        drop = {}
         for u, v in edge_keys:
-            if v in self.adj.get(u, ()):
+            if v in adj.get(u, ()):
                 gone.add((u, v))
                 gone.add((v, u))
+                drop.setdefault(u, []).append(v)
+                drop.setdefault(v, []).append(u)
         rotation = dict(self.rotation)
-        adj = dict(self.adj)
-        for v in {v for v, _ in gone}:
-            ring = tuple(w for w in rotation[v] if (v, w) not in gone)
-            rotation[v] = ring
-            adj[v] = frozenset(ring)
-        edges = tuple(e for e in self.edges if e not in gone)
+        for v, ws in drop.items():
+            keep = adj[v] = adj[v].difference(ws)
+            rotation[v] = tuple(filter(keep.__contains__, rotation[v]))
+        edges = tuple(filterfalse(gone.__contains__, self.edges))
         return _with_faces(self.vertices, rotation, self.index, adj, edges)
 
 

@@ -44,12 +44,11 @@ def eligible_three_arches(analysis):
     for arch in analysis.all_arches():
         if arch.length != 3:
             continue
-        if any(
-            analysis.is_minor(x) and analysis.is_thin(x) and analysis.m(x) == 2
-            for x in analysis.edge_faces[arch.middle_position]
-        ):
-            continue
-        out.append(arch)
+        for x in analysis.edge_faces[arch.middle_position]:
+            if analysis.is_thin(x) and analysis.is_minor(x) and analysis.m(x) == 2:
+                break
+        else:
+            out.append(arch)
     return out
 
 
@@ -88,16 +87,19 @@ def find_tunnels(analysis):
     at_start = {}
     for i, a in enumerate(arches):
         at_start.setdefault(a.start, []).append(i)
-    # (i, -2) and (i, 2) -> the mate of arch i two starts down and up, or
-    # None; archways two starts apart share exactly one C-edge when c >= 5,
-    # and more than one when c <= 4, where no arch has a mate
-    mates = {}
-    for i, a in enumerate(arches):
-        for step in (-2, 2):
-            found = at_start.get((a.start + step) % c, ()) if c >= 5 else ()
-            if len(found) > 1:
-                raise ContractViolation("an eligible 3-arch has two mates on one side")
-            mates[i, step] = found[0] if found else None
+    # down[i] and up[i]: the mate of arch i two starts down and up, or None;
+    # archways two starts apart share exactly one C-edge when c >= 5, and
+    # more than one when c <= 4, where no arch has a mate
+    down = [None] * len(arches)
+    up = [None] * len(arches)
+    if c >= 5:
+        for i, a in enumerate(arches):
+            for step, mates in ((-2, down), (2, up)):
+                found = at_start.get((a.start + step) % c, ())
+                if len(found) > 1:
+                    raise ContractViolation("an eligible 3-arch has two mates on one side")
+                if found:
+                    mates[i] = found[0]
 
     done = set()
     tunnels = []
@@ -105,12 +107,12 @@ def find_tunnels(analysis):
         if i in done:
             continue
         low = i
-        while mates[low, -2] not in (None, i):
-            low = mates[low, -2]
+        while down[low] not in (None, i):
+            low = down[low]
         chain = [low]
-        while mates[chain[-1], 2] not in (None, low):
-            chain.append(mates[chain[-1], 2])
-        cyclic = mates[chain[-1], 2] == low
+        while up[chain[-1]] not in (None, low):
+            chain.append(up[chain[-1]])
+        cyclic = up[chain[-1]] == low
         done.update(chain)
         if cyclic:
             if c != 2 * len(chain):

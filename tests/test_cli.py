@@ -162,6 +162,20 @@ def test_analyze_rejects_malformed_cycle_sidecar(octa_file, tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("item", ['["a"]', "true", "1.5", "null", '{"a": 1}'])
+def test_analyze_rejects_a_cycle_sidecar_item_that_is_no_vertex_id(
+    octa_file, tmp_path, capsys, item
+):
+    # only strings and integers name vertices; any other item is named in
+    # the error, not stringified into an unknown vertex
+    side = tmp_path / "bad.json"
+    side.write_text(f'[{item}, "r0", "r1"]')
+    assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert json.dumps(json.loads(item)) in err["message"]
+
+
 # "[]" saved as UTF-16 with its byte-order mark: not UTF-8, so not JSON
 NOT_UTF8 = b"\xff\xfe[\x00]\x00"
 

@@ -328,9 +328,9 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
 def _count_ledgers(monkeypatch):
     """The list of analyses the fast tier runs the discharging ledger on."""
     audited = []
-    real = extension.apply_discharging
+    real = extension._deficient_minors
     monkeypatch.setattr(
-        extension, "apply_discharging", lambda a: audited.append(a) or real(a)
+        extension, "_deficient_minors", lambda a: audited.append(a) or real(a)
     )
     return audited
 
@@ -387,11 +387,12 @@ def _eager_reroute(g, cyc):
 
 def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
     # the fast tier runs the discharging ledger only when its window walk
-    # reaches a window that only the ledger can add; every reroute of the
-    # golden tight14 slice must still be the one the eager rule picks.  The
-    # slice grows on one graph, whose reroute memo searches each of the 156
-    # distinct cycles of its 204 reroute steps once, and runs the ledger on
-    # 93 of those 156 analyses (eagerly and without the memo, 204 each)
+    # reaches a window that only the ledger can add and that holds a path;
+    # every reroute of the golden tight14 slice must still be the one the
+    # eager rule picks.  The slice grows on one graph, whose reroute memo
+    # searches each of the 156 distinct cycles of its 204 reroute steps
+    # once, and runs the ledger on 59 of those 156 analyses (eagerly and
+    # without the memo, 204 each)
     g, starts = tight14_slice()
     analysed = []
     real_analyze = extension.analyze_cycle
@@ -407,7 +408,7 @@ def test_lazy_ledger_walk_matches_the_eager_rule(monkeypatch):
             for cyc, move in zip(trace.cycles, trace.moves)
             if move.pattern == "window-reroute"
         ]
-    assert (len(reroutes), len(analysed), len(audited)) == (204, 156, 93)
+    assert (len(reroutes), len(analysed), len(audited)) == (204, 156, 59)
     assert len({cyc for cyc, _ in reroutes}) == 156
     monkeypatch.undo()
     for cyc, move in reroutes:
@@ -444,6 +445,27 @@ def test_ledger_only_faces_of_one_window_are_listed_together():
     # which the ledger confirms through either; the 2-face at 0 needs no ledger
     arcs = [(0, 4, 4), (2, 0, 2), (1, 4, 5)]
     assert windows_of(9, arcs) == [((2, 7), [0, 1]), ((7, 6), None)]
+
+
+def test_a_cyclic_tunnel_proposes_its_seam():
+    # a cyclic tunnel of four arches wraps c = 8; its one window is the seam
+    # from just before the last arch, 7 edges clipped to c - 2 = 6
+    arches = tuple(Arch(f, "proper", (), 2 * f, 3, 8) for f in range(4))
+    assert windows_of(8, [], [Tunnel(arches, cyclic=True)]) == [((5, 6), None)]
+
+
+@pytest.mark.parametrize(
+    "stand_in",
+    [
+        SimpleNamespace(c=5),
+        SimpleNamespace(c=8, degenerate_faces=frozenset({0})),
+    ],
+    ids=["too-short", "degenerate"],
+)
+def test_a_cycle_the_audit_does_not_cover_flags_nothing(stand_in):
+    # the ledger refuses c < 6 and a minor face spanning the whole cycle
+    # before it reads anything else; the engine then flags no face
+    assert extension._flagged_faces(stand_in) == frozenset()
 
 
 def test_apex_pick_matches_the_analysis_rule(sweep_sample):

@@ -5,7 +5,9 @@ of every ``GrowthTrace.summary()``.  The digests were recorded from the
 engine before it was restructured; a changed digest means some move,
 tie-break or fallback count changed.  The pattern counts are pinned
 alongside so that a failure says roughly where the traces diverged.  The
-audit test does the same for the cycle analysis and the discharging ledger.
+audit tests do the same for the cycle analysis and the discharging ledger,
+on the oracle's canonical cycles and on every rotation and direction of a
+sample of them.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ PINNED_DWHEEL_200 = "16a6b84b8baf8b2cde257bda85d2f3a4bae682a3b5e2bd664410fe9a623
 PINNED_DWHEEL_392 = "c6f8cd7c9c329e599d9699d817b7975194a54b47ef7feb8bc7fb25786d40f6c7"
 PINNED_DWHEEL_998 = "bc50554d00fd635addaf407399e462005a73e1c675d7fa5456b3690d18ece167"
 PINNED_AUDIT = "a609450fd93b9714793334164ca04981c9a2557e7748fa0c07a57812971387c2"
+PINNED_AUDIT_ROTATIONS = "133d7f440abe9b0f3787e98d3894e363c78c537dc73b733faeee4627ea38a6a7"
 
 
 def trace_digest(g, starts):
@@ -103,15 +106,11 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode()
 
 
-def test_audit_every_tenth_tight14_and_corpus_sample(sweep_sample):
-    # the analysis report, the ledger summary and every (face, edge)'s
-    # conditions, or the name of the error where the analysis or the
-    # audit refuses the cycle
-    g14 = ic.gen_insertion_family(ic.octahedron())
-    cases = [(g14, c) for c in ic.oracle_isolating_cycles(g14)[::10]]
-    for g in sweep_sample:
-        cases += [(g, c) for c in short_isolating_cycles(g, cap=4)]
-    assert len(cases) == 750
+def audit_digest(cases):
+    """The digest of each case's analysis report, ledger summary and every
+    (face, edge)'s conditions, or the name of the error where the analysis
+    or the audit refuses the cycle; with the ledger, chord-arch and C7-pull
+    counts."""
     h = hashlib.sha256()
     ledgers = chord_arches = c7_pulls = 0
     for g, cycle in cases:
@@ -128,5 +127,37 @@ def test_audit_every_tenth_tight14_and_corpus_sample(sweep_sample):
         h.update(b"\n")
         ledgers += 1
         c7_pulls += sum(p.condition == "C7" for p in ledger.pulls)
-    assert (ledgers, chord_arches, c7_pulls) == (43, 3077, 96)
-    assert h.hexdigest() == PINNED_AUDIT
+    return h.hexdigest(), (ledgers, chord_arches, c7_pulls)
+
+
+def test_audit_every_tenth_tight14_and_corpus_sample(sweep_sample):
+    g14 = ic.gen_insertion_family(ic.octahedron())
+    cases = [(g14, c) for c in ic.oracle_isolating_cycles(g14)[::10]]
+    for g in sweep_sample:
+        cases += [(g, c) for c in short_isolating_cycles(g, cap=4)]
+    assert len(cases) == 750
+    digest, counts = audit_digest(cases)
+    assert counts == (43, 3077, 96)
+    assert digest == PINNED_AUDIT
+
+
+def test_audit_every_rotation_and_direction(sweep_sample):
+    # the oracle lists each cycle once, in its canonical form, but a reroute
+    # step analyses its cycle wherever growth left the head and whichever
+    # way it runs; every rotation of both directions of a sample must keep
+    # its report
+    g14 = ic.gen_insertion_family(ic.octahedron())
+    sample = [(g14, c) for c in ic.oracle_isolating_cycles(g14)[::100]]
+    corpus = [(g, c) for g in sweep_sample for c in short_isolating_cycles(g, cap=4)]
+    sample += corpus[::40]
+    assert len(sample) == 69
+    cases = [
+        (g, run[i:] + run[:i])
+        for g, cycle in sample
+        for run in (cycle, cycle[::-1])
+        for i in range(len(run))
+    ]
+    assert len(cases) == 1318
+    digest, counts = audit_digest(cases)
+    assert counts == (92, 6184, 176)
+    assert digest == PINNED_AUDIT_ROTATIONS
