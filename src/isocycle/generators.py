@@ -8,7 +8,7 @@ its graph once, through the validating ``build_plane_graph``, in O(n + m).
 
 import random
 
-from .errors import BaseNotFourConnected, SizeTooSmall, UnknownName
+from .errors import BaseNotFourConnected, IsocycleError, SizeTooSmall, UnknownName
 from .plane_graph import (
     build_plane_graph,
     graph_from_faces,
@@ -227,8 +227,9 @@ def gen_insertion_family(base, seed=0, fill_count=None):
     """Insert a degree-3 vertex into faces of a 4-connected triangulation.
 
     With fill_count=None every face is filled; otherwise a seeded sample of
-    that many faces.  The result is an essentially 4-connected maximal
-    planar graph.
+    that many faces.  The new vertices are named w0, w1, ..., so a base
+    already holding one of those ids raises IsocycleError.  The result is
+    an essentially 4-connected maximal planar graph.
     """
     if not (is_maximal_planar(base) and is_four_connected(base)):
         raise BaseNotFourConnected(
@@ -243,7 +244,13 @@ def gen_insertion_family(base, seed=0, fill_count=None):
         rng = random.Random(seed)
         chosen = sorted(rng.sample(range(len(triples)), fill_count))
         triples = [base.faces[i] for i in chosen]
-    g = _insert_vertices(base, [(t, f"w{i}") for i, t in enumerate(triples)])
+    new_ids = [f"w{i}" for i in range(len(triples))]
+    clash = next((v for v in new_ids if v in base.index), None)
+    if clash is not None:
+        raise IsocycleError(
+            f"base vertex {clash!r} clashes with the new vertex ids w0, w1, ..."
+        )
+    g = _insert_vertices(base, list(zip(triples, new_ids)))
     if not is_essentially_four_connected(g):
         raise BaseNotFourConnected("insertion result is not essentially 4-connected")
     return g
@@ -255,94 +262,20 @@ def base_hamiltonian_cycle(k):
     return tuple(["a"] + rim[: k - 1] + ["b", rim[k - 1]])
 
 
-class _StackedFaces:
-    """The faces of a triangulation under face splits, in trace order.
-
-    A split takes the r-th face of the graph as :func:`build_plane_graph`
-    would number it and puts a new vertex, the latest in vertex order,
-    inside it, on an editor.  That numbering starts each face at its lowest
-    corner in vertex order, its owner, and orders the faces by owner, then
-    by the ring position at the owner of the edge leaving it along the face.
-    A Fenwick tree over vertex indices counts the faces each vertex owns,
-    ``count`` in all, so the owner v of the r-th face is found in O(log n).
-    The face is then read off v's ring: the walk from ``editor.first[v]``
-    meets each neighbour w in ring order, and the face v, w, ``succ[w][v]``
-    is v's exactly when w and ``succ[w][v]`` both come after v.  The walk
-    costs O(deg v) and is bounded by the ring's length, so a miscount
-    raises.  Splitting face a, b, c by x leaves a, b, x and c, a, x to a
-    and gives b, c, x to the lower of b and c.
-
-    The walk replaced ring labels and a sorted list of owned faces per
-    vertex (``tools/build_scaling.py``, 2-core host, three interleaved runs
-    each): the median at n = 800 went 0.013-0.023 -> 0.011-0.013 s, at
-    n = 10^4 0.28-0.37 -> 0.26-0.37 s, and the traced peak 2.5 -> 2.1 MB
-    and 31.4 -> 26.8 MB.  The structures a split loop holds went 8.7 -> 4.1
-    MB at n = 10^4 and 96 -> 46 MB at n = 10^5.  The split loop alone at
-    n = 10^5, where the top degree is 1172, went 2.2-2.8 -> 3.2-3.7 s.
-    """
-
-    def __init__(self, g, n):
-        """Start from the triangulation g, which will grow to n vertices."""
-        self.editor = _RotationEditor(g)
-        self.index = dict(g.index)
-        self.count = 0
-        self.tree = [0] * (n + 1)
-        for face in g.faces:
-            self._count(face[0])
-
-    def _count(self, v):
-        tree, size = self.tree, len(self.tree)
-        i = self.index[v] + 1
-        while i < size:
-            tree[i] += 1
-            i += i & -i
-        self.count += 1
-
-    def face(self, r):
-        """The r-th face, as the triple build_plane_graph would trace."""
-        tree, size = self.tree, len(self.tree)
-        i, step = 0, 1 << size.bit_length()
-        while step:
-            if i + step < size and tree[i + step] <= r:
-                i += step
-                r -= tree[i]
-            step >>= 1
-        editor, index, succ = self.editor, self.index, self.editor.succ
-        v = editor.vertices[i]
-        ring = succ[v]
-        w = editor.first[v]
-        for _ in range(len(ring)):
-            u = succ[w][v]
-            if index[w] > i and index[u] > i:
-                if not r:
-                    return v, w, u
-                r -= 1
-            w = ring[w]
-        raise IndexError(f"{v!r} owns fewer faces than its count")
-
-    def split(self, r, x):
-        """Put the new vertex x inside the r-th face."""
-        a, b, c = self.face(r)
-        self.editor.split(a, b, c, x)
-        index = self.index
-        index[x] = len(index)
-        self._count(a)
-        self._count(b if index[b] < index[c] else c)
-
-
 def gen_random_triangulation(n, seed=0, require_four_connected=False):
     """Random maximal planar graph on n vertices.
 
     The plain variant stacks random vertex insertions from K4 (every such
     graph keeps a degree-3 vertex, so it is never 4-connected): vertex
-    ``t{i}`` goes into face ``rng.randrange(len(faces))`` of the graph so
-    far.  The splits run on the rotation editor, each face read off its
-    owner's ring in trace order by :class:`_StackedFaces`, and the graph is
-    built once: 0.011-0.013 s at n = 800 and about 0.3 s at n = 10^4
-    (``tools/build_scaling.py``).  The 4-connected variant is not random: it
-    returns double_wheel(n - 2) for every seed, since every diagonal flip of
-    a double wheel leaves a vertex of degree 3.  A flip walk that repairs
-    4-connectivity is ROADMAP item 10.
+    ``t{i}`` goes into face ``rng.randrange(len(faces))`` of a plain list
+    that holds each current face once, in tracing order, so the draw is
+    uniform.  Splitting face a, b, c by x puts a, b, x in its slot and
+    appends b, c, x and c, a, x.  The splits run on the rotation editor and
+    the graph is built once: 0.007-0.013 s at n = 800 and 0.18-0.24 s at
+    n = 10^4 (``tools/build_scaling.py``).  The 4-connected variant is not
+    random: it returns double_wheel(n - 2) for every seed, since every
+    diagonal flip of a double wheel leaves a vertex of degree 3.  A flip
+    walk that repairs 4-connectivity is ROADMAP item 10.
     """
     if require_four_connected:
         if n < 6:
@@ -351,7 +284,13 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
     if n < 4:
         raise SizeTooSmall("a triangulation needs at least 4 vertices")
     rng = random.Random(seed)
-    faces = _StackedFaces(k4(), n)
+    g = k4()
+    editor, faces = _RotationEditor(g), list(g.faces)
     for i in range(n - 4):
-        faces.split(rng.randrange(faces.count), f"t{i}")
-    return faces.editor.freeze()
+        r = rng.randrange(len(faces))
+        a, b, c = faces[r]
+        x = f"t{i}"
+        editor.split(a, b, c, x)
+        faces[r] = (a, b, x)
+        faces += ((b, c, x), (c, a, x))
+    return editor.freeze()

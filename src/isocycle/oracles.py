@@ -168,6 +168,18 @@ def _hamiltonian_paths(g, vmask, si, ti):
         unvisited = left
 
 
+def _vertex_mask(g, vertices):
+    """Bitmask of ``vertices`` in g; ValueError for a vertex not in g."""
+    index = g.index
+    vmask = 0
+    try:
+        for v in vertices:
+            vmask |= 1 << index[v]
+    except KeyError as e:
+        raise ValueError(f"unknown vertex {e.args[0]!r}") from None
+    return vmask
+
+
 def hamiltonian_cycles(g, vertices=None):
     """Yield every Hamiltonian cycle of g[vertices], each exactly once.
 
@@ -175,16 +187,7 @@ def hamiltonian_cycles(g, vertices=None):
     vertex has lower index than the last.  A vertex not in g raises
     ValueError.
     """
-    if vertices is None:
-        vmask = (1 << g.n) - 1
-    else:
-        index = g.index
-        vmask = 0
-        try:
-            for v in vertices:
-                vmask |= 1 << index[v]
-        except KeyError as e:
-            raise ValueError(f"unknown vertex {e.args[0]!r}") from None
+    vmask = (1 << g.n) - 1 if vertices is None else _vertex_mask(g, vertices)
     if vmask:
         si = (vmask & -vmask).bit_length() - 1
         yield from _hamiltonian_paths(g, vmask, si, si)
@@ -198,14 +201,8 @@ def find_hamiltonian_path(g, vertices, s, t):
     """
     if s == t or s not in vertices or t not in vertices:
         raise ValueError("endpoints must be distinct members of the vertex set")
-    index = g.index
-    vmask = 0
-    try:
-        for v in vertices:
-            vmask |= 1 << index[v]
-    except KeyError as e:
-        raise ValueError(f"unknown vertex {e.args[0]!r}") from None
-    return next(_hamiltonian_paths(g, vmask, index[s], index[t]), None)
+    vmask = _vertex_mask(g, vertices)
+    return next(_hamiltonian_paths(g, vmask, g.index[s], g.index[t]), None)
 
 
 def oracle_circumference(g, limit=30):

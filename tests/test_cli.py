@@ -361,6 +361,17 @@ def test_gen_insertion_family(tmp_path, capsys):
     assert ic.load_graph(out).n == 14
 
 
+def test_gen_insertion_family_names_a_clashing_base_id(tmp_path, capsys):
+    # a base vertex named like a new vertex is invalid input, not a crash
+    d = json.loads(json.dumps(ic.graph_to_json_dict(ic.octahedron())).replace('"a"', '"w0"'))
+    path = tmp_path / "base.json"
+    ic.save_graph(ic.graph_from_json_dict(d), path)
+    for fill in ([], ["--fill", "2"]):
+        assert main(["gen", "--family", "insertion", "--base", str(path)] + fill) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsocycleError" and "'w0'" in err["message"]
+
+
 def test_gen_random_four_connected_is_a_double_wheel(capsys):
     code, random_out = run(capsys, "gen", "--family", "random", "--n", "12", "--four-connected")
     assert code == 0

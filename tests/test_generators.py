@@ -1,9 +1,12 @@
 """Named graphs, vertex insertion, diagonal flips, random families."""
 
+import hashlib
+import json
+
 import pytest
 
 import isocycle as ic
-from isocycle.errors import BaseNotFourConnected, SizeTooSmall, UnknownName
+from isocycle.errors import BaseNotFourConnected, IsocycleError, SizeTooSmall, UnknownName
 from isocycle.generators import (
     base_hamiltonian_cycle,
     cube,
@@ -19,6 +22,10 @@ from isocycle.plane_graph import (
     is_four_connected,
     is_maximal_planar,
 )
+
+# sha256 of gen_random_triangulation(40, seed=3) as sorted-key compact JSON:
+# a change to the seed mapping must re-pin it
+PINNED_STACKED_40_SEED_3 = "d3bd389ed32700bcce6e3c02df13de035a5b6623f6553d0845e925224e3d38c8"
 
 
 def test_named_graph_lookup():
@@ -139,6 +146,23 @@ def test_insertion_family_rejects_weak_bases():
         ic.gen_insertion_family(k4())  # maximal planar but only 3-connected
     with pytest.raises(SizeTooSmall):
         ic.gen_insertion_family(ic.octahedron(), fill_count=99)
+
+
+def test_insertion_family_rejects_a_base_holding_a_new_vertex_id():
+    # the new vertices are w0, w1, ...; an octahedron with a renamed w1
+    # clashes on a full fill and on a fill of two faces, but not of one
+    d = json.loads(json.dumps(graph_to_json_dict(ic.octahedron())).replace('"a"', '"w1"'))
+    base = ic.graph_from_json_dict(d)
+    for fill_count in (None, 2):
+        with pytest.raises(IsocycleError, match="'w1'"):
+            ic.gen_insertion_family(base, fill_count=fill_count)
+    assert ic.gen_insertion_family(base, fill_count=1).vertices[-1] == "w0"
+
+
+def test_stacked_triangulation_seed_mapping_is_pinned():
+    d = graph_to_json_dict(ic.gen_random_triangulation(40, seed=3))
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STACKED_40_SEED_3
 
 
 def test_random_triangulation_is_valid_and_seeded():

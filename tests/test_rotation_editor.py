@@ -17,7 +17,6 @@ import pytest
 import isocycle as ic
 from isocycle.generators import (
     _RotationEditor,
-    _StackedFaces,
     diagonal_flip,
     double_wheel,
     insert_vertex,
@@ -56,11 +55,20 @@ def rebuilt_flip(g, u, v):
 
 
 def rebuilt_stack(n, seed):
+    """Yield each graph of the stacked chain, rebuilt after every split,
+    with the face list the generator draws its next face from."""
     rng = random.Random(seed)
     g = k4()
+    faces = list(g.faces)
+    yield g, faces
     for i in range(n - 4):
-        g = rebuilt_insert(g, g.faces[rng.randrange(len(g.faces))], f"t{i}")
-    return g
+        r = rng.randrange(len(faces))
+        a, b, c = faces[r]
+        x = f"t{i}"
+        g = rebuilt_insert(g, (a, b, c), x)
+        faces[r] = (a, b, x)
+        faces += [(b, c, x), (c, a, x)]
+        yield g, faces
 
 
 def assert_same_graph(h, ref):
@@ -70,49 +78,26 @@ def assert_same_graph(h, ref):
 
 
 def test_stacked_triangulation_equals_the_rebuild_chain():
-    # sizes 4 to 200; rings reach degree 59 (n = 180, seed 5), so the
-    # walk that reads a face off its owner's ring passes many neighbours
-    # whose faces other vertices own
+    # sizes 4 to 200
     for seed in SEEDS:
         n = 200 - 4 * seed if seed % 5 == 0 else 4 + seed
-        assert_same_graph(ic.gen_random_triangulation(n, seed=seed), rebuilt_stack(n, seed))
+        for ref, _ in rebuilt_stack(n, seed):
+            pass
+        assert_same_graph(ic.gen_random_triangulation(n, seed=seed), ref)
 
 
-def test_face_order_survives_splits_into_one_corner():
-    # splitting the face h, x, c of the newest vertex x, again and again,
-    # puts each new vertex between c and the last one at h and at c, so h
-    # owns ever more faces, each found by counting along its ring
-    ref = k4()
-    faces = _StackedFaces(ref, 4 + 40)
-    newest = None
-    for i in range(40):
-        assert [faces.face(r) for r in range(faces.count)] == list(ref.faces)
-        r = next(r for r, f in enumerate(ref.faces) if f[0] == "h" and f[1] in (newest, "r0"))
-        faces.split(r, f"t{i}")
-        ref = rebuilt_insert(ref, ref.faces[r], f"t{i}")
-        newest = f"t{i}"
-    assert_same_graph(faces.editor.freeze(), ref)
+def _rotated_to_min(face):
+    k = face.index(min(face))
+    return face[k:] + face[:k]
 
 
-def test_face_order_matches_the_frozen_graph_after_every_split():
+def test_stacked_face_list_holds_every_face_once():
+    # the draw is uniform over the faces because the list holds each face
+    # of the graph exactly once, as a rotation of its traced tuple
     for seed in range(6):
-        rng = random.Random(seed)
-        n = 20 + 8 * seed
-        faces = _StackedFaces(k4(), n)
-        for i in range(n - 4):
-            faces.split(rng.randrange(faces.count), f"t{i}")
-            g = faces.editor.freeze()
-            assert faces.count == len(g.faces)
-            assert [faces.face(r) for r in range(faces.count)] == list(g.faces)
-
-
-def test_a_miscounted_owner_raises():
-    # the hub h owns three faces of K4; counted as four, the walk round its
-    # ring of three ends without a fourth
-    faces = _StackedFaces(k4(), 4)
-    faces._count("h")
-    with pytest.raises(IndexError, match="owns fewer faces"):
-        faces.face(3)
+        for g, faces in rebuilt_stack(20 + 8 * seed, seed):
+            assert len(faces) == len(g.faces)
+            assert sorted(map(_rotated_to_min, faces)) == sorted(map(_rotated_to_min, g.faces))
 
 
 def _bases(seed):

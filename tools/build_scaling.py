@@ -9,10 +9,11 @@ The loads:
 - ``double_wheel``: ``double_wheel(k)`` for k = 1000, 3000, 10000, 30000,
   one validated build each;
 - ``insertion_family``: ``gen_insertion_family`` on a prebuilt
-  ``double_wheel(2998)`` (n = 8994), one build and the two connectivity
+  ``double_wheel(2998)`` (n = 8996), one build and the two connectivity
   checks;
 - ``stacked``: ``gen_random_triangulation(n, seed=0)`` at n = 800 and
-  10^4, stacked face splits on the rotation editor and one build;
+  10^4, face splits on the rotation editor, each into a face drawn from a
+  plain list of the current faces, and one build;
 - ``editor_flips``: 10^4 legal diagonal flips on the rotation editor of a
   stacked triangulation on 1000 vertices.  Each flip is tried on an edge
   drawn at random from the current edges (seed 0), and illegal draws are
@@ -23,7 +24,9 @@ script prints the median and the range.  The two stacked loads run once
 more, untimed, under ``tracemalloc``, and print the peak of traced memory in
 MB (10^6 bytes).  A checkout without the rotation editor prints ``n/a`` for
 ``editor_flips``, and one that rebuilds the graph after every edit takes
-minutes on the n = 10^4 stacked load.
+minutes on the n = 10^4 stacked load.  Checkouts whose stacked generator
+maps a seed to a different triangulation time different graphs in the
+stacked and ``editor_flips`` loads, of the same size.
 """
 
 import argparse
