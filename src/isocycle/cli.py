@@ -150,11 +150,7 @@ def _move_report(old, move):
 def cmd_extend(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
-    move = None
-    if not args.tier_2_only:
-        move = find_extension_fast(g, cycle)
-    if move is None:
-        move = find_extension_exhaustive(g, cycle)
+    move = find_extension_fast(g, cycle) or find_extension_exhaustive(g, cycle)
     if move is None:
         raise ExtensionNotFound(
             f"no extension found for a cycle of length {len(cycle)}",
@@ -167,7 +163,7 @@ def cmd_extend(args):
 def cmd_grow(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
-    trace = grow_to_bound(g, cycle, tier2_only=args.tier_2_only)
+    trace = grow_to_bound(g, cycle)
     report = trace.summary()
     # each of trace.moves and trace.cycles replays the whole trace
     moves = trace.moves
@@ -306,12 +302,10 @@ def build_parser():
 
     sp = sub.add_parser("extend", help="one extension step")
     common(sp, cycle=True)
-    sp.add_argument("--tier-2-only", action="store_true")
     sp.set_defaults(func=cmd_extend)
 
     sp = sub.add_parser("grow", help="extend a cycle to the length bound")
     common(sp, cycle=True)
-    sp.add_argument("--tier-2-only", action="store_true")
     sp.add_argument(
         "--dump-dot",
         metavar="DIR",

@@ -146,20 +146,11 @@ class CycleAnalysis:
     def is_thin(self, fid):
         return self.has_thin_side and self.face_side[fid] == MINUS
 
-    def is_thick(self, fid):
-        return not (self.has_thin_side and self.face_side[fid] == MINUS)
-
     def minor_faces(self, side=None):
         """Minor face ids by (arc start, id), the order of proper_arch."""
         if side is None:
             return list(self.proper_arch)
         return [f for f in self.proper_arch if self.face_side[f] == side]
-
-    def major_faces(self, side=None):
-        fids = [f for f in range(len(self.h.faces)) if not self.is_minor(f)]
-        if side is None:
-            return fids
-        return [f for f in fids if self.face_side[f] == side]
 
     # -- arches ---------------------------------------------------------------
 
@@ -171,10 +162,6 @@ class CycleAnalysis:
         for fid in self.minor_faces():
             out.extend(self.arches_of.get(fid, ()))
         return out
-
-    def m_shared(self, fid, arch):
-        """Number of C-edges of face fid lying on the archway of ``arch``."""
-        return len(set(self.face_c_positions.get(fid, ())) & set(arch.positions))
 
     @cached_property
     def tunnels(self):
@@ -543,7 +530,9 @@ def extension_tree(analysis, side):
         edges = set()
         for f in minor:
             edges.add((("face", f), ("vertex", analysis.proper_arch[f].apex)))
-        for f in analysis.major_faces(side):
+        for f in range(len(h.faces)):
+            if analysis.face_side[f] != side or analysis.is_minor(f):
+                continue
             met = [v for v in set(h.faces[f]) if analysis.vertex_side.get(v) == side]
             met = h.sorted_vertices(met)
             for w in met[1:]:

@@ -69,7 +69,7 @@ def _four_arch_with_inner(analysis, fid, e):
 
 
 def _cond_c2(analysis, m, g, f):
-    if analysis.is_thick(g) and m[g] == 2:
+    if not analysis.is_thin(g) and m[g] == 2:
         return True
     if m[g] == 3:
         h = analysis.across(g, analysis.proper_arch[g].middle_position)
@@ -114,7 +114,7 @@ def _c45_common(analysis, g, f, e):
     far = hi if adj == lo else lo
     if adj not in analysis.proper_arch[g].extremal_positions:
         return None
-    if analysis.m_shared(f, b) != 3:
+    if len(set(analysis.face_c_positions.get(f, ())) & set(b.positions)) != 3:
         return None
     return b, far, analysis.across(g, far)
 
@@ -123,7 +123,7 @@ def _cond_c4(analysis, m, setup):
     if setup is None:
         return False
     _, _, h = setup
-    return analysis.is_thick(h) and m[h] == 2
+    return not analysis.is_thin(h) and m[h] == 2
 
 
 def _cond_c5(analysis, registry, g, f, e, setup, three_at):
@@ -145,7 +145,7 @@ def _cond_c5(analysis, registry, g, f, e, setup, three_at):
 
 def _cond_c6(analysis, m, g, f, e, b, three_at):
     """m, b and three_at as for C3."""
-    if b is not None or not (analysis.is_thick(g) and m[g] == 4):
+    if b is not None or analysis.is_thin(g) or m[g] != 4:
         return False
     arch = analysis.proper_arch[g]
     if e in arch.extremal_positions:
@@ -325,7 +325,7 @@ def _audit(analysis, pulls, conditions_at, final):
     )
     deficient = sorted(f for f in minors if final[f] < _floor(analysis, f))
     weak_thin = [f for f in deficient if analysis.is_thin(f)]
-    weak_thick = [f for f in deficient if analysis.is_thick(f)]
+    weak_thick = [f for f in deficient if not analysis.is_thin(f)]
 
     m_minus = len(analysis.minor_faces(MINUS))
     m_plus = len(analysis.minor_faces(PLUS))

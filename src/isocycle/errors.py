@@ -76,7 +76,8 @@ class TooLarge(IsocycleError):
 
 
 class SizeTooSmall(IsocycleError):
-    """Raised when a generator is asked for fewer vertices than it can produce."""
+    """Raised when a generator is asked for fewer vertices than it can produce,
+    or a rotation system has no edge."""
 
 
 class BaseNotFourConnected(IsocycleError):

@@ -32,13 +32,12 @@ before the search reaches it or searched at a size beyond the winner's.
 The discharging ledger runs lazily, and the rule above is unchanged by it:
 windows of tunnels and of minor faces with m in {2, 3} are known without
 it.  A window that only the ledger can add (a minor face with another m)
-is searched before the ledger runs.  The first time such a window holds a
-path at the current size, the walk asks the ledger which minor faces it
-leaves deficient (its weights pass, ``discharging._deficient_minors``;
-never the audit's verdicts), and takes the window only if one of its faces
-is flagged; from then on each unflagged such window is skipped without a
-search.  The winner is the first window that is a candidate and holds a
-path, so the order of the two tests cannot change it.  On this path no
+is searched like any other, and one that holds a path is taken only if
+the ledger flags one of its faces as deficient.  The ledger runs the
+first time such a window holds a path, and only its weights pass
+(``discharging._deficient_minors``; never the audit's verdicts).  The
+winner is the first window that is a candidate and holds a path, so the
+order of the two tests cannot change it.  On this path no
 minor face has m = 1, so the ledger's MinorOneFacePresent cannot fire: a
 thick one is a triangle of G on a C-edge with its apex off the cycle, which
 the apex scan would have taken, and a thin one would be a second edge
@@ -84,10 +83,11 @@ the splices, and replays them into moves and cycles only when asked.
 
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
-and growth traces count how often it was needed.  It checks its start cycle
-at entry and the cycle it finds on its vertex set, and does not check the
-start again.  Both tiers, and the growth loop, raise NotIsolating on a start
-cycle that is not isolating.
+and growth traces count how often it was needed.  Growth runs it only when
+the fast tier finds nothing; no argument forces a tier.  It checks its
+start cycle at entry and the cycle it finds on its vertex set, and does not
+check the start again.  Both tiers, and the growth loop, raise NotIsolating
+on a start cycle that is not isolating.
 """
 
 import logging
@@ -117,17 +117,14 @@ def isolation_bound(g):
     return min((2 * (g.n + 4)) // 3, g.n)
 
 
-def degree_five_count(g):
-    return sum(1 for ring in g.rotation.values() if len(ring) == 5)
-
-
 def extension_budget(g):
     """Largest number of vertices a single extension move may add.
 
-    Counted on the first call for a graph and kept in ``g._budget``.
+    Three plus the number of degree-5 vertices, counted on the first call
+    for a graph and kept in ``g._budget``.
     """
     if g._budget is None:
-        g._budget = 3 + degree_five_count(g)
+        g._budget = 3 + sum(1 for ring in g.rotation.values() if len(ring) == 5)
     return g._budget
 
 
@@ -233,22 +230,20 @@ def _reroute(g, cyc, on):
     of ``length`` cycle edges from position ``start``, or None when no
     window works.  The walk is the selection rule of the module docstring,
     so the result depends only on g and cyc.  A window only the ledger can
-    make a candidate is searched before the ledger runs, and asks it only
-    when it holds a path; once the ledger has run, an unflagged one is
-    skipped unsearched.
+    make a candidate is searched first, and asks the ledger only when it
+    holds a path; the ledger runs at most once.
     """
     analysis = analyze_cycle(g, cyc)
     candidates = _candidate_windows(analysis)
     flagged = None
     for size in (1, 2, 3):
         for (start, length), faces in candidates:
-            if faces is not None and flagged is not None and flagged.isdisjoint(faces):
-                continue
             path = _window_path(g, cyc, on, start, length, size)
             if path is None:
                 continue
-            if faces is not None and flagged is None:
-                flagged = _flagged_faces(analysis)
+            if faces is not None:
+                if flagged is None:
+                    flagged = _flagged_faces(analysis)
                 if flagged.isdisjoint(faces):
                     continue
             return start, length, path
@@ -481,8 +476,8 @@ class GrowthTrace:
 
     Each step is kept as the ``Splice`` growth applied to its live cycle:
     O(1) memory for an apex insert, the path for a reroute and the whole
-    cycle only for an exhaustive move.  ``summary()``, ``pattern_counts()``,
-    ``final_cycle``, ``bound`` and ``completed`` read these directly.
+    cycle only for an exhaustive move.  ``summary()``, ``final_cycle``,
+    ``bound`` and ``completed`` read these directly.
     ``moves`` and ``cycles`` replay the splices from the start cycle and
     cost O(sum of the cycle lengths) on each access, so read one and derive
     the other from it when both are needed.
@@ -515,12 +510,6 @@ class GrowthTrace:
     def completed(self):
         return len(self.final_cycle) >= self.bound
 
-    def pattern_counts(self):
-        out = {}
-        for step in self.splices:
-            out[step.pattern] = out.get(step.pattern, 0) + 1
-        return out
-
     def summary(self):
         lengths = [len(self.start_cycle)]
         for step in self.splices:
@@ -544,7 +533,7 @@ class GrowthTrace:
         }
 
 
-def grow_to_bound(g, cycle, tier2_only=False):
+def grow_to_bound(g, cycle):
     """Extend an isolating cycle until it reaches min{floor(2/3(n+4)), n}.
 
     The guarantee covers starts with 6 <= |E(C)| below that bound; shorter
@@ -573,18 +562,15 @@ def grow_to_bound(g, cycle, tier2_only=False):
     splices = []
     fallbacks = 0
     while state.length < bound:
-        step = None
-        if not tier2_only:
-            # through the module attribute, once per step, so a wrapper sees
-            # every step
-            step = find_extension_fast(g, state)
+        # through the module attribute, once per step, so a wrapper sees
+        # every step
+        step = find_extension_fast(g, state)
         if step is None:
             cur = state.cycle()
-            if not tier2_only:
-                fallbacks += 1
-                logger.info(
-                    "fast tier found nothing at length %d, falling back", len(cur)
-                )
+            fallbacks += 1
+            logger.info(
+                "fast tier found nothing at length %d, falling back", len(cur)
+            )
             move = find_extension_exhaustive(g, cur)
             if move is None:
                 raise ExtensionNotFound(

@@ -1,9 +1,10 @@
 """Instance generators: named graphs, insertion families, random triangulations.
 
 All generators emit plane graphs with string vertex ids so every instance
-serializes directly to the JSON graph format.  Edits (face splits and
-diagonal flips) run in O(1) each on a private rotation editor, which builds
-its graph once, through the validating ``build_plane_graph``, in O(n + m).
+serializes directly to the JSON graph format.  A generator makes its edits
+(face splits, diagonal flips) in O(1) each on one private rotation editor,
+and builds its graph once, through the validating ``build_plane_graph``, in
+O(n + m); no public function edits a graph.
 """
 
 import random
@@ -181,48 +182,6 @@ class _RotationEditor:
         return build_plane_graph(self.vertices, {v: self.ring(v) for v in self.vertices})
 
 
-def insert_vertex(g, face_triple, new_id):
-    """Split a triangular face (a, b, c) into three by a new inner vertex.
-
-    The triple must be a face of g in tracing order.
-    """
-    a, b, c = face_triple
-    fid = g.face_id.get((a, b))
-    if fid is None or fid != g.face_id.get((b, c)) or len(g.faces[fid]) != 3:
-        raise ValueError(f"({a}, {b}, {c}) is not a directed face of the graph")
-    if new_id in g.index:
-        raise ValueError(f"vertex id {new_id!r} already taken")
-    return _insert_vertices(g, [(face_triple, new_id)])
-
-
-def _insert_vertices(g, insertions):
-    """Split each face triple of g by its new vertex id, then build once.
-
-    The triples must be distinct faces of g in tracing order: each stays a
-    face until it is split, so the result equals a chain of insert_vertex
-    calls in the same order.
-    """
-    editor = _RotationEditor(g)
-    for (a, b, c), new_id in insertions:
-        editor.split(a, b, c, new_id)
-    return editor.freeze()
-
-
-def diagonal_flip(g, u, v):
-    """Replace edge uv by the other diagonal xy of its two triangles.
-
-    Returns None when the flip is illegal (non-triangular sides, existing
-    diagonal, or an endpoint of degree 3).  Raises ValueError when uv is
-    not an edge of g.
-    """
-    if v not in g.adj.get(u, ()):
-        raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    editor = _RotationEditor(g)
-    if editor.flip(u, v) is None:
-        return None
-    return editor.freeze()
-
-
 def gen_insertion_family(base, seed=0, fill_count=None):
     """Insert a degree-3 vertex into faces of a 4-connected triangulation.
 
@@ -250,7 +209,11 @@ def gen_insertion_family(base, seed=0, fill_count=None):
         raise IsocycleError(
             f"base vertex {clash!r} clashes with the new vertex ids w0, w1, ..."
         )
-    g = _insert_vertices(base, list(zip(triples, new_ids)))
+    # each triple is a distinct face of base, and stays a face until it is split
+    editor = _RotationEditor(base)
+    for (a, b, c), new_id in zip(triples, new_ids):
+        editor.split(a, b, c, new_id)
+    g = editor.freeze()
     if not is_essentially_four_connected(g):
         raise BaseNotFourConnected("insertion result is not essentially 4-connected")
     return g

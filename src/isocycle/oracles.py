@@ -277,25 +277,6 @@ def _independent_masks(masks, n, k):
         need = k - chosen.bit_count()
 
 
-def independent_sets_of_size(g, k):
-    """Yield every independent set of exactly k vertices, in index order.
-
-    Iteration with a negative k raises ValueError before any set is walked;
-    k above the number of vertices yields nothing, at the first popcount
-    cut.
-    """
-    if k < 0:
-        raise ValueError(f"k must be at least 0, got {k}")
-    names = g.vertices
-    for chosen in _independent_masks(g.adj_mask, g.n, k):
-        found = []
-        while chosen:
-            low = chosen & -chosen
-            found.append(names[low.bit_length() - 1])
-            chosen ^= low
-        yield tuple(found)
-
-
 def oracle_isolating_cycles(g, min_length=3, max_length=None, max_count=None, limit=30):
     """Enumerate isolating cycles of g by ascending length.
 

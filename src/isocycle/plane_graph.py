@@ -23,6 +23,7 @@ from .errors import (
     NotIsolating,
     NotSimple,
     ParseError,
+    SizeTooSmall,
 )
 
 
@@ -127,9 +128,6 @@ class PlaneGraph:
     def degree(self, v):
         return len(self.rotation[v])
 
-    def has_edge(self, u, v):
-        return v in self.adj[u]
-
     def edge(self, u, v):
         """Canonical (index-sorted) form of the undirected edge {u, v}."""
         if self.index[u] <= self.index[v]:
@@ -174,9 +172,11 @@ def build_plane_graph(vertices, rotation):
     """Validate a rotation system and return the resulting PlaneGraph.
 
     Raises NotSimple for loops or repeated edges, InconsistentRotation when
-    the two ends of an edge disagree, and NonPlanarEmbedding when the graph
-    is not connected (found with :func:`reachable`) or the traced faces
-    violate Euler's formula.  Every check and the build take O(n + m).
+    the two ends of an edge disagree, SizeTooSmall when there is no edge (a
+    graph with no edge has no face to trace, so even K1 would fail Euler's
+    formula), and NonPlanarEmbedding when the graph is not connected (found
+    with :func:`reachable`) or the traced faces violate Euler's formula.
+    Every check and the build take O(n + m).
     """
     vertices = tuple(vertices)
     seen = set()
@@ -218,6 +218,10 @@ def build_plane_graph(vertices, rotation):
             if index[w] < i:
                 later[w].append((w, v))
     edges = tuple(e for v in vertices for e in later[v])
+    if not edges:
+        raise SizeTooSmall(
+            f"a plane graph needs at least one edge, got V={len(vertices)} E=0"
+        )
 
     if reachable(adj, vertices[:1], seen) != seen:
         raise NonPlanarEmbedding("graph is not connected")

@@ -192,7 +192,7 @@ def _transfer_bullets(analysis, arch, e, preceding_face, witness):
     """
     c = analysis.c
     g = arch.face
-    if not analysis.is_thick(g):
+    if analysis.is_thin(g):
         return False
     f = analysis.across(g, e)
     if not analysis.is_minor(f) or analysis.m(f) < 3 or preceding_face == f:

@@ -136,6 +136,19 @@ def test_validate_polyhedral_fails_on_square(tmp_path, capsys):
     assert main(["validate", "--graph", str(path), "--level", "polyhedral"]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc", [{"vertices": ["a"], "rotation": {"a": []}}, {"vertices": [], "rotation": {}}]
+)
+def test_validate_rejects_a_graph_with_no_edge(tmp_path, capsys, doc):
+    # K1 and the empty graph are refused by name, not as a failed Euler check
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "validate", "--graph", str(path))
+    assert code == 2
+    assert rep["valid"] is False and rep["error"] == "SizeTooSmall"
+    assert "at least one edge" in rep["message"]
+
+
 def test_analyze_equator(octa_file, capsys):
     code, rep = run_json(
         capsys, "analyze", "--graph", octa_file, "--cycle", "r0,r1,r2,r3"
@@ -253,21 +266,37 @@ def test_extend_equator(octa_file, capsys):
     assert rep["inserted_paths"] == [["r0", "a", "r1"]]
 
 
-def test_extend_tier_2_only_is_exhaustive(octa_file, capsys):
-    code, rep = run_json(
-        capsys, "extend", "--graph", octa_file, "--cycle", "r0,r1,r2,r3", "--tier-2-only"
-    )
+def test_runs_off_returns_a_cycle_sharing_no_edge_as_one_closed_run():
+    # the octahedron's equator and the 4-cycle through both poles share no
+    # edge, so each comes back whole, closed at its first vertex
+    equator, poles = ("r0", "r1", "r2", "r3"), ("a", "r0", "b", "r2")
+    assert cli._runs_off(equator, poles) == (equator + ("r0",),)
+    assert cli._runs_off(poles, equator) == (poles + ("a",),)
+    assert cli._runs_off(equator, equator[1:] + equator[:1]) == ()
+
+
+def test_extend_tier_2_only_is_exhaustive(monkeypatch, octa_file, capsys):
+    # the exhaustive tier runs when the fast tier finds nothing
+    monkeypatch.setattr(cli, "find_extension_fast", lambda g, cycle: None)
+    code, rep = run_json(capsys, "extend", "--graph", octa_file, "--cycle", "r0,r1,r2,r3")
     assert code == 0
     assert rep["pattern"] == "exhaustive" and rep["added"] == ["a"]
 
 
-def test_grow_tier_2_only_makes_only_exhaustive_moves(octa_file, capsys):
-    code, rep = run_json(
-        capsys, "grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3", "--tier-2-only"
-    )
+def test_grow_tier_2_only_makes_only_exhaustive_moves(monkeypatch, octa_file, capsys):
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    code, rep = run_json(capsys, "grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3")
     assert code == 0
     assert [m["pattern"] for m in rep["moves"]] == ["exhaustive"] * 2
-    assert rep["fallbacks"] == 0 and rep["lengths"] == [4, 5, 6]
+    assert [m["pattern"] for m in rep["moves_detail"]] == ["exhaustive"] * 2
+    assert rep["fallbacks"] == 2 and rep["lengths"] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("command", ["extend", "grow"])
+def test_extend_and_grow_reject_a_tier_switch(octa_file, capsys, command):
+    # growth picks the tier itself; no flag forces the exhaustive one
+    argv = [command, "--graph", octa_file, "--cycle", "r0,r1,r2,r3", "--tier-2-only"]
+    assert main(argv) == 1
 
 
 def test_verbose_flag_sets_debug_logging(monkeypatch, octa_file, capsys):

@@ -234,7 +234,7 @@ def test_equator_faces_all_thick_minor_one_faces():
     a = ic.analyze_cycle(octa(), EQUATOR)
     assert len(a.h.faces) == 8
     assert a.minor_faces() == sorted(range(8), key=lambda f: (a.proper_arch[f].start, f))
-    assert all(a.is_thick(f) and a.m(f) == 1 for f in range(8))
+    assert all(not a.is_thin(f) and a.m(f) == 1 for f in range(8))
     assert sorted(A.apex for A in a.proper_arch.values()) == ["a"] * 4 + ["b"] * 4
 
 

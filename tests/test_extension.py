@@ -3,6 +3,7 @@
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from isocycle.errors import (
     InvalidMove,
     NotIsolating,
 )
-from isocycle.extension import Move, degree_five_count, extension_budget
+from isocycle.extension import Move, extension_budget
 from isocycle.generators import base_hamiltonian_cycle, cube, double_wheel, k4, wheel
 from isocycle.oracles import find_hamiltonian_path, hamiltonian_cycles
 from isocycle.plane_graph import check_cycle
@@ -62,12 +63,10 @@ def test_isolation_bound_values():
 
 def test_extension_budget_counts_degree_five_vertices():
     g = ic.octahedron()
-    # every octahedron vertex has degree 4
-    assert degree_five_count(g) == 0
+    # every octahedron vertex has degree 4; wheel(5) has five rim vertices
+    # of degree 3 and a hub of degree 5
     assert extension_budget(g) == 3
-    w5 = wheel(5)
-    assert degree_five_count(w5) == 1
-    assert extension_budget(w5) == 4
+    assert extension_budget(wheel(5)) == 4
 
 
 def test_make_move_derives_patch_description():
@@ -125,8 +124,6 @@ def test_grow_rejects_non_isolating_start():
     assert not ic.is_isolating(g, TRIANGLE)
     with pytest.raises(NotIsolating):
         ic.grow_to_bound(g, TRIANGLE)
-    with pytest.raises(NotIsolating):
-        ic.grow_to_bound(g, TRIANGLE, tier2_only=True)
 
 
 def test_fast_tier_rejects_non_isolating_start():
@@ -199,13 +196,14 @@ def test_grow_cyclic_instance(cyclic_instance):
     assert set(trace.cycles[-1]) - set(cycle) in ({"u"}, {"w"})
 
 
-def test_tier2_only_reaches_the_same_bound():
-    g = ic.octahedron()
-    trace = ic.grow_to_bound(g, EQUATOR, tier2_only=True)
+def test_tier2_only_reaches_the_same_bound(monkeypatch):
+    # the exhaustive tier alone, with the fast tier patched to find nothing
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    trace = ic.grow_to_bound(ic.octahedron(), EQUATOR)
     assert len(trace.cycles[-1]) == 6 and trace.completed
     assert all(m.pattern == "exhaustive" for m in trace.moves)
-    # fallbacks count tier-1 misses, and tier 1 was never consulted here
-    assert trace.fallbacks == 0
+    # each step is a fallback from a fast tier that found nothing
+    assert trace.fallbacks == len(trace.moves) == 2
 
 
 def test_growth_falls_back_when_the_fast_tier_finds_nothing(monkeypatch):
@@ -260,7 +258,7 @@ def test_trace_summary_and_pattern_counts():
     assert s["n"] == 6 and s["bound"] == 6
     assert trace.start_cycle == EQUATOR
     assert trace.final_cycle == trace.cycles[-1]
-    assert sum(trace.pattern_counts().values()) == len(trace.moves)
+    assert [m["pattern"] for m in s["moves"]] == [m.pattern for m in trace.moves]
 
 
 def test_growth_invariants_on_sample(sweep_sample):
@@ -318,7 +316,7 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
     )
     audited = _count_ledgers(monkeypatch)
     trace = ic.grow_to_bound(g, start)
-    assert trace.pattern_counts() == patterns and trace.fallbacks == 0
+    assert Counter(s.pattern for s in trace.splices) == patterns and trace.fallbacks == 0
     assert [a[1] for a in checked] == [start, trace.final_cycle]
     assert len(searched) == len(trace.moves)
     assert len(analysed) == analyses
@@ -558,15 +556,18 @@ def test_growth_steps_equal_fresh_checked_calls(sweep_corpus, sweep_sample):
 
 def test_exhaustive_steps_replay_from_the_trace(monkeypatch):
     # an exhaustive move is kept as its whole cycle, and growth restarts its
-    # live cycle from it: a tier2_only trace, and a growth whose first fast
-    # step finds nothing, replay to the moves plain calls of each tier make
+    # live cycle from it: a growth whose fast steps all find nothing, and
+    # one whose first fast step finds nothing, replay to the moves plain
+    # calls of each tier make
     g = ic.gen_insertion_family(ic.octahedron())
     start = TIGHT14_REROUTE_START
-    trace = ic.grow_to_bound(g, start, tier2_only=True)
-    moves = _assert_replays(g, start, trace, [ic.find_extension_exhaustive] * len(trace.splices))
-    assert len(moves) > 1 and trace.fallbacks == 0
-
     real = extension.find_extension_fast
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    trace = ic.grow_to_bound(g, start)
+    monkeypatch.undo()
+    moves = _assert_replays(g, start, trace, [ic.find_extension_exhaustive] * len(trace.splices))
+    assert len(moves) > 1 and trace.fallbacks == len(moves)
+
     calls = []
 
     def first_finds_nothing(g, cycle):
@@ -631,7 +632,8 @@ def test_a_held_trace_grows_linearly():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert trace.pattern_counts() == {"apex-insert": 334} and trace.completed
+    assert {s.pattern for s in trace.splices} == {"apex-insert"}
+    assert len(trace.splices) == 334 and trace.completed
     assert held < 0.5e6
 
 
@@ -644,7 +646,7 @@ def _take_a_non_edge(g, path):
     # the same vertices between the same ends, in an order with a non-edge
     for inner in permutations(path[1:-1]):
         bad = (path[0],) + inner + (path[-1],)
-        if any(not g.has_edge(u, v) for u, v in zip(bad, bad[1:])):
+        if any(v not in g.adj[u] for u, v in zip(bad, bad[1:])):
             return bad
     raise AssertionError("every order is a path")
 
@@ -716,7 +718,7 @@ def test_reroute_memo_searches_each_cycle_once(monkeypatch):
     first = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
     second = ic.grow_to_bound(g, TIGHT14_REROUTE_START)
     assert first.summary() == second.summary()
-    assert first.pattern_counts()["window-reroute"] == 1
+    assert [s.pattern for s in first.splices].count("window-reroute") == 1
     assert len(analysed) == 1
     assert list(g._reroutes) == [analysed[0][1]]
 

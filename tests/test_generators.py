@@ -6,13 +6,13 @@ import json
 import pytest
 
 import isocycle as ic
+from test_rotation_editor import rebuilt_insert
 from isocycle.errors import BaseNotFourConnected, IsocycleError, SizeTooSmall, UnknownName
 from isocycle.generators import (
+    _RotationEditor,
     base_hamiltonian_cycle,
     cube,
-    diagonal_flip,
     double_wheel,
-    insert_vertex,
     k4,
     wheel,
 )
@@ -78,7 +78,9 @@ def test_base_hamiltonian_cycle():
 def test_insert_vertex_adds_degree_three_vertex():
     g = ic.octahedron()
     face = g.faces[0]
-    h = insert_vertex(g, face, "z")
+    editor = _RotationEditor(g)
+    editor.split(*face, "z")
+    h = editor.freeze()
     assert h.n == g.n + 1
     assert h.degree("z") == 3
     assert len(h.faces) == len(g.faces) + 2
@@ -88,8 +90,9 @@ def test_insert_vertex_adds_degree_three_vertex():
 def test_diagonal_flip_keeps_triangulation():
     g = double_wheel(6)
     u, v = g.edges[0]
-    h = diagonal_flip(g, u, v)
-    assert h is not None
+    editor = _RotationEditor(g)
+    assert editor.flip(u, v) is not None
+    h = editor.freeze()
     assert is_maximal_planar(h)
     assert h.n == g.n and h.m == g.m
     assert h.edge(u, v) not in set(h.edges)
@@ -127,14 +130,15 @@ def test_insertion_family_partial_fill_is_seeded():
 )
 def test_insertion_family_equals_the_insert_vertex_chain(base, seed, fill_count):
     # the family is built once from every insertion; inserting the same
-    # vertices one at a time, in order, must give the identical graph
+    # vertices one at a time, in order, with a rebuild after each, must give
+    # the identical graph
     g = ic.gen_insertion_family(base, seed=seed, fill_count=fill_count)
     new_ids = g.vertices[base.n :]
     assert new_ids == tuple(f"w{i}" for i in range(len(new_ids)))
     chain = base
     for new_id in new_ids:
         a, c, b = g.rotation[new_id]
-        chain = insert_vertex(chain, (a, b, c), new_id)
+        chain = rebuilt_insert(chain, (a, b, c), new_id)
     for attr in ("vertices", "rotation", "faces", "face_id", "edges"):
         assert getattr(g, attr) == getattr(chain, attr)
 

@@ -13,6 +13,7 @@ sample of them.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import isocycle as ic
 from conftest import short_isolating_cycles, tight14_slice
@@ -32,13 +33,12 @@ PINNED_AUDIT_ROTATIONS = "133d7f440abe9b0f3787e98d3894e363c78c537dc73b733faeee46
 
 def trace_digest(g, starts):
     h = hashlib.sha256()
-    patterns = {}
+    patterns = Counter()
     for cycle in starts:
         trace = ic.grow_to_bound(g, cycle)
         h.update(json.dumps(trace.summary(), sort_keys=True, separators=(",", ":")).encode())
         h.update(b"\n")
-        for pattern, k in trace.pattern_counts().items():
-            patterns[pattern] = patterns.get(pattern, 0) + k
+        patterns.update(step.pattern for step in trace.splices)
     return h.hexdigest(), patterns
 
 

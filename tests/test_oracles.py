@@ -14,11 +14,7 @@ from isocycle import oracles
 from isocycle.errors import TooLarge
 from isocycle.generators import cube, double_wheel, k4, prism, wheel
 from isocycle.plane_graph import PlaneGraph, canonical_cycle, reachable
-from isocycle.oracles import (
-    find_hamiltonian_path,
-    hamiltonian_cycles,
-    independent_sets_of_size,
-)
+from isocycle.oracles import find_hamiltonian_path, hamiltonian_cycles
 
 
 def test_circumference_of_named_graphs():
@@ -85,7 +81,7 @@ def test_hamiltonian_path_between_endpoints():
 
 
 def _is_walk(g, seq):
-    return all(g.has_edge(seq[i - 1], seq[i]) for i in range(1, len(seq)))
+    return all(seq[i] in g.adj[seq[i - 1]] for i in range(1, len(seq)))
 
 
 def _brute_cycles(g, vertices):
@@ -98,7 +94,7 @@ def _brute_cycles(g, vertices):
         if (
             g.index[cyc[1]] < g.index[cyc[-1]]
             and _is_walk(g, cyc)
-            and g.has_edge(cyc[-1], start)
+            and start in g.adj[cyc[-1]]
         ):
             out.append(cyc)
     return out
@@ -224,15 +220,23 @@ def test_isolating_enumeration_respects_filters(monkeypatch):
     assert ic.oracle_isolating_cycles(g, max_count=0) == []
 
 
+def _independent_sets(g, k):
+    """Every independent set of k vertices as a tuple of names, decoded from
+    the enumeration's bitmask walk."""
+    for chosen in oracles._independent_masks(g.adj_mask, g.n, k):
+        yield tuple(v for i, v in enumerate(g.vertices) if chosen >> i & 1)
+
+
 def _composed_enumeration(g, min_length=3, max_length=None, max_count=None):
-    """The enumeration composed from the public independent-set walk and
-    Hamiltonian search, kept as the reference for the bitmask one."""
+    """The enumeration composed from the decoded independent-set walk and
+    the public Hamiltonian search, kept as the reference for the bitmask
+    one."""
     n = g.n
     top = n if max_length is None else min(max_length, n)
 
     def cycles():
         for c in range(min_length, top + 1):
-            for ind in independent_sets_of_size(g, n - c):
+            for ind in _independent_sets(g, n - c):
                 missed = set(ind)
                 yield from hamiltonian_cycles(g, [v for v in g.vertices if v not in missed])
 
@@ -518,9 +522,9 @@ def test_independent_sets_match_brute_force():
         for k in range(g.n + 2):
             want = [
                 c for c in combinations(g.vertices, k)
-                if not any(g.has_edge(u, v) for u, v in combinations(c, 2))
+                if not any(v in g.adj[u] for u, v in combinations(c, 2))
             ]
-            assert list(independent_sets_of_size(g, k)) == want, (g.n, k)
+            assert list(_independent_sets(g, k)) == want, (g.n, k)
             sizes.append(len(want))
         assert sizes[0] == 1 and sizes[-1] == 0
         # sizes above the independence number are walked too
@@ -529,21 +533,15 @@ def test_independent_sets_match_brute_force():
 
 def test_independent_set_helpers():
     # the octahedron pairs up antipodal vertices; the cube splits in half
-    assert len(list(independent_sets_of_size(ic.octahedron(), 2))) == 3
-    assert list(independent_sets_of_size(ic.octahedron(), 3)) == []
-    assert len(list(independent_sets_of_size(cube(), 4))) == 2
-    assert list(independent_sets_of_size(cube(), 5)) == []
-
-
-def test_negative_independent_set_size_is_an_error():
-    # a negative size is refused before any set is walked (walking every
-    # independent set of this n=62 graph takes over a minute); a size above
-    # n ends at once, at the popcount cut
+    assert len(list(_independent_sets(ic.octahedron(), 2))) == 3
+    assert list(_independent_sets(ic.octahedron(), 3)) == []
+    assert len(list(_independent_sets(cube(), 4))) == 2
+    assert list(_independent_sets(cube(), 5)) == []
+    # a size above n ends at once, at the popcount cut (walking every
+    # independent set of this n=62 graph takes over a minute)
     g = ic.gen_insertion_family(double_wheel(20))
     assert g.n == 62
-    with pytest.raises(ValueError, match="at least 0"):
-        next(independent_sets_of_size(g, -1))
-    assert list(independent_sets_of_size(g, g.n + 1)) == []
+    assert list(_independent_sets(g, g.n + 1)) == []
 
 
 def test_size_guard():

@@ -14,6 +14,7 @@ from isocycle.errors import (
     NonPlanarEmbedding,
     NotSimple,
     ParseError,
+    SizeTooSmall,
 )
 from isocycle.generators import (
     base_hamiltonian_cycle,
@@ -180,7 +181,7 @@ def test_delete_edges_that_disconnect_raise():
 def test_delete_edges_ignores_non_edges():
     g = ic.octahedron()
     u = g.vertices[0]
-    w = next(x for x in g.vertices if x != u and not g.has_edge(u, x))
+    w = next(x for x in g.vertices if x != u and x not in g.adj[u])
     h = g.delete_edges([(u, w), (w, u), ("no such vertex", u)])
     _same_graph(h, g)
 
@@ -364,6 +365,18 @@ NOT_A_RING = "rotation at 'a' must be a list of strings"
             InconsistentRotation,
             "edge 'a'-'c' missing at 'c'",
         ),
+        # K1 and the empty graph trace no face, so Euler's formula would
+        # refuse even K1; a graph with no edge is refused by name first
+        (
+            {"vertices": ["a"], "rotation": {"a": []}},
+            SizeTooSmall,
+            "a plane graph needs at least one edge, got V=1 E=0",
+        ),
+        (
+            {"vertices": [], "rotation": {}},
+            SizeTooSmall,
+            "a plane graph needs at least one edge, got V=0 E=0",
+        ),
     ],
 )
 def test_graph_document_validation(doc, error, message):
@@ -521,7 +534,7 @@ def _triangles_less_faces(g):
     return [
         t
         for t in combinations(g.vertices, 3)
-        if g.has_edge(t[0], t[1]) and g.has_edge(t[1], t[2]) and g.has_edge(t[0], t[2])
+        if t[1] in g.adj[t[0]] and t[2] in g.adj[t[1]] and t[2] in g.adj[t[0]]
         and frozenset(t) not in facial
     ]
 

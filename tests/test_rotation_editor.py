@@ -1,12 +1,12 @@
 """The in-place rotation editor against a rebuild after every edit.
 
-The stacked generator, ``insert_vertex``, ``_insert_vertices`` and
-``diagonal_flip`` edit rings in place and build their graph once.  The
-oracle here is the chain they replace: copy every ring into a list, apply
-one edit with ``list.insert`` and ``list.remove``, and build a validated
-graph after each edit.  Face numbering follows the vertex order and each
-ring's first neighbour, and growth traces follow face numbering, so the two
-must agree field for field and in their JSON bytes.
+The generators split faces (and flips will change diagonals) on
+``_RotationEditor``, which edits rings in place and builds its graph once.
+The oracle here is the chain it replaces: copy every ring into a list,
+apply one edit with ``list.insert`` and ``list.remove``, and build a
+validated graph after each edit.  Face numbering follows the vertex order
+and each ring's first neighbour, and growth traces follow face numbering,
+so the two must agree field for field and in their JSON bytes.
 """
 
 import json
@@ -15,13 +15,7 @@ import random
 import pytest
 
 import isocycle as ic
-from isocycle.generators import (
-    _RotationEditor,
-    diagonal_flip,
-    double_wheel,
-    insert_vertex,
-    k4,
-)
+from isocycle.generators import _RotationEditor, double_wheel, k4
 from isocycle.plane_graph import build_plane_graph, graph_to_json_dict
 
 SEEDS = range(50)
@@ -109,17 +103,19 @@ def _bases(seed):
 
 
 def test_insert_vertex_chain_equals_the_rebuild_chain():
-    # any rotation of a face triple is a face in tracing order
+    # any rotation of a face triple is a face in tracing order; the editor
+    # is frozen after every split, and freezing leaves it as it was
     for seed in SEEDS:
         rng = random.Random(seed)
-        g = ref = _bases(seed)[seed % 3]
+        ref = _bases(seed)[seed % 3]
+        editor = _RotationEditor(ref)
         for i in range(8):
             face = ref.faces[rng.randrange(len(ref.faces))]
             k = rng.randrange(3)
             triple = face[k:] + face[:k]
-            g = insert_vertex(g, triple, f"z{i}")
+            editor.split(*triple, f"z{i}")
             ref = rebuilt_insert(ref, triple, f"z{i}")
-            assert_same_graph(g, ref)
+            assert_same_graph(editor.freeze(), ref)
 
 
 def _flip_sequence(g, rng, count):
@@ -137,18 +133,21 @@ def _flip_sequence(g, rng, count):
 
 
 def test_diagonal_flips_equal_the_rebuild_chain():
+    # the editor is frozen after every flip; an illegal one changes nothing
     legal = 0
     for seed in SEEDS:
         rng = random.Random(seed)
         g = _bases(seed)[seed % 3]
+        editor = _RotationEditor(g)
         for u, v, ref in _flip_sequence(g, rng, 12):
-            h = diagonal_flip(g, u, v)
+            flipped = editor.flip(u, v)
             if ref is None:
-                assert h is None
+                assert flipped is None
+                assert_same_graph(editor.freeze(), g)
                 continue
-            assert_same_graph(h, ref)
+            g = editor.freeze()
+            assert_same_graph(g, ref)
             legal += 1
-            g = h
     assert legal > 200
 
 
@@ -180,5 +179,10 @@ def test_editor_flip_moves_a_ring_start_as_list_remove_does():
 
 @pytest.mark.parametrize("u, v", [("a", "b"), ("r0", "r2"), ("a", "nowhere"), ("nowhere", "a")])
 def test_diagonal_flip_rejects_a_non_edge(u, v):
-    with pytest.raises(ValueError, match="is not an edge"):
-        diagonal_flip(ic.octahedron(), u, v)
+    # the editor looks v up at u before it changes a ring, so a non-edge or
+    # an unknown vertex raises KeyError and leaves every ring as it was
+    g = ic.octahedron()
+    editor = _RotationEditor(g)
+    with pytest.raises(KeyError):
+        editor.flip(u, v)
+    assert_same_graph(editor.freeze(), g)
