@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from itertools import groupby
 
 from . import __version__
 from .cycle_analysis import analyze_cycle
@@ -115,36 +116,42 @@ def cmd_audit(args):
     return 0
 
 
-def _runs_off(cycle, other):
-    """Maximal runs of consecutive edges of ``cycle`` that ``other`` lacks.
-
-    Each run is the tuple of vertices it passes, endpoints included.  A
-    cycle that shares no edge with ``other`` comes back as one closed run.
-    """
-    edges = {frozenset(e) for e in zip(other, other[1:] + other[:1])}
-    hit = [frozenset(e) not in edges for e in zip(cycle, cycle[1:] + cycle[:1])]
-    if all(hit):
-        return (tuple(cycle) + (cycle[0],),)
-    c = len(cycle)
-    runs = []
-    starts = [i for i in range(c) if hit[i] and not hit[(i - 1) % c]]
-    for i in starts:
-        j = i
-        while hit[j % c]:
-            j += 1
-        runs.append(tuple(cycle[k % c] for k in range(i, j + 1)))
-    return tuple(runs)
+def _runs_off(path, other):
+    """Maximal runs of consecutive edges of the path ``path`` that the path
+    ``other`` lacks, in path order, each the list of vertices it passes."""
+    edges = {frozenset(e) for e in zip(other, other[1:])}
+    runs, i = [], 0
+    for off, group in groupby(zip(path, path[1:]), lambda e: frozenset(e) not in edges):
+        n = len(list(group))
+        if off:
+            runs.append(list(path[i : i + n + 1]))
+        i += n
+    return runs
 
 
-def _move_report(old, move):
-    """A move from the cycle ``old``, with the arcs it drops and paths it adds."""
+def _closed(cycle, other):
+    """The cycle as a closed path from its first vertex whose incoming edge
+    the cycle ``other`` has, so that no run off ``other`` crosses the seam."""
+    shared = {frozenset(e) for e in zip(other, other[1:] + other[:1])}
+    i = next((k for k, v in enumerate(cycle) if frozenset((cycle[k - 1], v)) in shared), 0)
+    return cycle[i:] + cycle[: i + 1]
+
+
+def _changes(added, old, new):
+    """A move that adds ``added`` and puts the path new in place of the path old."""
     return {
-        "pattern": move.pattern,
-        "new_cycle": list(move.new_cycle),
-        "added": list(move.added),
-        "removed_arcs": [list(r) for r in _runs_off(old, move.new_cycle)],
-        "inserted_paths": [list(r) for r in _runs_off(move.new_cycle, old)],
+        "added": list(added),
+        "removed_arcs": _runs_off(old, new),
+        "inserted_paths": _runs_off(new, old),
     }
+
+
+def _splice_report(step):
+    """A growth step's report, read off its splice in O(|window| + |path|)."""
+    old, new = step.window or step.path[::2], step.path  # apex: the edge (u, v)
+    if step.pattern == "exhaustive":
+        old, new = _closed(old, new), _closed(new, old)
+    return {"pattern": step.pattern, **_changes(step.added, old, new)}
 
 
 def cmd_extend(args):
@@ -156,7 +163,9 @@ def cmd_extend(args):
             f"no extension found for a cycle of length {len(cycle)}",
             diagnostics={"cycle": list(cycle), "n": g.n},
         )
-    _emit(args, _move_report(cycle, move))
+    new = move.new_cycle
+    changes = _changes(move.added, _closed(cycle, new), _closed(new, cycle))
+    _emit(args, {"pattern": move.pattern, "new_cycle": list(new), **changes})
     return 0
 
 
@@ -165,14 +174,11 @@ def cmd_grow(args):
     cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle)
     report = trace.summary()
-    # each of trace.moves and trace.cycles replays the whole trace
-    moves = trace.moves
-    cycles = [trace.start_cycle] + [m.new_cycle for m in moves]
-    report["moves_detail"] = [_move_report(old, m) for old, m in zip(cycles, moves)]
+    report["moves_detail"] = [_splice_report(step) for step in trace.splices]
     _emit(args, report)
     if args.dump_dot:
         os.makedirs(args.dump_dot, exist_ok=True)
-        for i, cyc in enumerate(cycles):
+        for i, cyc in enumerate(trace.cycles):
             path = os.path.join(args.dump_dot, f"step{i:03d}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(graph_to_dot(g, highlight_cycle=cyc))
@@ -309,7 +315,7 @@ def build_parser():
     sp.add_argument(
         "--dump-dot",
         metavar="DIR",
-        help="write one DOT file per step, O(n (n + m)) bytes in all",
+        help="replay the growth into one DOT file per cycle, O(n (n + m)) bytes in all",
     )
     sp.set_defaults(func=cmd_grow)
 

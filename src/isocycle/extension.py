@@ -75,11 +75,11 @@ successors, in O(1), leaves every cycle edge before s unchanged and only
 grows the vertex set, so the next scan starts at s; after a reroute or an
 exhaustive move it starts again at 0.  Over a run of apex inserts the scan
 only moves forward, so all its scans cost O(n) together, and growth does
-O(n) work and holds O(n) memory: no apex insert builds a tuple, a ``Move``
-or a set.  A reroute step builds the cycle tuple from the head, in O(c),
-which its memo key needs anyway, and relinks the path; the new cycle starts
-at the path's first vertex, as the tuple form always has.  The trace keeps
-the splices, and replays them into moves and cycles only when asked.
+O(n) work and holds O(n) memory: no apex insert builds a cycle tuple, a
+``Move`` or a set.  A reroute step builds the cycle tuple from the head, in
+O(c), which its memo key needs anyway, and relinks the path; the new cycle
+starts at the path's first vertex, as the tuple form always has.  The trace
+keeps the splices, and replays them into moves and cycles only when asked.
 
 The exhaustive tier tries every small set of off-cycle vertices and asks for
 a Hamiltonian cycle of the induced subgraph; it is the fallback of record,
@@ -250,25 +250,26 @@ def _reroute(g, cyc, on):
     return None
 
 
-Splice = namedtuple("Splice", "pattern added at length path")
+Splice = namedtuple("Splice", "pattern added at window path")
 Splice.__doc__ = """One growth step, recorded as the change it made to the cycle.
 
-pattern and added are the move's.  An apex insert ("apex-insert") puts the
-single vertex of added after position ``at`` and keeps the head; its
-``length`` is 1 and its ``path`` None.  A reroute ("window-reroute")
-replaces the ``length`` cycle edges from position ``at`` by ``path``, and
-the new cycle starts at the path's first vertex.  An exhaustive move keeps
-its whole new cycle in ``path``, and ``at`` and ``length`` are None.
+pattern and added are the move's.  A fast-tier step puts ``path`` in place
+of ``window``, the stretch of the old cycle from position ``at``.  An apex
+insert ("apex-insert") keeps the head; its path is (u, apex, v), and its
+window, the edge (u, v) between the path's ends, is None.  A reroute
+("window-reroute") starts the new cycle at the path's first vertex.  An
+exhaustive move keeps the whole old and new cycles in ``window`` and
+``path``, and ``at`` is None.
 """
 
 
 def _replay(cyc, step):
-    """The cycle tuple that ``step`` makes of the cycle tuple cyc, in O(c)."""
+    """The cycle tuple ``step`` makes of the cycle tuple cyc, in O(c)."""
     if step.pattern == "apex-insert":
         return cyc[: step.at + 1] + step.added + cyc[step.at + 1 :]
     if step.pattern == "window-reroute":
         rot = cyc[step.at :] + cyc[: step.at]
-        return step.path + rot[step.length + 1 :]
+        return step.path + rot[len(step.window) :]
     return step.path
 
 
@@ -373,7 +374,7 @@ def _extend(g, state):
                 on.add(apex)
                 state.length += 1
                 state.scan, state.pos = u, s
-                return Splice("apex-insert", (apex,), s, 1, None)
+                return Splice("apex-insert", (apex,), s, None, (u, apex, v))
         u = v
 
     cyc = state.cycle()
@@ -388,14 +389,15 @@ def _extend(g, state):
         return None
     start, length, path = found
     # the window: the length cycle edges from position start
-    added = _spliced(g, state, (cyc[start:] + cyc[:start])[: length + 1], path)
+    window = (cyc[start:] + cyc[:start])[: length + 1]
+    added = _spliced(g, state, window, path)
     for a, b in zip(path, path[1:]):
         succ[a] = b
     on.update(added)
     state.length += len(added)
     state.head = state.scan = path[0]
     state.pos = 0
-    return Splice("window-reroute", added, start, length, path)
+    return Splice("window-reroute", added, start, window, path)
 
 
 def find_extension_fast(g, cycle):
@@ -405,21 +407,9 @@ def find_extension_fast(g, cycle):
     ``grow_to_bound``, applies the move to it in place and returns the
     move's Splice, or None.
 
-    The loops run in the selection order of the module docstring, so the
-    first move found is the winner and the only one built, checked in
-    O(size of the change).  An apex insert is read off the per-graph
-    triangle table ``g.triangles``, one lookup per cycle position: the first
-    apex off the cycle is the one on the triangle with the lowest face id.
-    Only a reroute step builds the full cycle analysis.
-
-    The selection rule is unchanged by the lazy ledger: the discharging
-    ledger's weights pass runs only when the walk reaches a window that only
-    it can add and that window holds a path.
-
-    A reroute step searches each cycle once per graph: ``_reroute``'s
-    result, None included, is kept in ``g._reroutes`` under the exact cycle
-    tuple.  A hit rebuilds the window in O(c) and goes through the same
-    ``_spliced`` check as a fresh search.
+    The move is the winner of the selection rule in the module docstring,
+    the only move built, and is checked in O(size of the change); a reroute
+    step's search is remembered per graph and per cycle (``g._reroutes``).
 
     Raises NotCycle or NotIsolating on a bad start cycle, and InvalidMove on
     a move that fails its check.  On a reroute step every error of
@@ -475,12 +465,12 @@ class GrowthTrace:
     final cycle and the number of fallbacks to the exhaustive tier.
 
     Each step is kept as the ``Splice`` growth applied to its live cycle:
-    O(1) memory for an apex insert, the path for a reroute and the whole
-    cycle only for an exhaustive move.  ``summary()``, ``final_cycle``,
-    ``bound`` and ``completed`` read these directly.
-    ``moves`` and ``cycles`` replay the splices from the start cycle and
-    cost O(sum of the cycle lengths) on each access, so read one and derive
-    the other from it when both are needed.
+    O(1) memory for an apex insert, and whole cycles only for an exhaustive
+    move.  ``summary()``, ``bound``, ``completed`` and the report of what
+    each step changed read these directly.  ``moves`` and ``cycles`` replay
+    the splices from the start cycle and cost O(sum of the cycle lengths)
+    on each access, so read one and derive the other from it when both are
+    needed.
     """
 
     graph: object
@@ -583,7 +573,7 @@ def grow_to_bound(g, cycle):
                         "budget": state.budget,
                     },
                 )
-            step = Splice(move.pattern, move.added, None, None, move.new_cycle)
+            step = Splice(move.pattern, move.added, None, cur, move.new_cycle)
             state = _Growing(move.new_cycle, state.budget)
         splices.append(step)
     final = check_isolating(g, state.cycle())

@@ -3,15 +3,16 @@
 import hashlib
 import json
 import logging
+from collections import Counter
 
 import pytest
 
 import isocycle as ic
-from conftest import TIGHT14_REROUTE_START
+from conftest import TIGHT14_REROUTE_START, short_isolating_cycles, tight14_slice
 from isocycle import cli, extension
 from isocycle.cli import main
 from isocycle.errors import ContractViolation, IsocycleError
-from isocycle.generators import named_graph
+from isocycle.generators import base_hamiltonian_cycle, double_wheel, named_graph
 
 # the exit code of every package error: 2 invalid input, 3 a broken audit
 # contract, 4 no extension
@@ -36,7 +37,7 @@ ERROR_EXIT_CODES = {
 # sha256 of the moves_detail of `isocycle grow` on the n=14 tight instance
 # from TIGHT14_REROUTE_START, as sorted-key compact JSON
 PINNED_TIGHT14_MOVES_DETAIL = (
-    "052f1624b06a87281f80e1a536b106c76f9bf69e11f8a57d6fb81ae4d3491a50"
+    "e4f6f2bc3c9e39181ed4801bf931b9a8fa1320e5ba626cfdced50fba27dc7c2a"
 )
 
 
@@ -268,11 +269,134 @@ def test_extend_equator(octa_file, capsys):
 
 def test_runs_off_returns_a_cycle_sharing_no_edge_as_one_closed_run():
     # the octahedron's equator and the 4-cycle through both poles share no
-    # edge, so each comes back whole, closed at its first vertex
+    # edge, so each, passed closed, comes back whole as one run
     equator, poles = ("r0", "r1", "r2", "r3"), ("a", "r0", "b", "r2")
-    assert cli._runs_off(equator, poles) == (equator + ("r0",),)
-    assert cli._runs_off(poles, equator) == (poles + ("a",),)
-    assert cli._runs_off(equator, equator[1:] + equator[:1]) == ()
+    assert cli._runs_off(cli._closed(equator, poles), poles + poles[:1]) == [
+        list(equator + ("r0",))
+    ]
+    assert cli._runs_off(cli._closed(poles, equator), equator + equator[:1]) == [
+        list(poles + ("a",))
+    ]
+    turned = equator[1:] + equator[:1]
+    assert cli._runs_off(cli._closed(equator, turned), turned + turned[:1]) == []
+
+
+def test_a_closed_cycle_starts_where_no_run_crosses_it():
+    # the run r-s-p-q of edges off ``other`` crosses position 0 of the cycle,
+    # so the closed path starts at r, after the one shared edge q-r, and the
+    # run comes back whole
+    cycle, other = ("p", "q", "r", "s"), ("q", "r", "x", "s", "y")
+    assert cli._closed(cycle, other) == ("r", "s", "p", "q", "r")
+    assert cli._runs_off(cli._closed(cycle, other), other + other[:1]) == [["r", "s", "p", "q"]]
+    assert cli._runs_off(("p", "q", "r"), ("r", "q")) == [["p", "q"]]
+
+
+def _cyclic_runs_off(cycle, other):
+    """Reference: the runs of edges of the cycle ``cycle`` that the cycle
+    ``other`` lacks, found on the whole cycles, as `isocycle grow` once
+    reported every move; a cycle sharing no edge is one closed run."""
+    edges = {frozenset(e) for e in zip(other, other[1:] + other[:1])}
+    hit = [frozenset(e) not in edges for e in zip(cycle, cycle[1:] + cycle[:1])]
+    if all(hit):
+        return [list(cycle) + [cycle[0]]]
+    c = len(cycle)
+    runs = []
+    for i in range(c):
+        if hit[i] and not hit[i - 1]:
+            j = i
+            while hit[j % c]:
+                j += 1
+            runs.append([cycle[k % c] for k in range(i, j + 1)])
+    return runs
+
+
+def _edges(path):
+    return {frozenset(e) for e in zip(path, path[1:])}
+
+
+def _assert_detail_diffs_the_cycles(start, cycles, moves, detail):
+    """Each move of ``detail`` holds the runs of the whole-cycle diff of
+    ``cycles`` (as sorted lists), and replaying ``start`` through the
+    detail's runs gives each cycle's edges in turn."""
+    assert len(detail) == len(moves) == len(cycles) - 1
+    edges = _edges(start + start[:1])
+    for old, new, move, d in zip(cycles, cycles[1:], moves, detail):
+        assert set(d) == {"pattern", "added", "removed_arcs", "inserted_paths"}
+        assert (d["pattern"], d["added"]) == (move.pattern, list(move.added))
+        assert sorted(d["removed_arcs"]) == sorted(_cyclic_runs_off(old, new))
+        assert sorted(d["inserted_paths"]) == sorted(_cyclic_runs_off(new, old))
+        removed = set().union(*map(_edges, d["removed_arcs"]))
+        inserted = set().union(*map(_edges, d["inserted_paths"]))
+        assert removed <= edges and not inserted & edges
+        edges = (edges - removed) | inserted
+        assert edges == _edges(new + new[:1])
+
+
+def test_grow_moves_detail_holds_the_runs_of_the_whole_cycle_diff(sweep_corpus, monkeypatch):
+    # the report is read off the splices, O(|window| + |path|) per move; it
+    # must hold the runs the whole-cycle diff finds, for every move of the
+    # golden tight14 slice (1403 apex inserts and 204 reroutes), of a corpus
+    # sample and of growths made of exhaustive moves only
+    g, starts = tight14_slice()
+    jobs = [(g, starts)] + [(h, short_isolating_cycles(h, cap=4)) for h in sweep_corpus[::9]]
+    patterns = Counter()
+    for h, hstarts in jobs:
+        for start in hstarts:
+            trace = ic.grow_to_bound(h, start)
+            detail = [cli._splice_report(step) for step in trace.splices]
+            _assert_detail_diffs_the_cycles(start, trace.cycles, trace.moves, detail)
+            patterns.update(d["pattern"] for d in detail)
+    assert patterns == Counter({"apex-insert": 1403 + 456, "window-reroute": 204})
+    monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
+    equator = ("r0", "r1", "r2", "r3")
+    for h, start in [(g, TIGHT14_REROUTE_START), (g, starts[1]), (ic.octahedron(), equator)]:
+        trace = ic.grow_to_bound(h, start)
+        detail = [cli._splice_report(step) for step in trace.splices]
+        assert {d["pattern"] for d in detail} == {"exhaustive"}
+        _assert_detail_diffs_the_cycles(start, trace.cycles, trace.moves, detail)
+
+
+def test_grow_report_on_the_double_wheel_replays_to_its_cycles(tmp_path, capsys, monkeypatch):
+    # end to end on the n=200 double wheel: the report carries no cycle per
+    # move, and cmd_grow replays no trace without --dump-dot
+    g = ic.gen_insertion_family(double_wheel(66))
+    start = base_hamiltonian_cycle(66)
+    path = tmp_path / "dwheel.json"
+    ic.save_graph(g, path)
+    trace = ic.grow_to_bound(g, start)
+    cycles, moves = trace.cycles, trace.moves
+
+    def replayed(self):
+        raise AssertionError("the report replays the trace")
+
+    monkeypatch.setattr(extension.GrowthTrace, "moves", property(replayed))
+    monkeypatch.setattr(extension.GrowthTrace, "cycles", property(replayed))
+    code, rep = run_json(capsys, "grow", "--graph", str(path), "--cycle", ",".join(start))
+    assert code == 0 and len(rep["moves_detail"]) == 68
+    _assert_detail_diffs_the_cycles(start, cycles, moves, rep["moves_detail"])
+
+
+def test_extend_report_is_the_whole_cycle_diff(sweep_corpus, tmp_path, capsys, monkeypatch):
+    # `isocycle extend` diffs the whole old and new cycles, and lists the
+    # runs in the order of the cyclic diff, on moves of both tiers
+    g, starts = tight14_slice()
+    starts = [c for c in starts[::10] if len(c) < ic.isolation_bound(g)]
+    jobs = [(g, starts), (sweep_corpus[3], short_isolating_cycles(sweep_corpus[3], cap=4))]
+    for tier in ("fast", "exhaustive"):
+        if tier == "exhaustive":
+            monkeypatch.setattr(cli, "find_extension_fast", lambda g, cycle: None)
+        for i, (h, hstarts) in enumerate(jobs):
+            path = tmp_path / f"g{i}.json"
+            ic.save_graph(h, path)
+            for start in hstarts:
+                argv = ["extend", "--graph", str(path), "--cycle", ",".join(start)]
+                code, rep = run_json(capsys, *argv)
+                new = tuple(rep["new_cycle"])
+                assert code == 0 and list(rep) == [
+                    "pattern", "new_cycle", "added", "removed_arcs", "inserted_paths",
+                ]
+                assert rep["removed_arcs"] == _cyclic_runs_off(start, new)
+                assert rep["inserted_paths"] == _cyclic_runs_off(new, start)
 
 
 def test_extend_tier_2_only_is_exhaustive(monkeypatch, octa_file, capsys):
@@ -331,6 +455,7 @@ def test_grow_moves_detail_on_tight14_reroute(tmp_path, capsys):
     assert code == 0
     detail = rep["moves_detail"]
     assert [m["pattern"] for m in detail] == ["apex-insert"] * 5 + ["window-reroute"]
+    assert "new_cycle" not in detail[0]
     text = json.dumps(detail, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TIGHT14_MOVES_DETAIL
 

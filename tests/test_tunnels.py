@@ -47,6 +47,33 @@ def test_no_three_arches_no_tunnels(hex_instance):
     assert find_tunnels(a) == []
 
 
+# a 3-connected n=10 plane graph, not a triangulation, with the isolating
+# cycle v0 ... v7 and the off-cycle vertices x and y.  Pruning the chord
+# v0v2 gives x a thick minor face over positions 0-2, the one 3-arch; its
+# middle C-edge v1v2 lies on the thin minor 2-face (v1, v2, v3), so it is
+# not eligible.  No workload reaches this exclusion on a triangulation
+EXCLUDED_ARCH_FACES = [
+    ("v1", "v2", "v3"), ("v3", "v4", "v5"), ("v5", "v6", "v7"), ("v7", "v0", "v1"),
+    ("v1", "v3", "v5", "v7"),
+    ("v2", "v1", "v0"), ("v3", "v2", "v0", "x"), ("v4", "v3", "x"), ("x", "v0", "y", "v4"),
+    ("v5", "v4", "y"), ("v6", "v5", "y"), ("v7", "v6", "y"), ("v0", "v7", "y"),
+]
+EXCLUDED_ARCH_CYCLE = tuple(f"v{i}" for i in range(8))
+
+
+def test_a_three_arch_over_a_thin_minor_two_face_is_not_eligible():
+    g = ic.graph_from_faces(EXCLUDED_ARCH_FACES)
+    assert g.n == 10 and ic.is_three_connected(g)
+    assert ic.is_isolating(g, EXCLUDED_ARCH_CYCLE)
+    a = ic.analyze_cycle(g, EXCLUDED_ARCH_CYCLE)
+    (arch,) = [A for A in a.all_arches() if A.length == 3]
+    assert arch.positions == (0, 1, 2) and not a.is_thin(arch.face)
+    thin = [f for f in a.edge_faces[arch.middle_position] if a.is_thin(f)]
+    assert len(thin) == 1 and a.is_minor(thin[0]) and a.m(thin[0]) == 2
+    assert eligible_three_arches(a) == []
+    assert a.tunnels == []
+
+
 def test_consecutive_means_sharing_exactly_one_position(ladder_analysis):
     el = eligible_three_arches(ladder_analysis)
     assert consecutive(el[0], el[1])

@@ -1,34 +1,38 @@
-"""Work counts of cold tight14 passes, the same bytes on any host.
+"""Work counts of cold benchmark passes, the same bytes on any host.
 
 Usage (from the repository root):
 
     python3 tools/work_counts.py [--src src]
 
-For seeds 0 and 1, the script builds the benchmark's tight14 starts
-(``perfbench/workloads.py``: every isolating cycle of the n=14 tight
-instance, shuffled and rotated at seed 1) on a fresh graph, so the reroute
-memo starts empty, and grows each start once.  During the pass it counts
-the calls of these functions, and how many of them returned None or
-raised:
+For each load it builds the benchmark's starts (``perfbench/workloads.py``)
+by a fresh set-up, so every graph's reroute memo starts empty, and runs
+each start once: the tight14 loads at seeds 0 and 1 grow every isolating
+cycle of the n=14 tight instance (shuffled and rotated at seed 1), and the
+corpus load at seed 0 makes one exhaustive and one fast step from each
+short cycle of the 206-instance corpus.  During the pass, never during the
+set-up, it counts the calls of these functions, and how many of them
+returned None or raised:
 
 - ``extension._reroute``, the reroute search, called once per memo miss;
 - ``analyze_cycle``, as the extension engine calls it;
 - the ledger query, the function the engine imports from ``discharging``;
 - ``extension._window``, one reroute window and its extras;
 - ``find_hamiltonian_path``, as the engine calls it;
+- ``hamiltonian_cycles``, as the exhaustive tier calls it, once per vertex
+  set it tries (a generator, so it never returns None);
 - ``oracles._flood``, the connectivity test inside the Hamiltonian kernel.
 
 Each is wrapped at the module attribute the caller looks it up in, so the
 package is not edited.  The counts depend only on the code and the inputs,
 so two runs print the same bytes on any host.  ``tests/test_work_counts.py``
-pins the seed-0 rows.
+pins the seed-0 rows of both workloads.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-SEEDS = (0, 1)
+LOADS = (("tight14", 0), ("tight14", 1), ("corpus", 0))
 
 
 class Counts:
@@ -68,16 +72,17 @@ def _watched(isocycle):
         + [
             ("extension._window", extension, "_window"),
             ("find_hamiltonian_path", extension, "find_hamiltonian_path"),
+            ("hamiltonian_cycles", extension, "hamiltonian_cycles"),
             ("oracles._flood", oracles, "_flood"),
         ]
     )
 
 
-def count_rows(isocycle, workloads, seed):
+def count_rows(isocycle, workloads, load, seed):
     """(label, calls, none, raised) of every counted function over one cold
-    tight14 pass at ``seed``."""
-    tight = workloads.bind(isocycle)["tight14"]
-    starts = tight.setup(seed)
+    pass of the workload ``load`` at ``seed``."""
+    workload = workloads.bind(isocycle)[load]
+    starts = workload.setup(seed)
     watched = _watched(isocycle)
     counts = [Counts() for _ in watched]
     originals = [getattr(mod, attr) for _, mod, attr in watched]
@@ -85,7 +90,7 @@ def count_rows(isocycle, workloads, seed):
         setattr(mod, attr, _wrapped(fn, n))
     try:
         for start in starts:
-            tight.run(start)
+            workload.run(start)
     finally:
         for (_, mod, attr), fn in zip(watched, originals):
             setattr(mod, attr, fn)
@@ -102,10 +107,10 @@ def main():
     import workloads
 
     print(f"{'load':<10} {'function':<34} {'calls':>8} {'none':>8} {'raised':>6}")
-    for seed in SEEDS:
-        load = f"tight14/{seed}"
-        for label, calls, none, raised in count_rows(isocycle, workloads, seed):
-            print(f"{load:<10} {label:<34} {calls:>8} {none:>8} {raised:>6}")
+    for load, seed in LOADS:
+        name = f"{load}/{seed}"
+        for label, calls, none, raised in count_rows(isocycle, workloads, load, seed):
+            print(f"{name:<10} {label:<34} {calls:>8} {none:>8} {raised:>6}")
 
 
 if __name__ == "__main__":
