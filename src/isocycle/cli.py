@@ -107,11 +107,7 @@ def cmd_audit(args):
     analysis = analyze_cycle(g, cycle)
     ledger = apply_discharging(analysis)
     report = ledger.summary()
-    report["inequality_verdicts"] = {
-        "side_inequality": ledger.checks["side_inequality"],
-        "length_bound": ledger.checks["length_bound"],
-        "implied_bound": str(ledger.implied_bound),
-    }
+    report["implied_bound"] = str(ledger.implied_bound)
     _emit(args, report)
     return 0
 
@@ -137,21 +133,22 @@ def _closed(cycle, other):
     return cycle[i:] + cycle[: i + 1]
 
 
-def _changes(added, old, new):
-    """A move that adds ``added`` and puts the path new in place of the path old."""
-    return {
-        "added": list(added),
-        "removed_arcs": _runs_off(old, new),
-        "inserted_paths": _runs_off(new, old),
-    }
+def _changes(old, new):
+    """The runs a move removes and inserts when it puts the path new in
+    place of the path old."""
+    return {"removed_arcs": _runs_off(old, new), "inserted_paths": _runs_off(new, old)}
 
 
-def _splice_report(step):
-    """A growth step's report, read off its splice in O(|window| + |path|)."""
-    old, new = step.window or step.path[::2], step.path  # apex: the edge (u, v)
-    if step.pattern == "exhaustive":
-        old, new = _closed(old, new), _closed(new, old)
-    return {"pattern": step.pattern, **_changes(step.added, old, new)}
+def _grow_report(trace):
+    """The trace's summary, each move's entry carrying the runs its step
+    removed and inserted, read off its splice in O(|window| + |path|)."""
+    report = trace.summary()
+    for move, step in zip(report["moves"], trace.splices):
+        old, new = step.window or step.path[::2], step.path  # apex: the edge (u, v)
+        if step.pattern == "exhaustive":
+            old, new = _closed(old, new), _closed(new, old)
+        move.update(_changes(old, new))
+    return report
 
 
 def cmd_extend(args):
@@ -164,8 +161,8 @@ def cmd_extend(args):
             diagnostics={"cycle": list(cycle), "n": g.n},
         )
     new = move.new_cycle
-    changes = _changes(move.added, _closed(cycle, new), _closed(new, cycle))
-    _emit(args, {"pattern": move.pattern, "new_cycle": list(new), **changes})
+    report = {"pattern": move.pattern, "new_cycle": list(new), "added": list(move.added)}
+    _emit(args, {**report, **_changes(_closed(cycle, new), _closed(new, cycle))})
     return 0
 
 
@@ -173,9 +170,7 @@ def cmd_grow(args):
     g = load_graph(args.graph)
     cycle = _parse_cycle(args.cycle)
     trace = grow_to_bound(g, cycle)
-    report = trace.summary()
-    report["moves_detail"] = [_splice_report(step) for step in trace.splices]
-    _emit(args, report)
+    _emit(args, _grow_report(trace))
     if args.dump_dot:
         os.makedirs(args.dump_dot, exist_ok=True)
         for i, cyc in enumerate(trace.cycles):

@@ -38,6 +38,7 @@ is the analysis report that ``isocycle analyze`` prints.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ContractViolation, DegenerateSide
 from .plane_graph import check_isolating, reachable
@@ -47,15 +48,13 @@ MINUS = "minus"
 PLUS = "plus"
 
 
-@dataclass(frozen=True, init=False)
-class Arch:
+class Arch(NamedTuple):
     """An arch of a minor face.
 
     kind is 'proper' (the face boundary minus its C-arc) or 'chord' (a
     deleted chord drawn inside the face).  path runs from one C-endpoint to
     the other; start/length describe the archway, the sub-arc of C spanned by
-    the arch, as edge positions along the cycle.  The archway's positions
-    are computed on first use and kept.
+    the arch, as edge positions along the cycle.
     """
 
     face: int
@@ -65,27 +64,17 @@ class Arch:
     length: int
     cycle_length: int
 
-    def __init__(self, face, kind, path, start, length, cycle_length):
-        # the generated __init__ of a frozen dataclass sets each field
-        # through object.__setattr__; one write of the instance dict costs
-        # half as much, and an analysis builds an arch per minor face and
-        # per hosted chord
-        object.__setattr__(self, "__dict__", {
-            "face": face, "kind": kind, "path": path, "start": start,
-            "length": length, "cycle_length": cycle_length,
-        })
-
     @property
     def apex(self):
         """The off-cycle vertex of a thick minor face's proper arch, else None."""
         return self.path[1] if len(self.path) == 3 else None
 
-    @cached_property
+    @property
     def positions(self):
         """Edge positions of the archway, in arc order."""
         return tuple((self.start + i) % self.cycle_length for i in range(self.length))
 
-    @cached_property
+    @property
     def extremal_positions(self):
         first = self.start
         last = (self.start + self.length - 1) % self.cycle_length

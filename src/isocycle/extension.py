@@ -64,11 +64,11 @@ moves, ``make_move`` in ``tests/test_extension.py``, checks both whole cycles.
 
 ``grow_to_bound`` carries the live cycle from step to step as a successor
 map (``_Growing``): each vertex's successor, the head (position 0 of the
-tuple form), the length, the vertex set, the budget (counted once per
-graph) and the vertex and position where the apex scan resumes.  The fast
-tier takes this state in place of a plain cycle, which would get the full
-``check_isolating`` at entry, applies its move in place and returns the
-move as a ``Splice``.  Isolation needs no recheck between steps, since
+tuple form), the vertex set (its size is the length), the budget (counted
+once per graph) and the vertex and position where the apex scan resumes.
+The fast tier takes this state in place of a plain cycle, which would get
+the full ``check_isolating`` at entry, applies its move in place and
+returns the move as a ``Splice``.  Isolation needs no recheck between steps, since
 adding vertices keeps a cycle isolating; the full check runs on the start
 cycle and on the final one.  An apex insert at position s sets two
 successors, in O(1), leaves every cycle edge before s unchanged and only
@@ -211,25 +211,16 @@ def _window(g, cyc, on, start, length):
     return window, [v for *_, v in scored[:10]]
 
 
-def _window_path(g, cyc, on, start, length, size):
-    """The first Hamiltonian path through the window of ``length`` cycle
-    edges from position ``start`` and ``size`` of its extras, trying the
-    extras by ``combinations``; None when there is none."""
-    window, extras = _window(g, cyc, on, start, length)
-    for chosen in combinations(extras, size):
-        path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
-        if path is not None:
-            return tuple(path)
-    return None
-
-
 def _reroute(g, cyc, on):
     """The winning reroute of the cycle cyc, with vertex set on.
 
     Returns (start, length, path), path the tuple that replaces the window
     of ``length`` cycle edges from position ``start``, or None when no
     window works.  The walk is the selection rule of the module docstring,
-    so the result depends only on g and cyc.  A window only the ledger can
+    so the result depends only on g and cyc: for each number of extras from
+    one to three, each candidate window in order, and each choice of that
+    many of its extras by ``combinations``, the first Hamiltonian path
+    through the window and the extras wins.  A window only the ledger can
     make a candidate is searched first, and asks the ledger only when it
     holds a path; the ledger runs at most once.
     """
@@ -238,15 +229,19 @@ def _reroute(g, cyc, on):
     flagged = None
     for size in (1, 2, 3):
         for (start, length), faces in candidates:
-            path = _window_path(g, cyc, on, start, length, size)
-            if path is None:
+            window, extras = _window(g, cyc, on, start, length)
+            for chosen in combinations(extras, size):
+                path = find_hamiltonian_path(g, set(window).union(chosen), window[0], window[-1])
+                if path is not None:
+                    break
+            else:
                 continue
             if faces is not None:
                 if flagged is None:
                     flagged = _flagged_faces(analysis)
                 if flagged.isdisjoint(faces):
                     continue
-            return start, length, path
+            return start, length, tuple(path)
     return None
 
 
@@ -259,7 +254,9 @@ insert ("apex-insert") keeps the head; its path is (u, apex, v), and its
 window, the edge (u, v) between the path's ends, is None.  A reroute
 ("window-reroute") starts the new cycle at the path's first vertex.  An
 exhaustive move keeps the whole old and new cycles in ``window`` and
-``path``, and ``at`` is None.
+``path``, and ``at`` is None.  ``isocycle grow`` reads the arcs a step
+removed and the paths it inserted off ``window`` and ``path`` alone, and
+``GrowthTrace.fallbacks`` counts the exhaustive splices.
 """
 
 
@@ -277,19 +274,18 @@ class _Growing:
     """A checked isolating cycle, carried by grow_to_bound from step to step.
 
     The cycle is a successor map ``succ`` with a ``head``, its tuple form
-    starting at the head.  The state also holds the cycle's length, its
-    vertex set ``on``, the move budget, and the vertex ``scan`` at position
-    ``pos`` where the next apex scan starts.  ``find_extension_fast`` takes
-    it in place of a cycle, skips its entry check and applies its move in
-    place.
+    starting at the head.  The state also holds the cycle's vertex set
+    ``on``, whose size is the cycle's length, the move budget, and the
+    vertex ``scan`` at position ``pos`` where the next apex scan starts.
+    ``find_extension_fast`` takes it in place of a cycle, skips its entry
+    check and applies its move in place.
     """
 
-    __slots__ = ("succ", "head", "length", "on", "budget", "scan", "pos")
+    __slots__ = ("succ", "head", "on", "budget", "scan", "pos")
 
     def __init__(self, cycle, budget):
         self.succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
         self.head = self.scan = cycle[0]
-        self.length = len(cycle)
         self.on = set(cycle)
         self.budget = budget
         self.pos = 0
@@ -298,19 +294,19 @@ class _Growing:
         """The cycle as a tuple from the head, in O(c).
 
         Raises ContractViolation unless the walk from the head returns to it
-        after exactly ``length`` vertices.
+        after exactly ``len(on)`` vertices.
         """
-        succ, head = self.succ, self.head
+        succ, head, length = self.succ, self.head, len(self.on)
         out = [head]
         v = succ[head]
-        for _ in range(self.length):
+        for _ in range(length):
             if v == head:
                 break
             out.append(v)
             v = succ[v]
-        if v != head or len(out) != self.length:
+        if v != head or len(out) != length:
             raise ContractViolation(
-                f"the successor map does not close into a cycle of length {self.length}"
+                f"the successor map does not close into a cycle of length {length}"
             )
         return tuple(out)
 
@@ -357,7 +353,7 @@ def _extend(g, state):
     succ, on = state.succ, state.on
     triangles = g.triangles
     u = state.scan
-    for s in range(state.pos, state.length):
+    for s in range(state.pos, len(on)):
         v = succ[u]
         # the apexes on (u, v) come in increasing face id
         for apex in triangles.get((u, v), ()):
@@ -372,7 +368,6 @@ def _extend(g, state):
                 succ[u] = apex
                 succ[apex] = v
                 on.add(apex)
-                state.length += 1
                 state.scan, state.pos = u, s
                 return Splice("apex-insert", (apex,), s, None, (u, apex, v))
         u = v
@@ -394,7 +389,6 @@ def _extend(g, state):
     for a, b in zip(path, path[1:]):
         succ[a] = b
     on.update(added)
-    state.length += len(added)
     state.head = state.scan = path[0]
     state.pos = 0
     return Splice("window-reroute", added, start, window, path)
@@ -461,23 +455,27 @@ def find_extension_exhaustive(g, cycle):
 
 @dataclass(eq=False)
 class GrowthTrace:
-    """A growth chain: the start cycle, the splices that extended it, the
-    final cycle and the number of fallbacks to the exhaustive tier.
+    """A growth chain: the start cycle, the splices that extended it and the
+    final cycle.
 
     Each step is kept as the ``Splice`` growth applied to its live cycle:
     O(1) memory for an apex insert, and whole cycles only for an exhaustive
-    move.  ``summary()``, ``bound``, ``completed`` and the report of what
-    each step changed read these directly.  ``moves`` and ``cycles`` replay
-    the splices from the start cycle and cost O(sum of the cycle lengths)
-    on each access, so read one and derive the other from it when both are
-    needed.
+    move.  ``summary()``, ``fallbacks`` (the number of exhaustive splices),
+    ``bound``, ``completed`` and the runs each step removed and inserted
+    (``isocycle grow``) read these directly.  ``moves`` and ``cycles``
+    replay the splices from the start cycle and cost O(sum of the cycle
+    lengths) on each access, so read one and derive the other from it when
+    both are needed.
     """
 
     graph: object
     start_cycle: tuple
     splices: list
     final_cycle: tuple
-    fallbacks: int
+
+    @property
+    def fallbacks(self):
+        return sum(step.pattern == "exhaustive" for step in self.splices)
 
     @property
     def moves(self):
@@ -530,16 +528,16 @@ def grow_to_bound(g, cycle):
     isolating starts are grown the same way, outside the guarantee.
 
     The start cycle gets the full ``check_isolating`` once, and so does the
-    final cycle, after a check that its tuple has the length the steps
-    counted; in between, the fast tier is handed the growth state of the
-    module docstring (successor map, vertex set, budget, apex scan position),
-    checks each move in O(Δ) and applies it in place, while an exhaustive
-    fallback gets the plain cycle, checks it in full and checks the cycle it
-    finds.
+    final cycle, after a check that the walk of its successor map passes
+    every vertex of its vertex set; in between, the fast tier is handed the
+    growth state of the module docstring (successor map, vertex set, budget,
+    apex scan position), checks each move in O(Δ) and applies it in place,
+    while an exhaustive fallback gets the plain cycle, checks it in full and
+    checks the cycle it finds.
 
-    A fallback is counted only where the fast tier tried every window; an
-    error the fast tier raises, such as a ContractViolation from the cycle
-    analysis, propagates with its own type.
+    A fallback, an exhaustive splice, is made only where the fast tier tried
+    every window; an error the fast tier raises, such as a
+    ContractViolation from the cycle analysis, propagates with its own type.
 
     Raises NotIsolating unless the start cycle is isolating, and
     ExtensionNotFound (with diagnostics) if some step finds no move; for a
@@ -550,14 +548,12 @@ def grow_to_bound(g, cycle):
     start = check_isolating(g, cycle)
     state = _Growing(start, extension_budget(g))
     splices = []
-    fallbacks = 0
-    while state.length < bound:
+    while len(state.on) < bound:
         # through the module attribute, once per step, so a wrapper sees
         # every step
         step = find_extension_fast(g, state)
         if step is None:
             cur = state.cycle()
-            fallbacks += 1
             logger.info(
                 "fast tier found nothing at length %d, falling back", len(cur)
             )
@@ -577,11 +573,11 @@ def grow_to_bound(g, cycle):
             state = _Growing(move.new_cycle, state.budget)
         splices.append(step)
     final = check_isolating(g, state.cycle())
-    if fallbacks:
+    trace = GrowthTrace(graph=g, start_cycle=start, splices=splices, final_cycle=final)
+    # counting the fallbacks walks every splice; only a logged line pays it
+    if logger.isEnabledFor(logging.INFO) and trace.fallbacks:
         logger.info(
             "growth finished at length %d with %d fallback(s) over %d move(s)",
-            len(final), fallbacks, len(splices),
+            len(final), trace.fallbacks, len(splices),
         )
-    return GrowthTrace(
-        graph=g, start_cycle=start, splices=splices, final_cycle=final, fallbacks=fallbacks
-    )
+    return trace

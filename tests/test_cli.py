@@ -34,8 +34,9 @@ ERROR_EXIT_CODES = {
     "DegenerateSide": 3,
     "ExtensionNotFound": 4,
 }
-# sha256 of the moves_detail of `isocycle grow` on the n=14 tight instance
-# from TIGHT14_REROUTE_START, as sorted-key compact JSON
+# sha256 of the moves of `isocycle grow` on the n=14 tight instance from
+# TIGHT14_REROUTE_START, each projected onto its pattern, added,
+# removed_arcs and inserted_paths, as sorted-key compact JSON
 PINNED_TIGHT14_MOVES_DETAIL = (
     "e4f6f2bc3c9e39181ed4801bf931b9a8fa1320e5ba626cfdced50fba27dc7c2a"
 )
@@ -241,7 +242,12 @@ def test_audit_ladder(ladder_file, capsys):
     assert rep["checks"]["conservation"] is True
     assert rep["checks"]["conditions_exclusive"] is True
     assert sum(rep["final_weights"].values()) == 38
-    assert "strict_transfer" not in rep
+    # the ledger's summary and the implied bound once; no verdict twice
+    assert list(rep) == [
+        "c", "n", "pulls", "initial_weights", "final_weights", "checks", "violations",
+        "implied_bound",
+    ]
+    assert rep["implied_bound"] == "58/3"
 
 
 @pytest.mark.parametrize("command", ["extend", "grow"])
@@ -314,15 +320,17 @@ def _edges(path):
     return {frozenset(e) for e in zip(path, path[1:])}
 
 
-def _assert_detail_diffs_the_cycles(start, cycles, moves, detail):
-    """Each move of ``detail`` holds the runs of the whole-cycle diff of
+def _assert_moves_diff_the_cycles(start, cycles, moves, reported):
+    """Each reported move holds the runs of the whole-cycle diff of
     ``cycles`` (as sorted lists), and replaying ``start`` through the
-    detail's runs gives each cycle's edges in turn."""
-    assert len(detail) == len(moves) == len(cycles) - 1
+    reported runs gives each cycle's edges in turn."""
+    assert len(reported) == len(moves) == len(cycles) - 1
     edges = _edges(start + start[:1])
-    for old, new, move, d in zip(cycles, cycles[1:], moves, detail):
-        assert set(d) == {"pattern", "added", "removed_arcs", "inserted_paths"}
-        assert (d["pattern"], d["added"]) == (move.pattern, list(move.added))
+    for old, new, move, d in zip(cycles, cycles[1:], moves, reported):
+        assert list(d) == ["pattern", "added", "length", "removed_arcs", "inserted_paths"]
+        assert (d["pattern"], d["added"], d["length"]) == (
+            move.pattern, list(move.added), len(new),
+        )
         assert sorted(d["removed_arcs"]) == sorted(_cyclic_runs_off(old, new))
         assert sorted(d["inserted_paths"]) == sorted(_cyclic_runs_off(new, old))
         removed = set().union(*map(_edges, d["removed_arcs"]))
@@ -332,9 +340,9 @@ def _assert_detail_diffs_the_cycles(start, cycles, moves, detail):
         assert edges == _edges(new + new[:1])
 
 
-def test_grow_moves_detail_holds_the_runs_of_the_whole_cycle_diff(sweep_corpus, monkeypatch):
-    # the report is read off the splices, O(|window| + |path|) per move; it
-    # must hold the runs the whole-cycle diff finds, for every move of the
+def test_grow_moves_hold_the_runs_of_the_whole_cycle_diff(sweep_corpus, monkeypatch):
+    # each move's runs are read off its splice, O(|window| + |path|); they
+    # must be the runs the whole-cycle diff finds, for every move of the
     # golden tight14 slice (1403 apex inserts and 204 reroutes), of a corpus
     # sample and of growths made of exhaustive moves only
     g, starts = tight14_slice()
@@ -343,22 +351,22 @@ def test_grow_moves_detail_holds_the_runs_of_the_whole_cycle_diff(sweep_corpus, 
     for h, hstarts in jobs:
         for start in hstarts:
             trace = ic.grow_to_bound(h, start)
-            detail = [cli._splice_report(step) for step in trace.splices]
-            _assert_detail_diffs_the_cycles(start, trace.cycles, trace.moves, detail)
-            patterns.update(d["pattern"] for d in detail)
+            reported = cli._grow_report(trace)["moves"]
+            _assert_moves_diff_the_cycles(start, trace.cycles, trace.moves, reported)
+            patterns.update(d["pattern"] for d in reported)
     assert patterns == Counter({"apex-insert": 1403 + 456, "window-reroute": 204})
     monkeypatch.setattr(extension, "find_extension_fast", lambda g, cycle: None)
     equator = ("r0", "r1", "r2", "r3")
     for h, start in [(g, TIGHT14_REROUTE_START), (g, starts[1]), (ic.octahedron(), equator)]:
         trace = ic.grow_to_bound(h, start)
-        detail = [cli._splice_report(step) for step in trace.splices]
-        assert {d["pattern"] for d in detail} == {"exhaustive"}
-        _assert_detail_diffs_the_cycles(start, trace.cycles, trace.moves, detail)
+        reported = cli._grow_report(trace)["moves"]
+        assert {d["pattern"] for d in reported} == {"exhaustive"}
+        _assert_moves_diff_the_cycles(start, trace.cycles, trace.moves, reported)
 
 
 def test_grow_report_on_the_double_wheel_replays_to_its_cycles(tmp_path, capsys, monkeypatch):
-    # end to end on the n=200 double wheel: the report carries no cycle per
-    # move, and cmd_grow replays no trace without --dump-dot
+    # end to end on the n=200 double wheel: the report carries one record
+    # and no cycle per move, and cmd_grow replays no trace without --dump-dot
     g = ic.gen_insertion_family(double_wheel(66))
     start = base_hamiltonian_cycle(66)
     path = tmp_path / "dwheel.json"
@@ -372,8 +380,8 @@ def test_grow_report_on_the_double_wheel_replays_to_its_cycles(tmp_path, capsys,
     monkeypatch.setattr(extension.GrowthTrace, "moves", property(replayed))
     monkeypatch.setattr(extension.GrowthTrace, "cycles", property(replayed))
     code, rep = run_json(capsys, "grow", "--graph", str(path), "--cycle", ",".join(start))
-    assert code == 0 and len(rep["moves_detail"]) == 68
-    _assert_detail_diffs_the_cycles(start, cycles, moves, rep["moves_detail"])
+    assert code == 0 and "moves_detail" not in rep and len(rep["moves"]) == 68
+    _assert_moves_diff_the_cycles(start, cycles, moves, rep["moves"])
 
 
 def test_extend_report_is_the_whole_cycle_diff(sweep_corpus, tmp_path, capsys, monkeypatch):
@@ -412,7 +420,8 @@ def test_grow_tier_2_only_makes_only_exhaustive_moves(monkeypatch, octa_file, ca
     code, rep = run_json(capsys, "grow", "--graph", octa_file, "--cycle", "r0,r1,r2,r3")
     assert code == 0
     assert [m["pattern"] for m in rep["moves"]] == ["exhaustive"] * 2
-    assert [m["pattern"] for m in rep["moves_detail"]] == ["exhaustive"] * 2
+    assert all(m["removed_arcs"] and m["inserted_paths"] for m in rep["moves"])
+    assert "moves_detail" not in rep
     assert rep["fallbacks"] == 2 and rep["lengths"] == [4, 5, 6]
 
 
@@ -447,16 +456,18 @@ def test_grow_writes_report_and_snapshots(octa_file, tmp_path, capsys):
     ]
 
 
-def test_grow_moves_detail_on_tight14_reroute(tmp_path, capsys):
+def test_grow_moves_on_tight14_reroute(tmp_path, capsys):
     path = tmp_path / "tight14.json"
     ic.save_graph(ic.gen_insertion_family(ic.octahedron()), path)
     cycle = ",".join(TIGHT14_REROUTE_START)
     code, rep = run_json(capsys, "grow", "--graph", str(path), "--cycle", cycle)
-    assert code == 0
-    detail = rep["moves_detail"]
-    assert [m["pattern"] for m in detail] == ["apex-insert"] * 5 + ["window-reroute"]
-    assert "new_cycle" not in detail[0]
-    text = json.dumps(detail, sort_keys=True, separators=(",", ":"))
+    assert code == 0 and "moves_detail" not in rep
+    moves = rep["moves"]
+    assert [m["pattern"] for m in moves] == ["apex-insert"] * 5 + ["window-reroute"]
+    assert "new_cycle" not in moves[0]
+    keys = ("pattern", "added", "removed_arcs", "inserted_paths")
+    projected = [{k: m[k] for k in keys} for m in moves]
+    text = json.dumps(projected, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TIGHT14_MOVES_DETAIL
 
 

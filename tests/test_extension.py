@@ -604,14 +604,15 @@ def test_growth_rejects_an_apex_off_the_edge(end):
 
 def test_a_successor_map_that_miscounts_is_refused():
     # the tuple form of the live cycle is built by walking the successor map
-    # from the head, and must close after exactly the counted length
+    # from the head, and must close after exactly as many vertices as the
+    # vertex set holds
     state = extension._Growing(EQUATOR, 3)
     assert state.cycle() == EQUATOR
     state.succ["r0"] = "r2"
     with pytest.raises(ContractViolation, match="length 4"):
         state.cycle()
     state = extension._Growing(EQUATOR, 3)
-    state.length = 5
+    state.on.add("a")
     with pytest.raises(ContractViolation, match="length 5"):
         state.cycle()
 
