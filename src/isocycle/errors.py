@@ -56,7 +56,9 @@ class MinorOneFacePresent(IsocycleError):
 
 
 class DegenerateSide(IsocycleError):
-    """Raised when an extension tree is requested for a side with no structure."""
+    """Raised when a side of the cycle has no structure: an extension tree of a
+    side with one face, or a discharging ledger where the cycle alone bounds a
+    face of H."""
 
     exit_code = 3
 

@@ -11,7 +11,7 @@ import isocycle as ic
 from conftest import TIGHT14_REROUTE_START, short_isolating_cycles, tight14_slice
 from isocycle import cli, extension
 from isocycle.cli import main
-from isocycle.errors import ContractViolation, IsocycleError
+from isocycle.errors import ContractViolation, ExtensionNotFound, IsocycleError
 from isocycle.generators import base_hamiltonian_cycle, double_wheel, named_graph
 
 # the exit code of every package error: 2 invalid input, 3 a broken audit
@@ -594,6 +594,27 @@ def test_batch_runs_clean(capsys):
     assert len(rep["instances"]) == 2
     assert all(row["grown"] == row["cycles"] for row in rep["instances"])
     assert rep["alarms"] == 0
+
+
+def test_batch_counts_an_alarm_and_exits_four(capsys, monkeypatch):
+    # a start whose growth finds no move is an alarm: the batch goes on,
+    # reports it and exits 4
+    real = cli.grow_to_bound
+    calls = []
+
+    def first_start_alarms(g, cycle):
+        calls.append(cycle)
+        if len(calls) == 1:
+            raise ExtensionNotFound("planted")
+        return real(g, cycle)
+
+    monkeypatch.setattr(cli, "grow_to_bound", first_start_alarms)
+    code, rep = run_json(
+        capsys, "batch", "--count", "2", "--base-n", "8", "--cap", "2", "--seed", "3"
+    )
+    assert code == 4
+    assert rep["alarms"] == 1
+    assert [row["cycles"] - row["grown"] for row in rep["instances"]] == [1, 0]
 
 
 def test_batch_fill_sets_the_instance_size(capsys):

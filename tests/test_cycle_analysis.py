@@ -385,6 +385,9 @@ def test_wheel_rim_minus_side_is_degenerate():
     a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
     with pytest.raises(DegenerateSide):
         extension_tree(a, MINUS)
+    assert a.summary()["trees"]["minus"] == {
+        "degenerate": "the minus side of the cycle has no structure"
+    }
 
 
 def test_ladder_trees_and_lemma(ladder_analysis):

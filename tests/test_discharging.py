@@ -34,8 +34,9 @@ def test_refuses_minor_one_faces(cyclic_instance):
 
 
 def test_refuses_degenerate_faces():
+    # the rim of a wheel alone bounds the outer face, which is never minor
     a = ic.analyze_cycle(wheel(7), tuple(f"r{i}" for i in range(7)))
-    with pytest.raises(DegenerateSide):
+    with pytest.raises(DegenerateSide, match="bounded by the cycle alone"):
         ic.apply_discharging(a)
 
 

@@ -148,6 +148,14 @@ def test_exhaustive_tier_past_the_recursion_limit():
     assert set(move.new_cycle) == set(start).union(move.added)
 
 
+def test_exhaustive_tier_refuses_a_cycle_that_misses_a_vertex(monkeypatch):
+    # the cycle found must run through the old and the chosen vertices: a
+    # search that yields the start cycle again misses the chosen one
+    monkeypatch.setattr(extension, "hamiltonian_cycles", lambda g, keep: iter([EQUATOR]))
+    with pytest.raises(InvalidMove, match="misses the old or chosen vertices"):
+        ic.find_extension_exhaustive(ic.octahedron(), EQUATOR)
+
+
 def test_exhaustive_tier_checks_without_make_move(sweep_sample):
     # the exhaustive tier checks its start at entry and the cycle it finds
     # on the chosen vertex set; its moves equal the ones the oracle's full
@@ -326,9 +334,9 @@ def test_growth_builds_one_move_per_step(monkeypatch, instance, patterns, analys
 def _count_ledgers(monkeypatch):
     """The list of analyses the fast tier runs the discharging ledger on."""
     audited = []
-    real = extension._deficient_minors
+    real = extension.apply_discharging
     monkeypatch.setattr(
-        extension, "_deficient_minors", lambda a: audited.append(a) or real(a)
+        extension, "apply_discharging", lambda a: audited.append(a) or real(a)
     )
     return audited
 
@@ -461,7 +469,7 @@ def test_a_cyclic_tunnel_proposes_its_seam():
     ids=["too-short", "degenerate"],
 )
 def test_a_cycle_the_audit_does_not_cover_flags_nothing(stand_in):
-    # the ledger refuses c < 6 and a minor face spanning the whole cycle
+    # the ledger refuses c < 6 and a face of H bounded by the cycle alone
     # before it reads anything else; the engine then flags no face
     assert extension._flagged_faces(stand_in) == frozenset()
 
@@ -727,10 +735,12 @@ def test_reroute_memo_searches_each_cycle_once(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_drop_window_vertex, "window's cycle vertices"),
-        (_take_a_non_edge, "missing edge"),
+        (lambda g, path, window: _drop_window_vertex(g, path), "window's cycle vertices"),
+        (lambda g, path, window: _take_a_non_edge(g, path), "missing edge"),
+        # the window itself joins its ends through its cycle vertices only
+        (lambda g, path, window: window, "strictly longer"),
     ],
-    ids=["missing-window-vertex", "non-edge"],
+    ids=["missing-window-vertex", "non-edge", "adds-no-vertex"],
 )
 def test_a_corrupt_memo_entry_is_refused(corrupt, message):
     # a memo hit is checked like a fresh search: the move built from a
@@ -738,11 +748,29 @@ def test_a_corrupt_memo_entry_is_refused(corrupt, message):
     g = ic.gen_insertion_family(ic.octahedron())
     cyc, _ = _reroute_step(g)
     start, length, path = g._reroutes[cyc]
-    g._reroutes[cyc] = (start, length, corrupt(g, path))
+    window = (cyc[start:] + cyc[:start])[: length + 1]
+    g._reroutes[cyc] = (start, length, corrupt(g, path, window))
     with pytest.raises(InvalidMove, match=message):
         ic.find_extension_fast(g, cyc)
     with pytest.raises(InvalidMove, match=message):
         ic.grow_to_bound(g, TIGHT14_REROUTE_START)
+
+
+@pytest.mark.parametrize("pattern", ["apex-insert", "window-reroute"])
+def test_a_move_over_the_budget_is_refused(pattern):
+    # both fast-tier moves check the budget: with none left on a fresh
+    # graph, the equator's apex insert and the tight14 start's reroute step
+    # are refused by both entry points
+    if pattern == "apex-insert":
+        g, cycle = ic.octahedron(), EQUATOR
+    else:
+        cycle, move = _reroute_step(ic.gen_insertion_family(ic.octahedron()))
+        assert move.pattern == pattern and len(move.added) == 1
+        g = ic.gen_insertion_family(ic.octahedron())
+    g._budget = 0
+    for entry in (ic.find_extension_fast, ic.grow_to_bound):
+        with pytest.raises(InvalidMove, match="move adds 1 vertices, budget is 0"):
+            entry(g, cycle)
 
 
 def test_a_failed_reroute_search_is_not_stored(monkeypatch):

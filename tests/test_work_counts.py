@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED0_ROWS = [
     ("extension._reroute", 364, 0, 0),
     ("analyze_cycle", 364, 0, 0),
-    ("ledger _deficient_minors", 122, 0, 0),
+    ("ledger apply_discharging", 122, 0, 0),
     ("extension._window", 805, 0, 0),
     ("find_hamiltonian_path", 1539, 1156, 0),
     ("hamiltonian_cycles", 0, 0, 0),
@@ -27,7 +27,7 @@ SEED0_ROWS = [
 CORPUS_SEED0_ROWS = [
     ("extension._reroute", 0, 0, 0),
     ("analyze_cycle", 0, 0, 0),
-    ("ledger _deficient_minors", 0, 0, 0),
+    ("ledger apply_discharging", 0, 0, 0),
     ("extension._window", 0, 0, 0),
     ("find_hamiltonian_path", 0, 0, 0),
     ("hamiltonian_cycles", 10300, 0, 0),

@@ -15,7 +15,9 @@ returned None or raised:
 
 - ``extension._reroute``, the reroute search, called once per memo miss;
 - ``analyze_cycle``, as the extension engine calls it;
-- the ledger query, the function the engine imports from ``discharging``;
+- the ledger, ``apply_discharging`` as the engine imports it from
+  ``discharging``: the whole ledger and its audit, run lazily on reroute
+  steps (122 and 413 calls in the tight14 passes at seeds 0 and 1);
 - ``extension._window``, one reroute window and its extras;
 - ``find_hamiltonian_path``, as the engine calls it;
 - ``hamiltonian_cycles``, as the exhaustive tier calls it, once per vertex
