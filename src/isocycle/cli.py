@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands: validate, analyze, audit, extend, grow, gen, circ, export-dot,
-batch.  Reports are JSON on stdout (or --out).  Exit codes: 0 ok, 1 usage,
-else the error type's ``exit_code`` (see ``errors``), with the error as JSON
-on stderr; an unreadable file exits 2 like any other invalid input.
+batch.  Reports are JSON with indent 2 (DOT for export-dot) on stdout, or
+in the UTF-8 file --out.  Exit codes: 0 ok, 1 usage, 141 when the reader
+closes stdout, else the error type's ``exit_code`` (see ``errors``), with the
+error as JSON on stderr; an unreadable file exits 2 like any other invalid
+input.
 """
 
 import argparse
@@ -65,13 +67,18 @@ def _parse_cycle(text):
     return tuple(items)
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=args.json_indent, default=str)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+def _write(args, text):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        print(text)
+        # flushed here, so a closed pipe raises inside main, not at exit
+        sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _emit(args, payload):
+    _write(args, json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def cmd_validate(args):
@@ -193,14 +200,12 @@ def cmd_gen(args):
         else:
             base = named_graph(args.base)
         g = gen_insertion_family(base, seed=args.seed, fill_count=args.fill)
-    elif args.family == "random":
+    else:
         if args.n is None:
             raise UsageError("gen --family random needs --n")
         g = gen_random_triangulation(
             args.n, seed=args.seed, require_four_connected=args.four_connected
         )
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
     _emit(args, graph_to_json_dict(g))
     return 0
 
@@ -220,12 +225,7 @@ def cmd_export_dot(args):
     if args.cycle is not None:
         cycle = _parse_cycle(args.cycle)
         check_cycle(g, cycle)
-    text = graph_to_dot(g, highlight_cycle=cycle)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(args, graph_to_dot(g, highlight_cycle=cycle))
     return 0
 
 
@@ -275,7 +275,7 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, graph=True, cycle=False, indent=True):
+    def common(sp, graph=True, cycle=False):
         if graph:
             sp.add_argument("--graph", required=True, help="graph JSON file")
         if cycle:
@@ -285,8 +285,6 @@ def build_parser():
                 help="comma-separated vertex ids, or @file.json",
             )
         sp.add_argument("--out", help="write the output here instead of stdout")
-        if indent:
-            sp.add_argument("--json-indent", type=int, default=2)
 
     sp = sub.add_parser("validate", help="check a graph file")
     common(sp)
@@ -335,7 +333,7 @@ def build_parser():
     sp.set_defaults(func=cmd_circ)
 
     sp = sub.add_parser("export-dot", help="Graphviz export")
-    common(sp, indent=False)
+    common(sp)
     sp.add_argument("--cycle", help="highlight this cycle")
     sp.set_defaults(func=cmd_export_dot)
 
@@ -371,6 +369,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone: end quietly with the status of a SIGPIPE
+        # death, and let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (IsocycleError, OSError) as exc:
         # an unreadable input file is invalid input, like a malformed one
         report = {"error": type(exc).__name__, "message": str(exc)}

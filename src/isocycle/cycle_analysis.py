@@ -473,8 +473,7 @@ def analyze_cycle(g, cycle):
 # extension trees
 
 
-@dataclass(eq=False)
-class SideTree:
+class SideTree(NamedTuple):
     """The extension tree of one side of the cycle.
 
     Nodes are ('face', fid) and ('vertex', v) pairs.  When the side has
@@ -488,21 +487,6 @@ class SideTree:
     kind: str
     nodes: tuple
     edges: tuple
-    adj: dict = field(repr=False)
-
-    def degree(self, node):
-        return len(self.adj[node])
-
-    def leaves(self):
-        return [x for x in self.nodes if len(self.adj[x]) <= 1]
-
-    def is_tree(self):
-        if not self.nodes:
-            return False
-        if len(self.edges) != len(self.nodes) - 1:
-            return False
-        nodes = set(self.nodes)
-        return reachable(self.adj, self.nodes[:1], nodes) == nodes
 
 
 def extension_tree(analysis, side):
@@ -544,11 +528,7 @@ def extension_tree(analysis, side):
                     edges.add(tuple(sorted((("face", a), ("face", b)))))
         kind = "weak_dual"
 
-    adj = {x: set() for x in nodes}
-    for x, y in edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    return SideTree(side=side, kind=kind, nodes=tuple(nodes), edges=tuple(sorted(edges)), adj=adj)
+    return SideTree(side, kind, tuple(nodes), tuple(sorted(edges)))
 
 
 def check_tree_lemma(analysis, side):
@@ -560,14 +540,19 @@ def check_tree_lemma(analysis, side):
     minor = {("face", f) for f in analysis.minor_faces(side)}
     side_vertices = analysis.v_minus if side == MINUS else analysis.v_plus
 
-    leaves = set(tree.leaves())
-    degrees = [tree.degree(x) for x in tree.nodes]
+    adj = {x: set() for x in tree.nodes}
+    for x, y in tree.edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    nodes = set(adj)
+    degrees = [len(adj[x]) for x in tree.nodes]
     leaf_count = sum(1 for d in degrees if d <= 1)
     branching = sum(d - 2 for d in degrees if d >= 3)
 
     checks = {
-        "is_tree": tree.is_tree(),
-        "leaves_are_minor_faces": leaves == minor,
+        "is_tree": len(tree.edges) == len(nodes) - 1
+        and reachable(adj, tree.nodes[:1], nodes) == nodes,
+        "leaves_are_minor_faces": {x for x in nodes if len(adj[x]) <= 1} == minor,
         "leaf_count_identity": len(tree.nodes) < 2 or leaf_count == 2 + branching,
         "minor_face_lower_bound": len(minor) >= len(side_vertices) + 2,
         "no_degree_two": (not side_vertices) or all(d != 2 for d in degrees),

@@ -575,11 +575,4 @@ def grow_to_bound(g, cycle):
             state = _Growing(move.new_cycle, state.budget)
         splices.append(step)
     final = check_isolating(g, state.cycle())
-    trace = GrowthTrace(graph=g, start_cycle=start, splices=splices, final_cycle=final)
-    # counting the fallbacks walks every splice; only a logged line pays it
-    if logger.isEnabledFor(logging.INFO) and trace.fallbacks:
-        logger.info(
-            "growth finished at length %d with %d fallback(s) over %d move(s)",
-            len(final), trace.fallbacks, len(splices),
-        )
-    return trace
+    return GrowthTrace(graph=g, start_cycle=start, splices=splices, final_cycle=final)

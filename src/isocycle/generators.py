@@ -115,7 +115,7 @@ class _RotationEditor:
         self.first = {}
         self.succ = {}
         for v, ring in g.rotation.items():
-            self.first[v] = ring[0] if ring else None
+            self.first[v] = ring[0]
             self.succ[v] = dict(zip(ring, ring[1:] + ring[:1]))
 
     def split(self, a, b, c, x):
@@ -168,8 +168,6 @@ class _RotationEditor:
     def ring(self, v):
         """The ring at v as a list, from its first neighbour."""
         succ = self.succ[v]
-        if not succ:
-            return []
         w = self.first[v]
         out = [w]
         for _ in range(len(succ) - 1):

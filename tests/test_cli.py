@@ -3,6 +3,9 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -81,9 +84,26 @@ def test_gen_rejects_transfer_pair_flag(capsys):
     assert main(["gen", "--family", "named", "--name", "k4", "--lax-transfer-pair"]) == 1
 
 
-def test_export_dot_rejects_json_indent(octa_file, capsys):
-    # export-dot writes DOT, so a JSON indent has nothing to act on
-    assert main(["export-dot", "--graph", octa_file, "--json-indent", "4"]) == 1
+# arguments each command runs with, so that a refused flag is refused as such
+COMMAND_ARGS = {
+    "validate": ["--graph", "{graph}"],
+    "analyze": ["--graph", "{graph}", "--cycle", "r0,r1,r2,r3"],
+    "audit": ["--graph", "{graph}", "--cycle", "r0,r1,r2,r3"],
+    "extend": ["--graph", "{graph}", "--cycle", "r0,r1,r2,r3"],
+    "grow": ["--graph", "{graph}", "--cycle", "r0,r1,r2,r3"],
+    "gen": ["--family", "named", "--name", "k4"],
+    "circ": ["--graph", "{graph}"],
+    "export-dot": ["--graph", "{graph}"],
+    "batch": ["--count", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_rejects_json_indent(octa_file, capsys, command):
+    # every report is printed with indent 2; no flag changes it
+    argv = [command] + [a.format(graph=octa_file) for a in COMMAND_ARGS[command]]
+    assert main(argv + ["--json-indent", "2"]) == 1
+    assert "unrecognized arguments: --json-indent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--lax-transfer-pair", "--strict-transfer-pair"])
@@ -175,6 +195,14 @@ def test_analyze_rejects_malformed_cycle_sidecar(octa_file, tmp_path, capsys):
     side.write_text("[r0, r1")
     assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_cycle_sidecar_that_is_no_list(octa_file, tmp_path, capsys):
+    side = tmp_path / "object.json"
+    side.write_text('{"cycle": ["r0", "r1", "r2", "r3"]}')
+    assert main(["analyze", "--graph", octa_file, "--cycle", f"@{side}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "cycle sidecar must be a JSON list of vertex ids"
 
 
 @pytest.mark.parametrize("item", ['["a"]', "true", "1.5", "null", '{"a": 1}'])
@@ -503,13 +531,48 @@ def test_gen_named_graph_roundtrip(tmp_path, capsys):
     assert g.n == 8 and g.m == 12
 
 
-def test_gen_out_honours_json_indent(tmp_path, capsys):
-    out = tmp_path / "k4.json"
-    argv = ["gen", "--family", "named", "--name", "k4", "--json-indent", "0"]
+@pytest.mark.parametrize("command", ["gen", "export-dot"])
+def test_out_writes_the_bytes_stdout_gets(octa_file, tmp_path, capsys, command):
+    argv = [command] + [a.format(graph=octa_file) for a in COMMAND_ARGS[command]]
+    code, printed = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 0
-    expected = json.dumps(ic.graph_to_json_dict(named_graph("k4")), indent=0) + "\n"
-    assert out.read_text() == expected
     assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+    if command == "gen":
+        assert printed == json.dumps(ic.graph_to_json_dict(named_graph("k4")), indent=2) + "\n"
+
+
+def test_out_into_a_missing_directory_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "k4.json"
+    assert main(["gen", "--family", "named", "--name", "k4", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_pipe_ends_quietly_with_141(buffered):
+    # the reader is gone before the command writes: no error report, and
+    # the status a SIGPIPE death gives, whether stdout is buffered or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ic.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "isocycle.cli", "gen", "--family", "named", "--name", "k4"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("family", ["named", "insertion", "random"])
+def test_gen_without_its_family_argument_is_a_usage_error(capsys, family):
+    # --name, --base and --n are each required by one family only
+    assert main(["gen", "--family", family]) == 1
+    assert f"gen --family {family} needs --" in capsys.readouterr().err
 
 
 def test_gen_random_zero_vertices_is_validation_error(capsys):

@@ -1,5 +1,7 @@
 """Cycle checks, region partition, pruning, face classes, arches, trees."""
 
+from collections import Counter
+
 import pytest
 
 import isocycle as ic
@@ -356,13 +358,22 @@ def test_chord_joining_extremal_vertices_is_excluded(arch_analysis):
 # -- extension trees ----------------------------------------------------------
 
 
+def _degrees(tree):
+    return Counter(x for edge in tree.edges for x in edge)
+
+
+def _leaves(tree):
+    degrees = _degrees(tree)
+    return sorted(x for x in tree.nodes if degrees[x] <= 1)
+
+
 def test_equator_trees_are_stars():
     a = ic.analyze_cycle(octa(), EQUATOR)
     for side, apex in ((MINUS, a.v_minus[0]), (PLUS, a.v_plus[0])):
         t = extension_tree(a, side)
         assert ("vertex", apex) in t.nodes
         assert len(t.nodes) == 5 and len(t.edges) == 4
-        assert sorted(t.leaves()) == sorted(
+        assert _leaves(t) == sorted(
             ("face", f) for f in a.minor_faces(side)
         )
 
@@ -373,10 +384,7 @@ def test_hex_weak_dual_is_a_path(hex_instance):
     t = extension_tree(a, MINUS)
     assert len(t.nodes) == 3 and len(t.edges) == 2
     assert t.kind == "weak_dual"
-    degrees = {}
-    for u, v in t.edges:
-        degrees[u] = degrees.get(u, 0) + 1
-        degrees[v] = degrees.get(v, 0) + 1
+    degrees = _degrees(t)
     centre = max(degrees, key=degrees.get)
     assert sorted(a.h.faces[centre[1]]) == ["v0", "v2", "v3", "v4"]
 
@@ -396,8 +404,8 @@ def test_ladder_trees_and_lemma(ladder_analysis):
     tp = extension_tree(a, PLUS)
     assert (len(tm.nodes), len(tm.edges)) == (8, 7)
     assert (len(tp.nodes), len(tp.edges)) == (8, 7)
-    assert sorted(tm.leaves()) == [("face", f) for f in (0, 5, 7, 11, 12)]
-    assert sorted(tp.leaves()) == [("face", f) for f in (1, 2, 6, 9, 13)]
+    assert _leaves(tm) == [("face", f) for f in (0, 5, 7, 11, 12)]
+    assert _leaves(tp) == [("face", f) for f in (1, 2, 6, 9, 13)]
     assert ic.check_tree_lemma(a, MINUS)["ok"]
     assert ic.check_tree_lemma(a, PLUS)["ok"]
 
@@ -406,6 +414,11 @@ def test_build_extension_trees_wrapper(ladder_analysis):
     # the tree pair of both sides, each tagged with the side it was built on
     tm, tp = (extension_tree(ladder_analysis, side) for side in (MINUS, PLUS))
     assert tm.side == "minus" and tp.side == "plus"
+
+
+def test_extension_tree_refuses_an_unknown_side(ladder_analysis):
+    with pytest.raises(ValueError, match="side must be"):
+        extension_tree(ladder_analysis, "left")
 
 
 def test_minor_face_count_lower_bound(sweep_sample):

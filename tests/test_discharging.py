@@ -249,3 +249,43 @@ def test_c5_instance_rests_on_a_transfer_pair():
         (3, "ccw", ()), (3, "cw", ()), (7, "ccw", ()), (7, "cw", ()),
         (8, "ccw", ((0, 0),)), (8, "cw", ((0, 8),)),
     ]
+
+
+# A 3-connected non-triangulation, found by a bounded search over random
+# stacked triangulations less some edges, where C5's transfer pair holds but
+# a 2-arch refuses it
+C5_REFUSED_INSTANCE = {
+    "vertices": ["h", "r0", "r1", "r2", "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"],
+    "rotation": {
+        "h": ["r2", "r1", "t4", "t3", "r0", "t6", "t8"],
+        "r0": ["h", "t3", "r1", "t0", "t1"],
+        "r1": ["h", "r2", "t0", "r0", "t3", "t4"],
+        "r2": ["h", "t8", "t5", "t2", "t7", "t0", "r1"],
+        "t0": ["r0", "r1", "r2"],
+        "t1": ["r0", "t7", "t6"],
+        "t2": ["t6", "t7", "r2", "t5"],
+        "t3": ["h", "t4", "r1", "r0"],
+        "t4": ["r1", "t3", "h"],
+        "t5": ["t2", "r2", "t8"],
+        "t6": ["t1", "t2", "h"],
+        "t7": ["r2", "t2", "t1"],
+        "t8": ["h", "t5", "r2"],
+    },
+}
+C5_REFUSED_CYCLE = ("h", "r2", "t8", "t5", "t2", "t7", "t1", "r0", "t3", "r1", "t4")
+
+
+def test_c5_is_refused_by_a_two_arch_at_the_far_end():
+    # face 0's 4-arch h-t6-t2 spans C-edges 0 to 3; at (0, 2) C5 asks the
+    # pair (1, 0) across its far end, a transfer pair, but face 0 also keeps
+    # the chord 2-arch h-t8, which ends at h, the far end's vertex
+    g = graph_from_json_dict(C5_REFUSED_INSTANCE)
+    assert ic.is_three_connected(g)
+    a = ic.analyze_cycle(g, C5_REFUSED_CYCLE)
+    assert (a.proper_arch[0].path, a.proper_arch[0].start) == (("h", "t6", "t2"), 0)
+    assert [A.path for A in a.arches(0) if A.length == 2] == [("h", "t8")]
+    pairs = {p for t in a.tunnels if not t.cyclic for track in tracks(a, t) for p in track.pairs}
+    assert (1, 0) in pairs
+    led = ic.apply_discharging(a)
+    assert led.conditions_at[(0, 2)] == ()
+    assert "C5" not in {p.condition for p in led.pulls}

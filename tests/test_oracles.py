@@ -24,6 +24,9 @@ def test_circumference_of_named_graphs():
     assert ic.oracle_circumference(prism()) == 6
     assert ic.oracle_circumference(ic.octahedron()) == 6
     assert ic.oracle_circumference(cube()) == 8
+    # one edge holds no cycle
+    k2 = ic.build_plane_graph(["a", "b"], {"a": ["b"], "b": ["a"]})
+    assert ic.oracle_circumference(k2) == 0
 
 
 def test_insertion_instance_circumference_hits_the_bound():

@@ -390,6 +390,24 @@ def test_graph_from_faces_rejects_reused_dart():
         ic.graph_from_faces([("a", "b", "c"), ("a", "b", "d")])
 
 
+@pytest.mark.parametrize(
+    "faces, message",
+    [
+        # one face alone: no face traces its darts back
+        ([("a", "b", "c")], "unmatched directed edges at 'a'"),
+        # two triangles meeting only at v: v's darts close into two fans
+        (
+            [("v", "a", "b"), ("b", "a", "v"), ("v", "c", "d"), ("d", "c", "v")],
+            "rotation at 'v' splits into several cycles",
+        ),
+    ],
+    ids=["unmatched", "two-fans"],
+)
+def test_graph_from_faces_rejects_a_rotation_it_cannot_close(faces, message):
+    with pytest.raises(InconsistentRotation, match=message):
+        ic.graph_from_faces(faces)
+
+
 def test_connectivity_ladder_of_predicates():
     path = ic.build_plane_graph(
         ["a", "b", "c"], {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
@@ -398,6 +416,7 @@ def test_connectivity_ladder_of_predicates():
 
     square = ic.graph_from_faces([("a", "b", "c", "d"), ("d", "c", "b", "a")])
     assert not ic.is_three_connected(square)
+    assert not is_essentially_four_connected(square)
 
     assert ic.is_three_connected(k4())
     assert not is_four_connected(cube())

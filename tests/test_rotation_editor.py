@@ -15,7 +15,7 @@ import random
 import pytest
 
 import isocycle as ic
-from isocycle.generators import _RotationEditor, double_wheel, k4
+from isocycle.generators import _RotationEditor, cube, double_wheel, k4
 from isocycle.plane_graph import build_plane_graph, graph_to_json_dict
 
 SEEDS = range(50)
@@ -185,4 +185,15 @@ def test_diagonal_flip_rejects_a_non_edge(u, v):
     editor = _RotationEditor(g)
     with pytest.raises(KeyError):
         editor.flip(u, v)
+    assert_same_graph(editor.freeze(), g)
+
+
+@pytest.mark.parametrize("make", [cube, k4], ids=["square-sides", "degree-three"])
+def test_diagonal_flip_refuses_an_illegal_flip(make):
+    # a cube edge has squares on both sides; a K4 edge joins degree-3
+    # vertices whose two opposite corners are adjacent
+    g = make()
+    editor = _RotationEditor(g)
+    assert editor.flip(*g.edges[0]) is None
+    assert rebuilt_flip(g, *g.edges[0]) is None
     assert_same_graph(editor.freeze(), g)

@@ -223,6 +223,8 @@ def test_cyclic_tunnel_has_no_tracks(cyclic_instance):
     t = find_tunnels(a)[0]
     with pytest.raises(ValueError):
         tracks(a, t)
+    with pytest.raises(ValueError, match="needs an acyclic tunnel"):
+        on_track(a, t, (0, 0), (0, 0))
     # the only tunnel is cyclic, so there is no track to pull along
     assert [t.cyclic for t in a.tunnels] == [True]
 

@@ -15,22 +15,22 @@ ROOT = Path(__file__).resolve().parent.parent
 # (label, calls, returned None, raised)
 SEED0_ROWS = [
     ("extension._reroute", 364, 0, 0),
-    ("analyze_cycle", 364, 0, 0),
-    ("ledger apply_discharging", 122, 0, 0),
+    ("cycle_analysis.analyze_cycle", 364, 0, 0),
+    ("discharging.apply_discharging", 122, 0, 0),
     ("extension._window", 805, 0, 0),
-    ("find_hamiltonian_path", 1539, 1156, 0),
-    ("hamiltonian_cycles", 0, 0, 0),
+    ("oracles.find_hamiltonian_path", 1539, 1156, 0),
+    ("oracles.hamiltonian_cycles", 0, 0, 0),
     ("oracles._flood", 9581, 0, 0),
 ]
 # the corpus's fast steps are all apex inserts, and each exhaustive step
 # finds a cycle on the first vertex set it tries
 CORPUS_SEED0_ROWS = [
     ("extension._reroute", 0, 0, 0),
-    ("analyze_cycle", 0, 0, 0),
-    ("ledger apply_discharging", 0, 0, 0),
+    ("cycle_analysis.analyze_cycle", 0, 0, 0),
+    ("discharging.apply_discharging", 0, 0, 0),
     ("extension._window", 0, 0, 0),
-    ("find_hamiltonian_path", 0, 0, 0),
-    ("hamiltonian_cycles", 10300, 0, 0),
+    ("oracles.find_hamiltonian_path", 0, 0, 0),
+    ("oracles.hamiltonian_cycles", 10300, 0, 0),
     ("oracles._flood", 55391, 0, 0),
 ]
 

@@ -14,17 +14,19 @@ set-up, it counts the calls of these functions, and how many of them
 returned None or raised:
 
 - ``extension._reroute``, the reroute search, called once per memo miss;
-- ``analyze_cycle``, as the extension engine calls it;
-- the ledger, ``apply_discharging`` as the engine imports it from
-  ``discharging``: the whole ledger and its audit, run lazily on reroute
-  steps (122 and 413 calls in the tight14 passes at seeds 0 and 1);
+- ``cycle_analysis.analyze_cycle``;
+- ``discharging.apply_discharging``, the whole ledger and its audit, run
+  lazily on reroute steps (122 and 413 calls in the tight14 passes at
+  seeds 0 and 1);
 - ``extension._window``, one reroute window and its extras;
-- ``find_hamiltonian_path``, as the engine calls it;
-- ``hamiltonian_cycles``, as the exhaustive tier calls it, once per vertex
-  set it tries (a generator, so it never returns None);
+- ``oracles.find_hamiltonian_path``;
+- ``oracles.hamiltonian_cycles``, which the exhaustive tier calls once per
+  vertex set it tries (a generator, so it never returns None);
 - ``oracles._flood``, the connectivity test inside the Hamiltonian kernel.
 
-Each is wrapped at the module attribute the caller looks it up in, so the
+Each row is labelled by the function's home module.  The function is
+wrapped under every name an isocycle module binds it to, whatever the
+caller imported it as, and the bindings come back after the pass, so the
 package is not edited.  The counts depend only on the code and the inputs,
 so two runs print the same bytes on any host.  ``tests/test_work_counts.py``
 pins the seed-0 rows of both workloads.
@@ -35,6 +37,16 @@ import sys
 from pathlib import Path
 
 LOADS = (("tight14", 0), ("tight14", 1), ("corpus", 0))
+# (home module, function name) of every counted function, in row order
+WATCHED = (
+    ("extension", "_reroute"),
+    ("cycle_analysis", "analyze_cycle"),
+    ("discharging", "apply_discharging"),
+    ("extension", "_window"),
+    ("oracles", "find_hamiltonian_path"),
+    ("oracles", "hamiltonian_cycles"),
+    ("oracles", "_flood"),
+)
 
 
 class Counts:
@@ -57,27 +69,16 @@ def _wrapped(fn, counts):
     return wrapper
 
 
-def _watched(isocycle):
-    """(label, module, attribute) of every counted function."""
-    extension, oracles = isocycle.extension, isocycle.oracles
-    ledger = sorted(
-        name
-        for name, obj in vars(extension).items()
-        if callable(obj) and getattr(obj, "__module__", None) == isocycle.discharging.__name__
-    )
-    return (
-        [
-            ("extension._reroute", extension, "_reroute"),
-            ("analyze_cycle", extension, "analyze_cycle"),
-        ]
-        + [(f"ledger {name}", extension, name) for name in ledger]
-        + [
-            ("extension._window", extension, "_window"),
-            ("find_hamiltonian_path", extension, "find_hamiltonian_path"),
-            ("hamiltonian_cycles", extension, "hamiltonian_cycles"),
-            ("oracles._flood", oracles, "_flood"),
-        ]
-    )
+def _bindings(isocycle, fn):
+    """(module, attribute) of every isocycle module binding that is fn."""
+    package = isocycle.__name__
+    return [
+        (mod, attr)
+        for name, mod in list(sys.modules.items())
+        if mod is not None and (name == package or name.startswith(package + "."))
+        for attr, obj in list(vars(mod).items())
+        if obj is fn
+    ]
 
 
 def count_rows(isocycle, workloads, load, seed):
@@ -85,18 +86,21 @@ def count_rows(isocycle, workloads, load, seed):
     pass of the workload ``load`` at ``seed``."""
     workload = workloads.bind(isocycle)[load]
     starts = workload.setup(seed)
-    watched = _watched(isocycle)
-    counts = [Counts() for _ in watched]
-    originals = [getattr(mod, attr) for _, mod, attr in watched]
-    for (_, mod, attr), fn, n in zip(watched, originals, counts):
-        setattr(mod, attr, _wrapped(fn, n))
+    rows, patched = [], []
+    for home, name in WATCHED:
+        fn, counts = getattr(getattr(isocycle, home), name), Counts()
+        wrapper = _wrapped(fn, counts)
+        for mod, attr in _bindings(isocycle, fn):
+            setattr(mod, attr, wrapper)
+            patched.append((mod, attr, fn))
+        rows.append((f"{home}.{name}", counts))
     try:
         for start in starts:
             workload.run(start)
     finally:
-        for (_, mod, attr), fn in zip(watched, originals):
+        for mod, attr, fn in patched:
             setattr(mod, attr, fn)
-    return [(label, n.calls, n.none, n.raised) for (label, _, _), n in zip(watched, counts)]
+    return [(label, n.calls, n.none, n.raised) for label, n in rows]
 
 
 def main():
