@@ -82,8 +82,7 @@ class Arch(NamedTuple):
 
     @property
     def middle_position(self):
-        if self.length % 2 == 0:
-            return None
+        """Edge position of the archway's middle edge; callers ask only of a 3-arch."""
         return (self.start + self.length // 2) % self.cycle_length
 
 

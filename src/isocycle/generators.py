@@ -233,7 +233,8 @@ def gen_random_triangulation(n, seed=0, require_four_connected=False):
     uniform.  Splitting face a, b, c by x puts a, b, x in its slot and
     appends b, c, x and c, a, x.  The splits run on the rotation editor and
     the graph is built once: 0.007-0.013 s at n = 800 and 0.18-0.24 s at
-    n = 10^4 (``tools/build_scaling.py``).  The 4-connected variant is not
+    n = 10^4 (rows ``stacked_800`` and ``stacked_10000`` of
+    ``tools/timing.py``).  The 4-connected variant is not
     random: it returns double_wheel(n - 2) for every seed, since every
     diagonal flip of a double wheel leaves a vertex of degree 3.  A flip
     walk that repairs 4-connectivity is ROADMAP item 10.
